@@ -14,18 +14,19 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .cells import FFVariant, Mode, Stage, comparison_table, load_library, resolve_library
 from .errors import ScanforgeError
 from .ffmodel import FFState, ff_cycle
-from .logic import X, Bit, bit_char
+from .logic import X
 from .netlist import Netlist, load_netlist, load_patterns, serialize_netlist
 from .power import estimate_power, power_gain
 from .protocol import cycle_budget, run_scan_test, sim_functional
 from .reports import FORMATS, envelope, format_report
-from .scan import ScanChainPlan, insert_scan, verify_chain
+from .scan import default_plan, insert_scan, verify_chain
 from .sta import analyze_timing, time_gain, zero_cloud_netlist
 from .switchsim import TransistorNetwork, bundled_network, load_network_file, run_cycles
 from .vcd import dump_vcd
@@ -65,19 +66,13 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any]) -> None:
         sys.stdout.write(text)
 
 
-def _wave(bits: Sequence[Bit]) -> str:
-    return "".join(bit_char(b) for b in bits)
-
-
 def cmd_insert(args: argparse.Namespace) -> dict[str, Any]:
     n = load_netlist(args.netlist)
     variant = FFVariant(args.variant)
-    plan = ScanChainPlan(
-        variant=variant,
-        order=tuple(f.id for f in n.flops),
-        chain_in=args.chain_in,
-        chain_out=args.chain_out,
-        enable=args.enable,
+    ports = {"chain_in": args.chain_in, "chain_out": args.chain_out, "enable": args.enable}
+    plan = replace(
+        default_plan(n, variant),
+        **{name: net for name, net in ports.items() if net is not None},
     )
     inserted = insert_scan(n, plan)
     recovered = verify_chain(inserted)
@@ -118,7 +113,7 @@ def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
                 "cycles": trace.cycles,
                 "total_net_toggles": trace.total_net_toggles,
                 "outputs": {
-                    net: _wave(trace.output_waveform(net)) for net in n.outputs
+                    net: trace.bit_string(net) for net in n.outputs
                 },
                 "warnings": list(trace.warnings),
             }
@@ -253,11 +248,7 @@ def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
 def _infer_variant(path: str, flag: Optional[str]) -> Optional[FFVariant]:
     if flag:
         return FFVariant(flag)
-    stem = Path(path).name
-    for name, variant in _BUNDLED_NETWORKS.items():
-        if stem == name or stem.startswith(name.split("_")[0]):
-            return variant
-    return None
+    return _BUNDLED_NETWORKS.get(Path(path).name)
 
 
 def _load_any_network(path: str) -> TransistorNetwork:
@@ -388,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("insert", help="stitch flip-flops into a scan chain")
     p.add_argument("netlist")
     p.add_argument("--variant", choices=_VARIANTS, default="mux")
-    p.add_argument("--chain-in", default="SI", help="scan-in port name")
-    p.add_argument("--chain-out", default="SO", help="scan-out port name")
-    p.add_argument("--enable", default="SE", help="scan-enable port name")
+    p.add_argument("--chain-in", help="scan-in port name (default SI, bumped past collisions)")
+    p.add_argument("--chain-out", help="scan-out port name (default SO, bumped past collisions)")
+    p.add_argument("--enable", help="scan-enable port name (default SE, bumped past collisions)")
     p.add_argument("--netlist-out", metavar="PATH", help="write the inserted netlist here")
     _add_common(p)
     p.set_defaults(handler=cmd_insert)

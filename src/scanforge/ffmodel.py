@@ -7,7 +7,10 @@ SI with SE. The approximate variant has no input multiplexer; in test mode
 its double-width SI gate overpowers the DI driver, so SI wins and the event
 is recorded in ``contention_count``.
 
-State is immutable; ``ff_step`` returns a new state per clock edge.
+State is immutable; ``ff_step`` returns a new state per clock edge. The
+simulators in ``protocol`` apply the same rules to whole two-rail lanes;
+this module is their readable specification and the reference the
+switch-level check compares against.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ def estimate_power(
     contention_penalty_fj: float = 0.0,
 ) -> PowerReport:
     """Price one simulation trace under one FF variant's calibration."""
-    if not trace.records:
+    if not trace.cycles:
         raise PowerModelError("trace has no cycles")
     if t_clk_ns <= 0.0:
         raise PowerModelError("t_clk_ns must be positive")
@@ -71,8 +71,8 @@ def estimate_power(
     e_test = params.energy_per_cycle_fj(Mode.TEST)
     e_func = params.energy_per_cycle_fj(Mode.FUNCTIONAL)
 
-    shift_cycles = sum(1 for r in trace.records if r.se == 1)
-    other_cycles = len(trace.records) - shift_cycles
+    shift_cycles = trace.se.count(1)
+    other_cycles = trace.cycles - shift_cycles
     per_ff_base = shift_cycles * e_test + other_cycles * e_func
 
     per_ff: dict[str, float] = {}
@@ -93,7 +93,7 @@ def estimate_power(
         variant=variant,
         stage=stage,
         mode=Mode.TEST if shift_cycles else Mode.FUNCTIONAL,
-        cycles=len(trace.records),
+        cycles=trace.cycles,
         t_clk_ns=t_clk_ns,
         ff_internal_energy_fj=ff_energy,
         combinational_energy_fj=comb_energy,

@@ -12,19 +12,41 @@ shift cycles with SE=1 unloading at SO. The response bit of the FF nearest SO
 is visible at the end of the capture cycle, so a vector's response string is
 SO at capture end plus SO at the end of the first n-1 unload cycles. With
 pipelining the unload cycles double as the next vector's shift-in.
+
+Values are two-rail: a value rail and a known rail, both Python ints, with X
+encoded as a known bit of 0 (and a value bit of 0). An int of width 1 holds
+one net in one cycle; an int of width T is a lane holding one net over all T
+cycles, bit t for cycle t. One evaluator (``evaluate``) runs the compiled
+gate program over either width.
+
+``CycleSim`` and ``sim_functional`` step every cycle at width 1 and append
+one row per cycle. ``run_scan_test`` and ``flush_chain`` step at width 1
+only where the chain's shift cannot be written down: the SE=0 capture
+cycles, or every cycle when some flop is not on the SI -> Q chain. On every
+SE=1 cycle each chain flop loads SI, so the Q lane of chain position p is
+``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for the head), with CAP_p
+the bits of the stepped cycles. One width-T pass over all cycles then gives
+the end-of-cycle lanes of every net.
+
+A trace stores those lanes as per-net columns. Its counts all come from the
+columns: net toggles are ``popcount((v ^ v>>1) & k & k>>1)``, and a second
+width-T pass (this cycle's inputs with the previous cycle's Q) gives the
+flip-flop inputs each rising edge saw. That pass yields internal toggles
+(twice the Q toggles), ``approx`` contention
+``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, and each flop's first X data
+input at or after warmup, the lowest set bit of the unknown rail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .cells import GateType
+from .cells import FFVariant, GateType
 from .errors import ScanforgeError
-from .ffmodel import Edge, FFState, ff_step
-from .logic import X, Bit, and2, buf, inv, nand2, nor2, or2, toggled, xor2
-from .netlist import Netlist, PatternSet, PatternWidthError, ScanFF
+from .logic import X, Bit, bit_from_char
+from .netlist import Netlist, PatternSet, PatternSyntaxError, PatternWidthError, ScanFF
 from .scan import ScanChainPlan, verify_chain
 
 
@@ -40,15 +62,155 @@ class Phase(str, Enum):
     FUNCTIONAL = "functional"
 
 
-_GATE_FN = {
-    GateType.INV: inv,
-    GateType.BUF: buf,
-    GateType.NAND2: nand2,
-    GateType.NOR2: nor2,
-    GateType.AND2: and2,
-    GateType.OR2: or2,
-    GateType.XOR2: xor2,
+# -- compiled netlist and the two-rail evaluator -------------------------------
+
+INV, BUF, AND2, NAND2, OR2, NOR2, XOR2 = range(7)
+
+_OPCODE = {
+    GateType.INV: INV,
+    GateType.BUF: BUF,
+    GateType.AND2: AND2,
+    GateType.NAND2: NAND2,
+    GateType.OR2: OR2,
+    GateType.NOR2: NOR2,
+    GateType.XOR2: XOR2,
 }
+
+
+class CompiledNetlist:
+    """A netlist as integer net ids, a flat gate program and flop index arrays.
+
+    Net ids follow ``Netlist.nets()`` iteration order. Each program step is
+    ``(op, out, a, b)`` in topological order, with ``b == a`` for one-input
+    gates. Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are
+    -1 for a plain D flip-flop.
+    """
+
+    def __init__(self, n: Netlist):
+        self.nets: tuple[str, ...] = tuple(n.nets())
+        self.index = index = {net: i for i, net in enumerate(self.nets)}
+        self.inputs = {net: index[net] for net in n.inputs}
+        self.program = tuple(
+            (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
+            for g in n.comb_order()
+        )
+        self.drivers = {g.out: g.gtype for g in n.gates}
+        flops = n.flops
+        scan = [f if isinstance(f, ScanFF) else None for f in flops]
+        self.ff_ids = tuple(f.id for f in flops)
+        self.ff_q = tuple(index[f.q] for f in flops)
+        self.ff_di = tuple(index[f.di] for f in flops)
+        self.ff_si = tuple(index[s.si] if s else -1 for s in scan)
+        self.ff_se = tuple(index[s.se] if s else -1 for s in scan)
+        self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
+
+
+def evaluate(program: Sequence[tuple[int, int, int, int]], v: list[int], k: list[int]) -> None:
+    """Settle the gate program in place over two-rail values of any width.
+
+    ``v`` and ``k`` are indexed by net id. A value bit is only ever set where
+    its known bit is set, which every step below preserves.
+    """
+    for op, out, a, b in program:
+        va = v[a]
+        ka = k[a]
+        if op == INV:
+            v[out] = ka ^ va
+            k[out] = ka
+            continue
+        if op == BUF:
+            v[out] = va
+            k[out] = ka
+            continue
+        vb = v[b]
+        kb = k[b]
+        if op == XOR2:
+            known = ka & kb
+            v[out] = (va ^ vb) & known
+        elif op <= NAND2:
+            one = va & vb
+            # known where both are 1 or either is a known 0
+            known = one | (ka ^ va) | (kb ^ vb)
+            v[out] = one if op == AND2 else known ^ one
+        else:
+            one = va | vb
+            known = one | (ka & kb)
+            v[out] = one if op == OR2 else known ^ one
+        k[out] = known
+
+
+def _rail(bit: Bit) -> tuple[int, int]:
+    return (0, 0) if bit is None else (bit, 1)
+
+
+def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], list[int]]:
+    """Width-1 next Q of every flop: DI, SI by SE, or DI where DI equals SI."""
+    qv: list[int] = []
+    qk: list[int] = []
+    for di, si, se in zip(cn.ff_di, cn.ff_si, cn.ff_se):
+        if se < 0 or (k[se] and not v[se]):
+            src = di
+        elif k[se]:
+            src = si
+        else:
+            known = k[di] & k[si] & (1 ^ v[di] ^ v[si])
+            qv.append(v[di] & known)
+            qk.append(known)
+            continue
+        qv.append(v[src])
+        qk.append(k[src])
+    return qv, qk
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_VALUE_BIT = bytes.maketrans(b"01x", b"\x00\x01\x00")
+_KNOWN_BIT = bytes.maketrans(b"01x", b"\x01\x01\x00")
+_X_DIGIT = str.maketrans("2", "x")
+
+
+def _bits_to_lane(bits: bytes) -> int:
+    """Bytes of 0/1 as a lane: byte t becomes bit t."""
+    return int(bits[::-1].translate(_DIGITS), 2) if bits else 0
+
+
+def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> str:
+    """'0', '1' or 'x' per cycle of each two-rail lane, cycle 0 first.
+
+    The lanes' strings follow one another in order, ``width`` characters each.
+    """
+    full = (1 << width) - 1
+    values = "".join(format(v, f"0{width}b") for v, _ in reversed(lanes))
+    unknown = "".join(format(full ^ k, f"0{width}b") for _, k in reversed(lanes))
+    # Binary numerals read in base 16 add digit by digit with no carry.
+    digits = int(values, 16) + 2 * int(unknown, 16)
+    return format(digits, f"0{len(values)}x").translate(_X_DIGIT)[::-1]
+
+
+# -- traces --------------------------------------------------------------------
+
+
+class _CycleValues(Mapping[str, Bit]):
+    """Read-only end-of-cycle net values of one cycle."""
+
+    __slots__ = ("_index", "_v", "_k")
+
+    def __init__(self, index: dict[str, int], v: bytes, k: bytes):
+        self._index = index
+        self._v = v
+        self._k = k
+
+    def __getitem__(self, net: str) -> Bit:
+        i = self._index[net]
+        return self._v[i] if self._k[i] else X
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -58,23 +220,41 @@ class CycleRecord:
     se: Bit
     si: Bit
     so: Bit
-    values: dict[str, Bit]  # end-of-cycle net values
+    values: Mapping[str, Bit]  # end-of-cycle net values
 
 
 @dataclass
 class ProtocolTrace:
+    """End-of-cycle lanes of every net, per-cycle pins, and the counts.
+
+    ``nets`` lists the net names in column order. Cycles appended as rows
+    (``CycleSim``) are folded into the columns the next time they are read.
+    """
+
     netlist_name: str
-    records: list[CycleRecord] = field(default_factory=list)
+    nets: tuple[str, ...] = ()
     net_toggles: dict[str, int] = field(default_factory=dict)
     net_drivers: dict[str, GateType] = field(default_factory=dict)
     ff_internal_toggles: dict[str, int] = field(default_factory=dict)
     ff_contentions: dict[str, int] = field(default_factory=dict)
     phase_counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
+    phases: list[Phase] = field(default_factory=list)
+    se: list[Bit] = field(default_factory=list)
+    si: list[Bit] = field(default_factory=list)
+    so: list[Bit] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self._index = {net: i for i, net in enumerate(self.nets)}
+        self._v = [0] * len(self.nets)
+        self._k = [0] * len(self.nets)
+        self._sealed = 0  # cycles held in the columns
+        self._rows_v = bytearray()  # later cycles, one row of net bits each
+        self._rows_k = bytearray()
 
     @property
     def cycles(self) -> int:
-        return len(self.records)
+        return len(self.phases)
 
     @property
     def total_net_toggles(self) -> int:
@@ -84,8 +264,118 @@ class ProtocolTrace:
     def contention_cycles(self) -> int:
         return sum(self.ff_contentions.values())
 
+    def _append(self, v: bytes, k: bytes, phase: Phase, se: Bit, si: Bit, so: Bit) -> None:
+        self._rows_v += v
+        self._rows_k += k
+        self.phases.append(phase)
+        self.se.append(se)
+        self.si.append(si)
+        self.so.append(so)
+
+    def _columns(self) -> tuple[list[int], list[int]]:
+        """The value and known lanes of every net, rows folded in."""
+        if self._sealed < self.cycles:
+            n, base = len(self.nets), self._sealed
+            for i in range(n):
+                self._v[i] |= _bits_to_lane(self._rows_v[i::n]) << base
+                self._k[i] |= _bits_to_lane(self._rows_k[i::n]) << base
+            self._rows_v.clear()
+            self._rows_k.clear()
+            self._sealed = self.cycles
+        return self._v, self._k
+
+    def bit_string(self, net: str) -> str:
+        """The net's end-of-cycle values, one '0', '1' or 'x' per cycle."""
+        return self.bit_columns([net])
+
+    def bit_columns(self, nets: Sequence[str]) -> str:
+        """The nets' bit strings, one after another.
+
+        Net i's value in cycle t is at ``i * cycles + t``.
+        """
+        ids = [self._index[net] for net in nets]
+        if not ids or not self.cycles:
+            return ""
+        v, k = self._columns()
+        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles)
+
+    @property
+    def records(self) -> list[CycleRecord]:
+        """One record per cycle, built from the columns on every read."""
+        width = self.cycles
+        if not width:
+            return []
+        # net-major; cycle t's row is every width-th character from t
+        chars = self.bit_columns(self.nets).encode()
+        v_bits = chars.translate(_VALUE_BIT)
+        k_bits = chars.translate(_KNOWN_BIT)
+        return [
+            CycleRecord(
+                t, self.phases[t], self.se[t], self.si[t], self.so[t],
+                _CycleValues(self._index, v_bits[t::width], k_bits[t::width]),
+            )
+            for t in range(width)
+        ]
+
     def output_waveform(self, net: str) -> list[Bit]:
-        return [r.values[net] for r in self.records]
+        return [bit_from_char(c) for c in self.bit_string(net)]
+
+
+def _account(
+    trace: ProtocolTrace,
+    cn: CompiledNetlist,
+    init_v: Sequence[int],
+    init_k: Sequence[int],
+    warmup_cycles: int,
+) -> None:
+    """Fill the trace's counts from its columns and the flops' power-up state."""
+    width = trace.cycles
+    full = (1 << width) - 1
+    v, k = trace._columns()
+
+    # Toggles in the order they first happen, ties in net order.
+    firsts = []
+    for i, (lv, lk) in enumerate(zip(v, k)):
+        flips = (lv ^ lv >> 1) & lk & lk >> 1
+        if flips:
+            firsts.append(((flips & -flips).bit_length(), i, flips.bit_count()))
+    firsts.sort()
+    trace.net_toggles = {cn.nets[i]: count for _, i, count in firsts}
+
+    # What each rising edge saw: this cycle's inputs with the last cycle's Q.
+    pv, pk = list(v), list(k)
+    for q, iv, ik in zip(cn.ff_q, init_v, init_k):
+        pv[q] = (v[q] << 1 | iv) & full
+        pk[q] = (k[q] << 1 | ik) & full
+    evaluate(cn.program, pv, pk)
+
+    after_warmup = full >> max(warmup_cycles, 0) << max(warmup_cycles, 0)
+    internal: dict[str, int] = {}
+    contention: dict[str, int] = {}
+    first_x = []
+    for f, fid in enumerate(cn.ff_ids):
+        q, di, si, se = cn.ff_q[f], cn.ff_di[f], cn.ff_si[f], cn.ff_se[f]
+        # master and slave each flip once per Q flip
+        internal[fid] = 2 * ((pv[q] ^ v[q]) & pk[q] & k[q]).bit_count()
+        if se >= 0:
+            fights = pv[se] & pk[se] & pk[di] & pk[si] & (pv[di] ^ pv[si])
+            contention[fid] = fights.bit_count() if cn.ff_approx[f] else 0
+        unknown = after_warmup & ~pk[di]
+        if unknown:
+            first_x.append(((unknown & -unknown).bit_length() - 1, f))
+    first_x.sort()
+    trace.ff_internal_toggles = internal
+    trace.ff_contentions = contention
+    trace.warnings = [
+        f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x
+    ]
+    phase_counts: dict[str, int] = {}
+    for phase in trace.phases:
+        phase_counts[phase.value] = phase_counts.get(phase.value, 0) + 1
+    trace.phase_counts = phase_counts
+
+
+# -- stepping one cycle at a time ------------------------------------------------
 
 
 class CycleSim:
@@ -98,97 +388,68 @@ class CycleSim:
         init: Optional[Mapping[str, Bit]] = None,
     ):
         self.netlist = n
-        self.order = n.comb_order()
         self.warmup_cycles = warmup_cycles
-        self.values: dict[str, Bit] = {net: X for net in n.nets()}
-        self.ff_states: dict[str, FFState] = {}
-        ff_ids = {f.id for f in n.flops}
+        cn = self.compiled = CompiledNetlist(n)
         if init:
+            ids = set(cn.ff_ids)
             for fid in init:
-                if fid not in ff_ids:
+                if fid not in ids:
                     raise ProtocolError(f"{fid!r} is not a flip-flop instance")
-        for f in n.flops:
-            variant = f.variant if isinstance(f, ScanFF) else None
-            seed = init.get(f.id, X) if init else X
-            self.ff_states[f.id] = FFState(variant=variant, master=seed, slave=seed)
-            self.values[f.q] = seed
-        self.trace = ProtocolTrace(netlist_name=n.name)
-        self.trace.net_drivers = {g.out: g.gtype for g in n.gates}
+        self._v = [0] * len(cn.nets)
+        self._k = [0] * len(cn.nets)
+        seeds = [_rail(init.get(fid, X) if init else X) for fid in cn.ff_ids]
+        self._init_v = [s[0] for s in seeds]
+        self._init_k = [s[1] for s in seeds]
+        for q, (sv, sk) in zip(cn.ff_q, seeds):
+            self._v[q] = sv
+            self._k[q] = sk
+        self.trace = ProtocolTrace(netlist_name=n.name, nets=cn.nets)
+        self.trace.net_drivers = dict(cn.drivers)
         self.chain_nets: dict[str, str] = {}
-        self._warned: set[str] = set()
-        self._prev_values: Optional[dict[str, Bit]] = None
-
-    def _eval_comb(self) -> None:
-        values = self.values
-        for g in self.order:
-            fn = _GATE_FN[g.gtype]
-            if len(g.ins) == 1:
-                values[g.out] = fn(values[g.ins[0]])
-            else:
-                values[g.out] = fn(values[g.ins[0]], values[g.ins[1]])
 
     def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> CycleRecord:
-        values = self.values
+        cn, v, k = self.compiled, self._v, self._k
         for net, bit in pi_values.items():
-            if net not in self.netlist.inputs:
+            i = cn.inputs.get(net)
+            if i is None:
                 raise ProtocolError(f"{net!r} is not a primary input")
-            values[net] = bit
-        self._eval_comb()
+            v[i], k[i] = _rail(bit)
+        evaluate(cn.program, v, k)
+        qv, qk = _latch(cn, v, k)
+        for q, a, b in zip(cn.ff_q, qv, qk):
+            v[q] = a
+            k[q] = b
+        evaluate(cn.program, v, k)
 
-        index = len(self.trace.records)
-        states = self.ff_states
-        for f in self.netlist.flops:
-            if isinstance(f, ScanFF):
-                di, si, se = values[f.di], values[f.si], values[f.se]
-            else:
-                di, si, se = values[f.di], X, X
-            if (
-                index >= self.warmup_cycles
-                and di is X
-                and f.id not in self._warned
-            ):
-                self._warned.add(f.id)
-                self.trace.warnings.append(
-                    f"flip-flop {f.id} data input is X at cycle {index}"
-                )
-            states[f.id] = ff_step(states[f.id], di, si, se, Edge.RISING)
-        for f in self.netlist.flops:
-            states[f.id] = ff_step(states[f.id], X, edge=Edge.FALLING)
-            values[f.q] = states[f.id].slave
-        self._eval_comb()
-
-        snapshot = dict(values)
-        trace = self.trace
-        if self._prev_values is not None:
-            prev = self._prev_values
-            for net, now in snapshot.items():
-                if toggled(prev[net], now):
-                    trace.net_toggles[net] = trace.net_toggles.get(net, 0) + 1
-        self._prev_values = snapshot
-
-        record = CycleRecord(
-            index=index,
-            phase=phase,
-            se=self._net_or_x("se"),
-            si=self._net_or_x("si"),
-            so=self._net_or_x("so"),
-            values=snapshot,
-        )
-        trace.records.append(record)
-        trace.phase_counts[phase.value] = trace.phase_counts.get(phase.value, 0) + 1
-        return record
+        row_v, row_k = bytes(v), bytes(k)
+        index = self.trace.cycles
+        se, si, so = (self._net_or_x(role) for role in ("se", "si", "so"))
+        self.trace._append(row_v, row_k, phase, se, si, so)
+        return CycleRecord(index, phase, se, si, so, _CycleValues(cn.index, row_v, row_k))
 
     def _net_or_x(self, role: str) -> Bit:
         net = self.chain_nets.get(role)
-        return self.values[net] if net is not None else X
+        if net is None:
+            return X
+        i = self.compiled.index[net]
+        return self._v[i] if self._k[i] else X
+
+    def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
+        """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.
+
+        Chain position p then holds the SI bit of cycle end - p, or what
+        position p - gap held before.
+        """
+        v, k, ff_q = self._v, self._k, self.compiled.ff_q
+        head = [(si_bits[end - p], 1) for p in range(min(gap, len(chain)))]
+        held = [(v[ff_q[f]], k[ff_q[f]]) for f in chain[: max(len(chain) - gap, 0)]]
+        for f, (a, b) in zip(chain, head + held):
+            v[ff_q[f]] = a
+            k[ff_q[f]] = b
 
     def finish(self) -> ProtocolTrace:
-        trace = self.trace
-        for fid, st in self.ff_states.items():
-            trace.ff_internal_toggles[fid] = st.internal_toggle_count
-            if st.variant is not None:
-                trace.ff_contentions[fid] = st.contention_count
-        return trace
+        _account(self.trace, self.compiled, self._init_v, self._init_k, self.warmup_cycles)
+        return self.trace
 
 
 def sim_functional(
@@ -216,6 +477,113 @@ def sim_functional(
     return sim.finish()
 
 
+# -- the scan protocol over whole lanes -------------------------------------------
+
+
+def _shift_chain(cn: CompiledNetlist, plan: ScanChainPlan) -> Optional[list[int]]:
+    """Flop indices from SI to SO when every flop is a scan cell on one path.
+
+    Such a path shifts in closed form: with the plan's enable at 1 each flop
+    loads the Q of the one before it (the chain input for the first). None
+    when a flop is off the path, so every cycle must be stepped.
+    """
+    if len(plan.order) != len(cn.ff_ids) or len(set(plan.order)) != len(plan.order):
+        return None
+    position = {fid: f for f, fid in enumerate(cn.ff_ids)}
+    enable = cn.index[plan.enable]
+    src = cn.index[plan.chain_in]
+    chain = []
+    for fid in plan.order:
+        f = position.get(fid)
+        if f is None or cn.ff_si[f] != src or cn.ff_se[f] != enable:
+            return None
+        chain.append(f)
+        src = cn.ff_q[f]
+    return chain
+
+
+def _run_schedule(
+    n: Netlist,
+    plan: ScanChainPlan,
+    base_pi: Mapping[str, Bit],
+    phases: list[Phase],
+    si_bits: list[int],
+    se_bits: list[int],
+) -> ProtocolTrace:
+    """Simulate cycles with fixed free inputs and per-cycle SI/SE bits."""
+    for net in (plan.chain_in, plan.enable):
+        if net not in n.inputs:
+            raise ProtocolError(f"{net!r} is not a primary input")
+    if plan.chain_in == plan.enable:
+        raise ProtocolError(f"{plan.chain_in!r} cannot be both scan-in and scan-enable")
+    sim = CycleSim(n)
+    cn = sim.compiled
+    if plan.chain_out not in cn.index:
+        raise ProtocolError(f"chain output {plan.chain_out!r} is not a net")
+    width = len(phases)
+    full = (1 << width) - 1
+    si_id, se_id = cn.index[plan.chain_in], cn.index[plan.enable]
+    si_lane = _bits_to_lane(bytes(si_bits))
+    se_lane = _bits_to_lane(bytes(se_bits))
+    chain = _shift_chain(cn, plan)
+    shift = se_lane if chain is not None else 0
+    flops = len(cn.ff_q)
+
+    # Step the cycles the shift does not cover, through the one width-1
+    # stepper (its own rows go unused); their Q bits go to cap_v/cap_k,
+    # flop-major (flop f's cycle t at f * width + t).
+    cap_v = bytearray(flops * width)
+    cap_k = bytearray(flops * width)
+    pi = dict(base_pi)
+    last = -1
+    for t in range(width):
+        if chain is not None and se_bits[t]:
+            continue
+        if t - 1 > last:
+            sim._shift(chain, si_bits, t - 1, t - 1 - last)
+        last = t
+        pi[plan.chain_in] = si_bits[t]
+        pi[plan.enable] = se_bits[t]
+        sim.cycle(pi, phases[t])
+        cap_v[t::width] = bytes(sim._v[q] for q in cn.ff_q)
+        cap_k[t::width] = bytes(sim._k[q] for q in cn.ff_q)
+
+    q_v = [_bits_to_lane(cap_v[f * width:(f + 1) * width]) for f in range(flops)]
+    q_k = [_bits_to_lane(cap_k[f * width:(f + 1) * width]) for f in range(flops)]
+    if chain is not None:
+        pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
+        for f in chain:
+            q_v[f] |= pin_v & shift
+            q_k[f] |= pin_k & shift
+            pin_v, pin_k = q_v[f] << 1, q_k[f] << 1
+
+    # One width-T pass gives every net's end-of-cycle lane.
+    lv = [0] * len(cn.nets)
+    lk = [0] * len(cn.nets)
+    for net, bit in base_pi.items():
+        i = cn.index[net]
+        lv[i], lk[i] = (0, 0) if bit is None else (full if bit else 0, full)
+    lv[si_id], lk[si_id] = si_lane, full
+    lv[se_id], lk[se_id] = se_lane, full
+    for q, a, b in zip(cn.ff_q, q_v, q_k):
+        lv[q] = a
+        lk[q] = b
+    evaluate(cn.program, lv, lk)
+
+    trace = ProtocolTrace(
+        netlist_name=n.name,
+        nets=cn.nets,
+        net_drivers=dict(cn.drivers),
+        phases=phases,
+        se=list(se_bits),
+        si=list(si_bits),
+    )
+    trace._v, trace._k, trace._sealed = lv, lk, width
+    trace.so = [bit_from_char(c) for c in trace.bit_string(plan.chain_out)]
+    _account(trace, cn, [0] * flops, [0] * flops, sim.warmup_cycles)
+    return trace
+
+
 def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:
     """Clock cycles to apply and unload all vectors through an n-FF chain."""
     if chain_length < 1:
@@ -225,6 +593,10 @@ def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:
     if pipelined:
         return chain_length + num_vectors * (chain_length + 1)
     return num_vectors * (2 * chain_length + 1)
+
+
+def _free_inputs(n: Netlist, plan: ScanChainPlan) -> dict[str, Bit]:
+    return {net: 0 for net in n.inputs if net not in (plan.chain_in, plan.enable)}
 
 
 def run_scan_test(
@@ -246,58 +618,40 @@ def run_scan_test(
             f"patterns are width {patterns.chain_length}, chain length is {length}"
         )
 
-    base_pi: dict[str, Bit] = {
-        net: 0 for net in n.inputs if net not in (plan.chain_in, plan.enable)
-    }
+    base_pi = _free_inputs(n, plan)
     if pi_defaults:
         for net, bit in pi_defaults.items():
             if net not in base_pi:
                 raise ProtocolError(f"{net!r} is not a free primary input")
             base_pi[net] = bit
 
-    sim = CycleSim(n)
-    sim.chain_nets = {"si": plan.chain_in, "se": plan.enable, "so": plan.chain_out}
+    phases: list[Phase] = []
+    si_bits: list[int] = []
+    se_bits: list[int] = []
+    captures: list[int] = []
 
-    responses = ["" for _ in patterns.vectors]
-    pending: Optional[int] = None  # vector index still unloading at SO
+    def shift_out() -> None:
+        phases.extend([Phase.SHIFT_OUT] * length)
+        si_bits.extend([0] * length)
+        se_bits.extend([1] * length)
 
-    def shift_cycle(si_bit: Bit, phase: Phase) -> CycleRecord:
-        pi = dict(base_pi)
-        pi[plan.chain_in] = si_bit
-        pi[plan.enable] = 1
-        return sim.cycle(pi, phase)
-
-    def unload_collect(record: CycleRecord) -> None:
-        nonlocal pending
-        if pending is not None:
-            responses[pending] += "x" if record.so is X else str(record.so)
-            if len(responses[pending]) == length:
-                pending = None
-
-    for v, vector in enumerate(patterns.vectors):
-        for k, ch in enumerate(vector):
-            phase = Phase.LAUNCH if k == length - 1 else Phase.SHIFT_IN
-            rec = shift_cycle(int(ch), phase)
-            if pipelined:
-                unload_collect(rec)
-        pi = dict(base_pi)
-        pi[plan.chain_in] = 0
-        pi[plan.enable] = 0
-        rec = sim.cycle(pi, Phase.CAPTURE)
-        responses[v] = "x" if rec.so is X else str(rec.so)
-        # A one-flop chain is fully unloaded by the capture cycle itself.
-        pending = v if length > 1 else None
+    for vector in patterns.vectors:
+        phases.extend([Phase.SHIFT_IN] * (length - 1) + [Phase.LAUNCH])
+        si_bits.extend(int(ch) for ch in vector)
+        se_bits.extend([1] * length)
+        captures.append(len(phases))
+        phases.append(Phase.CAPTURE)
+        si_bits.append(0)
+        se_bits.append(0)
         if not pipelined:
-            for _ in range(length):
-                rec = shift_cycle(0, Phase.SHIFT_OUT)
-                unload_collect(rec)
-            pending = None
+            shift_out()
     if pipelined:
-        for _ in range(length):
-            rec = shift_cycle(0, Phase.SHIFT_OUT)
-            unload_collect(rec)
+        shift_out()
 
-    return sim.finish(), responses
+    trace = _run_schedule(n, plan, base_pi, phases, si_bits, se_bits)
+    # A vector's response is SO at its capture and the next length-1 cycles.
+    so = trace.bit_string(plan.chain_out)
+    return trace, [so[c:c + length] for c in captures]
 
 
 def flush_chain(n: Netlist, bits: str, plan: Optional[ScanChainPlan] = None) -> str:
@@ -314,18 +668,9 @@ def flush_chain(n: Netlist, bits: str, plan: Optional[ScanChainPlan] = None) -> 
         raise PatternWidthError(
             f"flush word is width {len(bits)}, chain length is {length}"
         )
-    sim = CycleSim(n)
-    sim.chain_nets = {"si": plan.chain_in, "se": plan.enable, "so": plan.chain_out}
-    base_pi: dict[str, Bit] = {
-        net: 0 for net in n.inputs if net not in (plan.chain_in, plan.enable)
-    }
-    seen: list[Bit] = []
+    if any(c not in "01" for c in bits):
+        raise PatternSyntaxError(f"flush word {bits!r} is not bits")
     stream = [int(c) for c in bits] + [0] * (length - 1)
-    for k, b in enumerate(stream):
-        pi = dict(base_pi)
-        pi[plan.chain_in] = b
-        pi[plan.enable] = 1
-        rec = sim.cycle(pi, Phase.SHIFT_IN if k < length else Phase.SHIFT_OUT)
-        if length <= k + 1 < 2 * length:
-            seen.append(rec.so)
-    return "".join("x" if b is X else str(b) for b in seen)
+    phases = [Phase.SHIFT_IN] * length + [Phase.SHIFT_OUT] * (length - 1)
+    trace = _run_schedule(n, plan, _free_inputs(n, plan), phases, stream, [1] * len(stream))
+    return trace.bit_string(plan.chain_out)[length - 1:]

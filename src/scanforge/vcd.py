@@ -7,7 +7,8 @@ dump, so identical traces produce byte-identical files.
 
 from __future__ import annotations
 
-from .logic import Bit
+from itertools import compress
+
 from .protocol import ProtocolTrace
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
@@ -24,42 +25,39 @@ def _id_code(index: int) -> str:
     return out
 
 
-def _vcd_bit(b: Bit) -> str:
-    return "x" if b is None else str(b)
-
-
 def to_vcd(trace: ProtocolTrace, module: str = "") -> str:
-    if not trace.records:
+    if not trace.cycles:
         raise ValueError("trace has no cycles to dump")
-    nets = sorted(trace.records[0].values)
-    codes = {net: _id_code(i) for i, net in enumerate(nets)}
+    nets = sorted(trace.nets)
+    codes = [_id_code(i) for i in range(len(nets))]
 
     lines = [
         "$version scanforge $end",
         "$timescale 1ns $end",
         f"$scope module {module or trace.netlist_name} $end",
     ]
-    for net in nets:
-        lines.append(f"$var wire 1 {codes[net]} {net} $end")
+    for net, code in zip(nets, codes):
+        lines.append(f"$var wire 1 {code} {net} $end")
     lines.append("$upscope $end")
     lines.append("$enddefinitions $end")
 
+    # Net i's value in cycle t is columns[i * stride + t], so cycle t's
+    # values in net order are columns[t::stride].
+    stride = trace.cycles
+    columns = trace.bit_columns(nets)
+    data = columns.encode()
     lines.append("#0")
     lines.append("$dumpvars")
-    prev = trace.records[0].values
-    for net in nets:
-        lines.append(f"{_vcd_bit(prev[net])}{codes[net]}")
+    lines.extend(map(str.__add__, columns[0::stride], codes))
     lines.append("$end")
 
-    for record in trace.records[1:]:
-        changes = [
-            f"{_vcd_bit(record.values[net])}{codes[net]}"
-            for net in nets
-            if record.values[net] != prev[net]
-        ]
-        lines.append(f"#{record.index}")
-        lines.extend(changes)
-        prev = record.values
+    prev = int.from_bytes(data[0::stride], "big")
+    for t in range(1, trace.cycles):
+        now = int.from_bytes(data[t::stride], "big")
+        changed = (now ^ prev).to_bytes(len(nets), "big")  # nonzero byte: new value
+        prev = now
+        lines.append(f"#{t}")
+        lines.extend(map(str.__add__, compress(columns[t::stride], changed), compress(codes, changed)))
     return "\n".join(lines) + "\n"
 
 

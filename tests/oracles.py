@@ -77,11 +77,14 @@ class NaiveSim:
         return values
 
     def cycle(self, pi: dict[str, Bit]) -> dict[str, Bit]:
+        """One clock cycle; returns end-of-cycle values and keeps the values
+        the rising edge saw in ``self.seen``."""
         values: dict[str, Bit] = dict(pi)
         for inst in self.n.instances:
             if isinstance(inst, (Dff, ScanFF)):
                 values[inst.q] = self.q[inst.id]
         values = self._relax(values)
+        self.seen = dict(values)
 
         next_q: dict[str, Bit] = {}
         for inst in self.n.instances:
@@ -97,6 +100,100 @@ class NaiveSim:
             if isinstance(inst, (Dff, ScanFF)):
                 values[inst.q] = self.q[inst.id]
         return self._relax(values)
+
+
+class NaiveRun:
+    """Everything a run of NaiveSim produced, counted cycle by cycle."""
+
+    def __init__(self, n: Netlist, init: Optional[dict[str, Bit]] = None):
+        self.n = n
+        self.sim = NaiveSim(n, init)
+        self.records: list[dict[str, Bit]] = []
+        self.phases: list[str] = []
+        self.net_toggles: dict[str, int] = {}
+        self.internal: dict[str, int] = {}
+        self.contention: dict[str, int] = {}
+        self.warnings: list[str] = []
+        self._warned: set[str] = set()
+        self._order = list(n.nets())
+        for inst in n.instances:
+            if isinstance(inst, (Dff, ScanFF)):
+                self.internal[inst.id] = 0
+                if isinstance(inst, ScanFF):
+                    self.contention[inst.id] = 0
+
+    def cycle(self, pi: dict[str, Bit], phase: str, warmup: int = 4) -> dict[str, Bit]:
+        t = len(self.records)
+        before = dict(self.sim.q)
+        now = self.sim.cycle(pi)
+        seen = self.sim.seen
+        for inst in self.n.instances:
+            if not isinstance(inst, (Dff, ScanFF)):
+                continue
+            old, new = before[inst.id], self.sim.q[inst.id]
+            if old is not None and new is not None and old != new:
+                self.internal[inst.id] += 2  # master on the rise, slave on the fall
+            di = seen.get(inst.di)
+            if isinstance(inst, ScanFF) and inst.variant is FFVariant.APPROX:
+                si, se = seen.get(inst.si), seen.get(inst.se)
+                if se == 1 and di is not None and si is not None and di != si:
+                    self.contention[inst.id] += 1
+            if t >= warmup and di is None and inst.id not in self._warned:
+                self._warned.add(inst.id)
+                self.warnings.append(f"flip-flop {inst.id} data input is X at cycle {t}")
+        if self.records:
+            prev = self.records[-1]
+            for net in self._order:
+                a, b = prev.get(net), now.get(net)
+                if a is not None and b is not None and a != b:
+                    self.net_toggles[net] = self.net_toggles.get(net, 0) + 1
+        self.records.append(dict(now))
+        self.phases.append(phase)
+        return now
+
+    def phase_counts(self) -> dict[str, int]:
+        return {p: self.phases.count(p) for p in dict.fromkeys(self.phases)}
+
+
+def naive_scan_test(
+    n: Netlist,
+    length: int,
+    chain_in: str,
+    enable: str,
+    chain_out: str,
+    vectors: list[str],
+    pipelined: bool,
+    pi_defaults: Optional[dict[str, Bit]] = None,
+) -> tuple[NaiveRun, list[str]]:
+    """The scan protocol spelled out as a list of cycles, then run on NaiveSim.
+
+    Each vector shifts in (last bit = launch), captures with SE low, and is
+    read at SO on the capture cycle and the next length - 1 cycles, which are
+    the unload cycles or, pipelined, the next vector's shift-in.
+    """
+    free = {net: 0 for net in n.inputs if net not in (chain_in, enable)}
+    free.update(pi_defaults or {})
+    cycles: list[tuple[int, int, str]] = []  # (SI, SE, phase)
+    capture_at = []
+    for vector in vectors:
+        for pos, bit in enumerate(vector):
+            cycles.append((int(bit), 1, "launch" if pos == length - 1 else "shift_in"))
+        capture_at.append(len(cycles))
+        cycles.append((0, 0, "capture"))
+        if not pipelined:
+            cycles += [(0, 1, "shift_out")] * length
+    if pipelined:
+        cycles += [(0, 1, "shift_out")] * length
+    run = NaiveRun(n)
+    so: list[Bit] = []
+    for si, se, phase in cycles:
+        now = run.cycle({**free, chain_in: si, enable: se}, phase)
+        so.append(now[chain_out])
+    responses = [
+        "".join("x" if b is None else str(b) for b in so[c:c + length])
+        for c in capture_at
+    ]
+    return run, responses
 
 
 _GATE_KINDS = ["INV", "BUF", "AND2", "OR2", "NAND2", "NOR2", "XOR2"]

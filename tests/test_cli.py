@@ -7,10 +7,12 @@ validated against the bundled schemas and checked for byte-level determinism.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import scanforge
 from scanforge.cli import main
 from scanforge.netlist import parse_netlist
 from scanforge.reports import load_schema
@@ -68,6 +70,22 @@ def test_insert_writes_netlist_file(capsys, tmp_path):
     assert rep["netlist_text"] is None
     inserted = parse_netlist(out.read_text(encoding="utf-8"))
     assert inserted.name == "t"
+
+
+def test_insert_bumps_port_names_past_collisions(capsys, tmp_path):
+    # The design already uses SI, so the CLI picks SI_1 as the library does;
+    # an explicit port name is used as given.
+    text = "module t\ninput SI\noutput Q\ngate gx XOR2 D Q SI\ndff f1 Q D\nendmodule\n"
+    src = netlist_file(tmp_path, text)
+    rep = run_json(capsys, "insert", src)["report"]["insert"]
+    assert (rep["chain_in"], rep["chain_out"], rep["enable"]) == ("SI_1", "SO", "SE")
+    inserted = parse_netlist(rep["netlist_text"])
+    assert inserted.inputs == ("SI", "SI_1", "SE")
+    named = run_json(capsys, "insert", src, "--chain-in", "SCAN_IN")["report"]["insert"]
+    assert named["chain_in"] == "SCAN_IN"
+    code, _, err = run_cli(capsys, "insert", src, "--chain-in", "SI")
+    assert code == 1
+    assert json.loads(err)["error"]["code"] == "scan.collision"
 
 
 def test_sim_waveform(capsys, tmp_path):
@@ -184,6 +202,22 @@ def test_switchsim_bundled_equivalence(capsys):
     assert rep["mismatches"] == 0
     assert rep["verdict"] == "equivalent"
     assert rep["vectors_checked"] > 0
+
+
+def test_switchsim_infers_the_variant_only_from_bundled_names(capsys, tmp_path):
+    mux_text = (Path(scanforge.__file__).parent / "data" / "mux_sff.tnl").read_text(
+        encoding="utf-8"
+    )
+    path = tmp_path / "muxed_foo.tnl"
+    path.write_text(mux_text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "switchsim", str(path), "--check-behavioral")
+    assert code == 1
+    assert "--variant" in json.loads(err)["error"]["message"]
+    doc = run_json(
+        capsys, "switchsim", str(path), "--check-behavioral", "--variant", "mux",
+        "--vectors", "4",
+    )
+    assert doc["report"]["switchsim"]["verdict"] == "equivalent"
 
 
 def test_switchsim_plain_stats(capsys):

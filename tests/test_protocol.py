@@ -7,13 +7,20 @@ none of the shift machinery under test is reused by the expected values.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from scanforge.logic import X
-from scanforge.netlist import PatternWidthError, load_netlist, parse_netlist, parse_patterns
+from scanforge.netlist import (
+    PatternSyntaxError,
+    PatternWidthError,
+    load_netlist,
+    parse_netlist,
+    parse_patterns,
+)
 from scanforge.protocol import (
     Phase,
     ProtocolError,
@@ -99,6 +106,21 @@ def test_flush_rejects_wrong_width():
     n = parse_netlist(shift_chain_text(3))
     with pytest.raises(PatternWidthError):
         flush_chain(n, "10")
+
+
+def test_flush_rejects_non_bits():
+    n = parse_netlist(shift_chain_text(3))
+    with pytest.raises(PatternSyntaxError):
+        flush_chain(n, "1x0")
+
+
+def test_plan_ports_must_be_distinct_primary_inputs():
+    n = parse_netlist(shift_chain_text(2))
+    plan = verify_chain(n)
+    with pytest.raises(ProtocolError):
+        flush_chain(n, "10", plan=dataclasses.replace(plan, chain_in="SE"))
+    with pytest.raises(ProtocolError):
+        flush_chain(n, "10", plan=dataclasses.replace(plan, enable="Q0"))
 
 
 def test_capture_matches_the_fixpoint_oracle():
