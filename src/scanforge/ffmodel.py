@@ -7,7 +7,7 @@ SI with SE. The approximate variant has no input multiplexer; in test mode
 its double-width SI gate overpowers the DI driver, so SI wins and the event
 is recorded in ``contention_count``.
 
-State is immutable; ``ff_step`` returns a new state per clock edge. The
+State is immutable; ``ff_cycle`` returns a new state per clock cycle. The
 simulators in ``protocol`` apply the same rules to whole two-rail lanes;
 this module is their readable specification and the reference the
 switch-level check compares against.
@@ -16,16 +16,10 @@ switch-level check compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Optional
 
 from .cells import FFVariant
 from .logic import Bit, X, toggled
-
-
-class Edge(str, Enum):
-    RISING = "rising"
-    FALLING = "falling"
 
 
 @dataclass(frozen=True)
@@ -65,39 +59,33 @@ def ff_selected_input(
     return di if di == si else X
 
 
-def ff_step(state: FFState, di: Bit, si: Bit = X, se: Bit = X, edge: Edge = Edge.RISING) -> FFState:
-    """Advance one clock edge; Q (the slave) only moves on the falling edge."""
-    if edge == Edge.RISING:
-        selected = ff_selected_input(state.variant, di, si, se)
-        contention = state.contention_count
-        if (
-            state.variant == FFVariant.APPROX
-            and se == 1
-            and di in (0, 1)
-            and si in (0, 1)
-            and di != si
-        ):
-            contention += 1
-        toggles = state.internal_toggle_count + (
-            1 if toggled(state.master, selected) else 0
-        )
-        return replace(
-            state,
-            master=selected,
-            contention_count=contention,
-            internal_toggle_count=toggles,
-        )
-    toggles = state.internal_toggle_count + (
-        1 if toggled(state.slave, state.master) else 0
-    )
-    return replace(state, slave=state.master, internal_toggle_count=toggles)
-
-
 def ff_cycle(state: FFState, di: Bit, si: Bit = X, se: Bit = X) -> FFState:
     """One full clock cycle: rising edge then falling edge.
 
-    The falling edge ignores the data pins, so sampling them once at the
-    rising edge is exact for a cycle-based simulation.
+    The master latches the selected input on the rising edge and the slave
+    copies it on the falling edge. Only the rising edge samples the data
+    pins, so sampling them once per cycle is exact for a cycle-based
+    simulation.
     """
-    state = ff_step(state, di, si, se, Edge.RISING)
-    return ff_step(state, di, si, se, Edge.FALLING)
+    selected = ff_selected_input(state.variant, di, si, se)
+    contention = state.contention_count
+    if (
+        state.variant == FFVariant.APPROX
+        and se == 1
+        and di in (0, 1)
+        and si in (0, 1)
+        and di != si
+    ):
+        contention += 1
+    toggles = (
+        state.internal_toggle_count
+        + toggled(state.master, selected)
+        + toggled(state.slave, selected)
+    )
+    return replace(
+        state,
+        master=selected,
+        slave=selected,
+        contention_count=contention,
+        internal_toggle_count=toggles,
+    )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .cells import FFVariant, GateType
@@ -154,7 +155,59 @@ class Netlist:
 
     def comb_order(self) -> tuple[Gate, ...]:
         """Gates in topological order (flip-flops cut). Raises on a cycle."""
-        return _topo_gates(self)
+        return self.compiled.gates
+
+    @cached_property
+    def compiled(self) -> "CompiledNetlist":
+        """The netlist's compiled form, built on first use and then kept."""
+        return CompiledNetlist(self)
+
+
+# -- the compiled form -------------------------------------------------------
+
+INV, BUF, AND2, NAND2, OR2, NOR2, XOR2 = range(7)
+
+_OPCODE = {
+    GateType.INV: INV,
+    GateType.BUF: BUF,
+    GateType.AND2: AND2,
+    GateType.NAND2: NAND2,
+    GateType.OR2: OR2,
+    GateType.NOR2: NOR2,
+    GateType.XOR2: XOR2,
+}
+
+
+class CompiledNetlist:
+    """A netlist as integer net ids, a flat gate program and flop index arrays.
+
+    Built once per netlist object by ``Netlist.compiled``. Net ids follow
+    ``Netlist.nets()`` iteration order, which the string hash seed changes,
+    so no result may depend on their order. Program step i is
+    ``(op, out, a, b)`` for ``gates[i]`` in topological order, with
+    ``b == a`` for one-input gates. Flop arrays follow ``Netlist.flops``;
+    ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop.
+    """
+
+    def __init__(self, n: Netlist):
+        self.nets: tuple[str, ...] = tuple(n.nets())
+        self.index = index = {net: i for i, net in enumerate(self.nets)}
+        self.inputs = {net: index[net] for net in n.inputs}
+        self.outputs = tuple(index[net] for net in n.outputs)
+        self.gates = _topo_gates(n)
+        self.program = tuple(
+            (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
+            for g in self.gates
+        )
+        self.drivers = {g.out: g.gtype for g in self.gates}
+        flops = n.flops
+        scan = [f if isinstance(f, ScanFF) else None for f in flops]
+        self.ff_ids = tuple(f.id for f in flops)
+        self.ff_q = tuple(index[f.q] for f in flops)
+        self.ff_di = tuple(index[f.di] for f in flops)
+        self.ff_si = tuple(index[s.si] if s else -1 for s in scan)
+        self.ff_se = tuple(index[s.se] if s else -1 for s in scan)
+        self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
 
 
 def _topo_gates(n: Netlist) -> tuple[Gate, ...]:

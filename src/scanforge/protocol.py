@@ -16,8 +16,9 @@ pipelining the unload cycles double as the next vector's shift-in.
 Values are two-rail: a value rail and a known rail, both Python ints, with X
 encoded as a known bit of 0 (and a value bit of 0). An int of width 1 holds
 one net in one cycle; an int of width T is a lane holding one net over all T
-cycles, bit t for cycle t. One evaluator (``evaluate``) runs the compiled
-gate program over either width.
+cycles, bit t for cycle t. One evaluator (``evaluate``) runs the gate
+program of ``Netlist.compiled`` over either width; the netlist keeps that
+compiled form, so repeated runs on one netlist do not sort it again.
 
 ``CycleSim`` and ``sim_functional`` step every cycle at width 1 and append
 one row per cycle. ``run_scan_test`` and ``flush_chain`` step at width 1
@@ -43,10 +44,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .cells import FFVariant, GateType
+from .cells import GateType
 from .errors import ScanforgeError
 from .logic import X, Bit, bit_from_char
-from .netlist import Netlist, PatternSet, PatternSyntaxError, PatternWidthError, ScanFF
+from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
+from .netlist import PatternSyntaxError, PatternWidthError
 from .scan import ScanChainPlan, verify_chain
 
 
@@ -62,47 +64,7 @@ class Phase(str, Enum):
     FUNCTIONAL = "functional"
 
 
-# -- compiled netlist and the two-rail evaluator -------------------------------
-
-INV, BUF, AND2, NAND2, OR2, NOR2, XOR2 = range(7)
-
-_OPCODE = {
-    GateType.INV: INV,
-    GateType.BUF: BUF,
-    GateType.AND2: AND2,
-    GateType.NAND2: NAND2,
-    GateType.OR2: OR2,
-    GateType.NOR2: NOR2,
-    GateType.XOR2: XOR2,
-}
-
-
-class CompiledNetlist:
-    """A netlist as integer net ids, a flat gate program and flop index arrays.
-
-    Net ids follow ``Netlist.nets()`` iteration order. Each program step is
-    ``(op, out, a, b)`` in topological order, with ``b == a`` for one-input
-    gates. Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are
-    -1 for a plain D flip-flop.
-    """
-
-    def __init__(self, n: Netlist):
-        self.nets: tuple[str, ...] = tuple(n.nets())
-        self.index = index = {net: i for i, net in enumerate(self.nets)}
-        self.inputs = {net: index[net] for net in n.inputs}
-        self.program = tuple(
-            (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
-            for g in n.comb_order()
-        )
-        self.drivers = {g.out: g.gtype for g in n.gates}
-        flops = n.flops
-        scan = [f if isinstance(f, ScanFF) else None for f in flops]
-        self.ff_ids = tuple(f.id for f in flops)
-        self.ff_q = tuple(index[f.q] for f in flops)
-        self.ff_di = tuple(index[f.di] for f in flops)
-        self.ff_si = tuple(index[s.si] if s else -1 for s in scan)
-        self.ff_se = tuple(index[s.se] if s else -1 for s in scan)
-        self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
+# -- the two-rail evaluator ------------------------------------------------------
 
 
 def evaluate(program: Sequence[tuple[int, int, int, int]], v: list[int], k: list[int]) -> None:
@@ -389,7 +351,7 @@ class CycleSim:
     ):
         self.netlist = n
         self.warmup_cycles = warmup_cycles
-        cn = self.compiled = CompiledNetlist(n)
+        cn = self.compiled = n.compiled
         if init:
             ids = set(cn.ff_ids)
             for fid in init:
@@ -405,7 +367,6 @@ class CycleSim:
             self._k[q] = sk
         self.trace = ProtocolTrace(netlist_name=n.name, nets=cn.nets)
         self.trace.net_drivers = dict(cn.drivers)
-        self.chain_nets: dict[str, str] = {}
 
     def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> CycleRecord:
         cn, v, k = self.compiled, self._v, self._k
@@ -423,16 +384,8 @@ class CycleSim:
 
         row_v, row_k = bytes(v), bytes(k)
         index = self.trace.cycles
-        se, si, so = (self._net_or_x(role) for role in ("se", "si", "so"))
-        self.trace._append(row_v, row_k, phase, se, si, so)
-        return CycleRecord(index, phase, se, si, so, _CycleValues(cn.index, row_v, row_k))
-
-    def _net_or_x(self, role: str) -> Bit:
-        net = self.chain_nets.get(role)
-        if net is None:
-            return X
-        i = self.compiled.index[net]
-        return self._v[i] if self._k[i] else X
+        self.trace._append(row_v, row_k, phase, X, X, X)
+        return CycleRecord(index, phase, X, X, X, _CycleValues(cn.index, row_v, row_k))
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
         """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.

@@ -5,6 +5,11 @@ largest sum of gate delays over any register-to-register, input-to-register,
 register-to-output, or input-to-output path. Scan shifting adds direct Q->SI
 hops, so test mode admits zero-gate register-to-register paths.
 
+The longest path is found in one walk over the gate program of
+``Netlist.compiled``, the topological order and net ids the simulator also
+uses, so repeated analyses of one netlist neither sort it nor key anything
+by net name again.
+
 Per-variant flip-flop path delay is tracked two ways: t_pd_ns is the library
 row's published figure and t_pd_sum_ns is t_su + t_cq recomputed from the
 stored fields. Cross-variant gains quote the published figure; both appear in
@@ -14,17 +19,11 @@ reports so a discrepancy between them is visible rather than silent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
-from .cells import (
-    CellLibrary,
-    FFVariant,
-    Mode,
-    Stage,
-    resolve_library,
-)
+from .cells import CellLibrary, FFVariant, GateType, Mode, Stage, resolve_library
 from .errors import ScanforgeError
-from .netlist import Gate, Netlist, ScanFF
+from .netlist import CompiledNetlist, Gate, Netlist, ScanFF
 
 
 class TimingError(ScanforgeError):
@@ -48,62 +47,61 @@ class TimingReport:
 
 
 def _longest_paths(
-    n: Netlist,
+    cn: CompiledNetlist,
     mode: Mode,
     input_arrival_ns: float,
     output_required_ns: float,
-    gate_delay: dict[str, float],
+    gate_delay: Mapping[GateType, float],
 ) -> tuple[float, tuple[str, ...]]:
-    """Longest gate-delay sum over the four path classes, with its path."""
-    # dist[net] = best delay from any launch point to this net
-    # pred[net] = (gate id, chosen input net) for path reconstruction
-    dist: dict[str, float] = {}
-    origin: dict[str, Optional[str]] = {}
-    pred: dict[str, tuple[str, str]] = {}
+    """Longest gate-delay sum over the four path classes, with its path.
 
-    for net in n.inputs:
-        dist[net] = input_arrival_ns
-        origin[net] = None
-    for f in n.flops:
-        dist[f.q] = 0.0
-        origin[f.q] = f.id
+    Ties go to the earliest candidate: a gate's first input, then the first
+    endpoint in flop order (DI before SI), then outputs.
+    """
+    # by net id: best delay from any launch point (None: unreached), the
+    # launching flop's id (None for an input), and (gate id, chosen input id)
+    dist: list[Optional[float]] = [None] * len(cn.nets)
+    origin: list[Optional[str]] = [None] * len(cn.nets)
+    pred: list[Optional[tuple[str, int]]] = [None] * len(cn.nets)
 
-    for g in n.comb_order():
-        best_in = None
-        best = None
-        for net in g.ins:
-            if net in dist and (best is None or dist[net] > best):
-                best = dist[net]
-                best_in = net
+    for i in cn.inputs.values():
+        dist[i] = input_arrival_ns
+    for q, fid in zip(cn.ff_q, cn.ff_ids):
+        dist[q] = 0.0
+        origin[q] = fid
+
+    for g, (_, out, a, b) in zip(cn.gates, cn.program):
+        best = dist[a]
+        if dist[b] is not None and (best is None or dist[b] > best):
+            best, a = dist[b], b
         if best is None:
             continue
-        d = best + gate_delay[g.id]
-        if g.out not in dist or d > dist[g.out]:
-            dist[g.out] = d
-            origin[g.out] = origin[best_in]
-            pred[g.out] = (g.id, best_in)
+        d = best + gate_delay[g.gtype]
+        if dist[out] is None or d > dist[out]:
+            dist[out] = d
+            origin[out] = origin[a]
+            pred[out] = (g.id, a)
 
-    # endpoint candidates: (delay, net, capturing instance id or None)
-    ends: list[tuple[float, str, Optional[str]]] = []
-    for f in n.flops:
-        if f.di in dist:
-            ends.append((dist[f.di], f.di, f.id))
-        if mode is Mode.TEST and isinstance(f, ScanFF) and f.si in dist:
-            ends.append((dist[f.si], f.si, f.id))
-    for net in n.outputs:
-        if net in dist:
-            ends.append((dist[net] + output_required_ns, net, None))
+    # endpoint candidates: (delay, net id, capturing instance id or None)
+    ends: list[tuple[float, int, Optional[str]]] = []
+    for fid, di, si in zip(cn.ff_ids, cn.ff_di, cn.ff_si):
+        if dist[di] is not None:
+            ends.append((dist[di], di, fid))
+        if mode is Mode.TEST and si >= 0 and dist[si] is not None:
+            ends.append((dist[si], si, fid))
+    for i in cn.outputs:
+        if dist[i] is not None:
+            ends.append((dist[i] + output_required_ns, i, None))
 
     if not ends:
         return 0.0, ()
 
-    t_comb, end_net, capture_id = max(ends, key=lambda e: e[0])
+    t_comb, net, capture_id = max(ends, key=lambda e: e[0])
     path: list[str] = [] if capture_id is None else [capture_id]
-    net = end_net
-    while net in pred:
+    while pred[net] is not None:
         gid, net = pred[net]
         path.append(gid)
-    if origin.get(net) is not None:
+    if origin[net] is not None:
         path.append(origin[net])
     path.reverse()
     return t_comb, tuple(path)
@@ -125,10 +123,10 @@ def analyze_timing(
     """
     lib = resolve_library(library)
     timing = lib.ff(variant, stage).mode(mode)
-    gate_delay = {g.id: lib.gate(g.gtype).delay_ns for g in n.gates}
+    gate_delay = {t: params.delay_ns for t, params in lib.gates.items()}
 
     t_comb, path = _longest_paths(
-        n, mode, input_arrival_ns, output_required_ns, gate_delay
+        n.compiled, mode, input_arrival_ns, output_required_ns, gate_delay
     )
     t_clk_min = timing.t_cq + t_comb + timing.t_su
     return TimingReport(

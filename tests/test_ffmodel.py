@@ -1,8 +1,8 @@
 """Behavioral flip-flop tests.
 
-The input mux and the master/slave edge mechanics are checked against the
-one-line oracles in oracles.py, then the counters and the negative-edge
-property are exercised exhaustively and with seeded random stimulus.
+The input mux is checked against the one-line oracle in oracles.py, then
+the per-cycle master/slave update and its counters are exercised
+exhaustively and with seeded random stimulus.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 import pytest
 
 from scanforge.cells import FFVariant
-from scanforge.ffmodel import Edge, FFState, ff_cycle, ff_selected_input, ff_step
+from scanforge.ffmodel import FFState, ff_cycle, ff_selected_input
 from scanforge.logic import X
 
 from oracles import naive_ff_next
@@ -51,34 +51,6 @@ def test_unknown_se_still_known_when_inputs_agree():
             assert ff_selected_input(variant, b, b, X) == b
         assert ff_selected_input(variant, 0, 1, X) is X
         assert ff_selected_input(variant, 1, 0, X) is X
-
-
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_q_never_changes_on_rising_edge(variant):
-    rng = random.Random(101)
-    state = FFState(variant=variant)
-    for _ in range(64):
-        di, si, se = (rng.choice(BITS) for _ in range(3))
-        before = state.slave
-        state = ff_step(state, di, si, se, Edge.RISING)
-        assert state.slave == before
-        state = ff_step(state, di, si, se, Edge.FALLING)
-
-
-def test_rising_latches_master_falling_copies_slave():
-    state = FFState(variant=FFVariant.MUX, master=0, slave=0)
-    state = ff_step(state, 1, 0, 0, Edge.RISING)
-    assert state.master == 1
-    assert state.slave == 0
-    state = ff_step(state, 1, 0, 0, Edge.FALLING)
-    assert state.slave == 1
-
-
-def test_falling_edge_ignores_data_pins():
-    state = FFState()
-    state = ff_step(state, 1, edge=Edge.RISING)
-    state = ff_step(state, 0, 1, 1, edge=Edge.FALLING)
-    assert state.slave == 1
 
 
 def test_variants_agree_exhaustively_on_short_stimuli():
@@ -190,24 +162,7 @@ def test_counters_are_monotonic():
     state = FFState(variant=FFVariant.APPROX)
     for _ in range(256):
         di, si, se = (rng.choice(BITS) for _ in range(3))
-        edge = rng.choice((Edge.RISING, Edge.FALLING))
-        nxt = ff_step(state, di, si, se, edge)
+        nxt = ff_cycle(state, di, si, se)
         assert nxt.contention_count >= state.contention_count
         assert nxt.internal_toggle_count >= state.internal_toggle_count
         state = nxt
-
-
-def test_cycle_is_rising_then_falling():
-    rng = random.Random(55)
-    for _ in range(300):
-        variant = rng.choice(ALL_VARIANTS)
-        state = FFState(
-            variant=variant,
-            master=rng.choice(BITS),
-            slave=rng.choice(BITS),
-        )
-        di, si, se = (rng.choice(BITS) for _ in range(3))
-        via_steps = ff_step(
-            ff_step(state, di, si, se, Edge.RISING), di, si, se, Edge.FALLING
-        )
-        assert ff_cycle(state, di, si, se) == via_steps

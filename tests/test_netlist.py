@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
-from scanforge.cells import FFVariant, GateType
+from scanforge import netlist as netlist_module
+from scanforge.cells import FFVariant, GateType, Mode, Stage
 from scanforge.netlist import (
     CombinationalCycleError,
     Dff,
@@ -18,11 +20,14 @@ from scanforge.netlist import (
     ScanFF,
     UndrivenNetError,
     load_netlist,
+    load_patterns,
     parse_netlist,
     parse_patterns,
     serialize_netlist,
     validate_netlist,
 )
+from scanforge.protocol import run_scan_test, sim_functional
+from scanforge.sta import analyze_timing
 from oracles import random_netlist
 
 MINIMAL = "module m\ninput a\noutput y\ngate g1 INV y a\nendmodule\n"
@@ -189,6 +194,19 @@ def test_topological_order_is_valid():
             assert all(i in seen for i in g.ins)
             seen.add(g.out)
 
+
+
+def test_one_sort_serves_timing_and_simulation(monkeypatch, chain10_path, chain10_patterns_path):
+    n = load_netlist(str(chain10_path))
+    sorts = []
+    real = netlist_module._topo_gates
+    monkeypatch.setattr(netlist_module, "_topo_gates", lambda m: sorts.append(m) or real(m))
+    for variant, stage, mode in itertools.product(FFVariant, Stage, Mode):
+        analyze_timing(n, variant, stage, mode)
+    run_scan_test(n, load_patterns(str(chain10_patterns_path), 10))
+    sim_functional(n, [{"A": 0, "SI": 0, "SE": 0}], cycles=8)
+    assert len(sorts) <= 1
+    assert n.comb_order() is n.compiled.gates
 
 def test_patterns_basic():
     ps = parse_patterns("101\n", 3)

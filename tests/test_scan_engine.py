@@ -21,7 +21,6 @@ from scanforge.cells import FFVariant, GateType
 from scanforge.logic import X, and2, buf, inv, nand2, nor2, or2, xor2
 from scanforge.netlist import Dff, Gate, Netlist, ScanFF, parse_netlist, parse_patterns
 from scanforge.protocol import (
-    CompiledNetlist,
     CycleSim,
     Phase,
     evaluate,
@@ -50,7 +49,7 @@ def test_two_rail_evaluator_matches_the_scalar_gates(gtype):
     # and the width-1 steps must both agree with logic's scalar functions.
     pins = ["A", "B"][: gtype.num_inputs]
     text = f"module g\ninput A B\noutput Y\ngate g0 {gtype.value} Y {' '.join(pins)}\nendmodule\n"
-    cn = CompiledNetlist(parse_netlist(text))
+    cn = parse_netlist(text).compiled
     combos = list(itertools.product((0, 1, X), repeat=gtype.num_inputs))
     want = [SCALAR_GATES[gtype](*ins) for ins in combos]
 

@@ -1,4 +1,4 @@
-"""Byte and figure pins for two fixed traces.
+"""Byte and figure pins for two fixed traces and for STA reports.
 
 The VCD digests and power figures were recorded from the per-cycle
 simulator that the lane-based engine replaced; they hold the trace format
@@ -6,20 +6,36 @@ and the toggle accounting to exactly what that simulator produced.
 Power totals sum per-net energies in toggle order over a set of net names,
 so their last bits move with the string hash seed: they are compared with
 a relative tolerance of 1e-12.
+
+The STA digests were recorded from the name-keyed longest-path walk that
+the compiled one replaced. They cover every variant, stage and mode, zero
+and nonzero input arrival / output required times, and random netlists
+timed with one delay for every gate type, so equal arrivals are common and
+the tie-breaking (first input of a gate, first endpoint) is pinned too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from scanforge.cells import FFVariant, Stage
+from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
 from scanforge.netlist import load_netlist, load_patterns, parse_netlist
 from scanforge.power import estimate_power
 from scanforge.protocol import run_scan_test, sim_functional
+from scanforge.sta import analyze_timing
 from scanforge.vcd import to_vcd
+
+from oracles import random_netlist
 
 TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -71,3 +87,78 @@ def test_power_figures_are_pinned(traces, key):
     assert rep.combinational_energy_fj == pytest.approx(comb_fj, rel=1e-12)
     assert rep.total_avg_power_uw == pytest.approx(avg_uw, rel=1e-12)
     assert rep.contention_cycles == 0
+
+
+EQUAL_DELAYS = replace(
+    CellLibrary.builtin(), gates={t: GateParams(0.05, 0.5) for t in GateType}
+)
+# random_netlist seeds with 13 or more gates; even seeds build a scan chain
+STA_SEEDS = (1, 3, 6, 12, 14, 17)
+# (input arrival, output required) in ns
+STA_TIMES = {"zero": (0.0, 0.0), "late": (0.05, 0.1)}
+
+
+def sta_design(name: str):
+    """chain10 with the built-in library, or a seeded random netlist with
+    equal gate delays."""
+    if name == "chain10":
+        return load_netlist(str(FIXTURES / "chain10.snl")), CellLibrary.builtin()
+    seed = int(name.removeprefix("random"))
+    n = random_netlist(
+        random.Random(seed), max_gates=30, max_ffs=6, min_ffs=1, scan=seed % 2 == 0
+    )
+    return n, EQUAL_DELAYS
+
+
+def sta_digest(name: str, times: str) -> str:
+    """SHA-256 of t_comb_ns (exact, as hex) and critical_path of every
+    variant x stage x mode report."""
+    n, lib = sta_design(name)
+    arrival, required = STA_TIMES[times]
+    rows = []
+    for v, st, m in itertools.product(FFVariant, Stage, Mode):
+        r = analyze_timing(n, v, st, m, lib, arrival, required)
+        rows.append([v.value, st.value, m.value, r.t_comb_ns.hex(), list(r.critical_path)])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+STA_SHA256 = {
+    ("chain10", "zero"): "5e49f89fcdd781d6089e4621a171cae139bcc74d3e3828b7a83b49681e246325",
+    ("chain10", "late"): "30bdb263327894bb387205fb40c17847c88cecceed49b546ce78f34b9d56d140",
+    ("random1", "zero"): "0637cc09336ac725ac88c66272b1455d2ac52a82c49ecc4f3f67a0fb415580ee",
+    ("random1", "late"): "69a6f09d25ad5960bcb2a1d2870f0e93c92a1466bb2fa852f167d5585af041de",
+    ("random3", "zero"): "cce8f1375d2aca5ffb00cd8716412b976f10ff8100a95413ad78bcaad654b359",
+    ("random3", "late"): "bc0942e80b42f98cf91404d675a2607868062370bd0d4d86c079688a56495264",
+    ("random6", "zero"): "fbc35c7f4a67c1716bf33a3aea228752dba9ebda86cfc951ba266282b39fc038",
+    ("random6", "late"): "178b61cd885ac35ba13091aae1b5f49abab16f5b7f0a6ed21281138bbe755405",
+    ("random12", "zero"): "cf8dde2cf2604c9be5b4e0430d95af50347a40f93f28d80c369d873929d7806e",
+    ("random12", "late"): "30f2b41df3f7a177c7828b891e85b996adf45c33e0e71e031eb8499812a6252c",
+    ("random14", "zero"): "6670d577ed74ab968b3bba4b47c8dd2c94a19c7f2521b2cf88bf4f034642e42c",
+    ("random14", "late"): "5eb53cbbbc5d767acb41abf6eb6321d685bdb2bfd1d19e39b27621ba6bc8ea34",
+    ("random17", "zero"): "4131e6845fb2509c94ffb9af8311af1a6abdbca0fe9e17c37be60c395c017eca",
+    ("random17", "late"): "102e5348fe539d8cc65ee2f420cd4445261355f9cfe500b0fb9b4a73e177cf98",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STA_SHA256), ids="-".join)
+def test_sta_reports_are_pinned(key):
+    assert sta_digest(*key) == STA_SHA256[key]
+
+
+def test_sta_reports_do_not_depend_on_the_hash_seed():
+    # Net ids follow a set's iteration order, which the string hash seed
+    # changes; the reports must not.
+    code = (
+        "import json, sys; from test_trace_pins import STA_SHA256, sta_digest; "
+        "print(json.dumps([sta_digest(*key) for key in sorted(STA_SHA256)]))"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == [STA_SHA256[key] for key in sorted(STA_SHA256)]
