@@ -28,7 +28,7 @@ from .protocol import cycle_budget, run_scan_test, sim_functional
 from .reports import FORMATS, envelope, format_report
 from .scan import default_plan, insert_scan, verify_chain
 from .sta import analyze_timing, time_gain, zero_cloud_netlist
-from .switchsim import TransistorNetwork, bundled_network, load_network_file, run_cycles
+from .switchsim import SwitchFF, TransistorNetwork, bundled_network, load_network_file
 from .vcd import dump_vcd
 
 
@@ -45,6 +45,16 @@ _BUNDLED_NETWORKS = {
     "gdi_sff.tnl": FFVariant.GDI,
     "approx_sff.tnl": FFVariant.APPROX,
 }
+
+
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -258,32 +268,61 @@ def _load_any_network(path: str) -> TransistorNetwork:
 
 
 def _check_behavioral(
-    net: TransistorNetwork, variant: FFVariant, rng: random.Random, vectors: int
+    net: TransistorNetwork,
+    variant: Optional[FFVariant],
+    rng: random.Random,
+    vectors: int,
 ) -> tuple[int, int]:
-    """Exhaustive length-4 plus random length-8 sequences; count mismatches."""
-    cache: dict = {}
-    checked = 0
+    """Check a network against the ``ffmodel`` cycle model; (sequences, mismatches).
+
+    The stimulus is every length-4 sequence of (DI, SI, SE) bits, 4,096 of
+    them, plus ``vectors`` random length-8 ones, each started from X: X charge
+    on every storage node and an X model state. A mismatch is a cycle where
+    the model's Q is known and the network's Q after the falling phase is not
+    the same; the count is over all cycles of all sequences.
+
+    Sequences are not replayed one by one. A state of the product machine is
+    (storage charge, model Q), and ``step`` memoises one switch-level clock
+    cycle plus one ``ff_cycle`` per (state, pins). The exhaustive part counts
+    the prefixes that reach each state, so a mismatch at depth d stands for
+    ``count * 8**(3 - d)`` sequences; the random part steps the memo with the
+    draws a replay would make, in the same order.
+    """
+    ff = SwitchFF(net)
+    memo: dict = {}
+
+    def step(state: tuple, pins: tuple[int, int, int]) -> tuple[tuple, bool]:
+        hit = memo.get((state, pins))
+        if hit is None:
+            charge, model_q = state
+            ff.state = charge
+            q = ff.cycle(*pins)
+            # after a cycle the model's master and slave both hold its Q
+            model_q = ff_cycle(FFState(variant, model_q, model_q), *pins).q
+            hit = memo[(state, pins)] = (
+                (ff.state, model_q), model_q is not X and q != model_q
+            )
+        return hit
+
+    start = (ff.state, X)
     mismatches = 0
-
-    def run_one(seq: list[tuple[int, int, int]]) -> int:
-        nonlocal checked
-        got = run_cycles(net, seq, cache)
-        state = FFState(variant=variant)
-        bad = 0
-        for (di, si, se), q in zip(seq, got):
-            state = ff_cycle(state, di, si, se)
-            if state.slave is not X and q != state.slave:
-                bad += 1
-        checked += 1
-        return bad
-
-    pins = list(itertools.product((0, 1), repeat=3))
-    for seq in itertools.product(pins, repeat=4):
-        mismatches += run_one(list(seq))
+    level = {start: 1}
+    all_pins = list(itertools.product((0, 1), repeat=3))
+    for depth in range(4):
+        weight = len(all_pins) ** (3 - depth)
+        reached: dict = {}
+        for state, count in level.items():
+            for pins in all_pins:
+                new, bad = step(state, pins)
+                mismatches += bad * count * weight
+                reached[new] = reached.get(new, 0) + count
+        level = reached
     for _ in range(vectors):
-        seq = [(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)) for _ in range(8)]
-        mismatches += run_one(seq)
-    return checked, mismatches
+        state = start
+        for _ in range(8):
+            state, bad = step(state, (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)))
+            mismatches += bad
+    return len(all_pins) ** 4 + vectors, mismatches
 
 
 def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
@@ -426,7 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network", help=".tnl file or bundled name (mux_sff.tnl, ...)")
     p.add_argument("--variant", choices=_VARIANTS, help="behavioral model to check against")
     p.add_argument("--check-behavioral", action="store_true")
-    p.add_argument("--vectors", type=int, default=256, help="random length-8 sequences to add")
+    p.add_argument(
+        "--vectors", type=_non_negative, default=256,
+        help="random length-8 sequences to add to the 4,096 length-4 ones",
+    )
     _add_common(p)
     p.set_defaults(handler=cmd_switchsim)
 

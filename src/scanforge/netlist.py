@@ -186,7 +186,8 @@ class CompiledNetlist:
     so no result may depend on their order. Program step i is
     ``(op, out, a, b)`` for ``gates[i]`` in topological order, with
     ``b == a`` for one-input gates. Flop arrays follow ``Netlist.flops``;
-    ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop.
+    ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop. ``enable`` is
+    the enable net every scan flop shares, or -1 if they do not share one.
     """
 
     def __init__(self, n: Netlist):
@@ -208,6 +209,8 @@ class CompiledNetlist:
         self.ff_si = tuple(index[s.si] if s else -1 for s in scan)
         self.ff_se = tuple(index[s.se] if s else -1 for s in scan)
         self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
+        enables = {se for se in self.ff_se if se >= 0}
+        self.enable = enables.pop() if len(enables) == 1 else -1
 
 
 def _topo_gates(n: Netlist) -> tuple[Gate, ...]:

@@ -341,7 +341,12 @@ def _account(
 
 
 class CycleSim:
-    """Incremental simulator; drives one netlist cycle by cycle."""
+    """Incremental simulator; drives one netlist cycle by cycle.
+
+    Each cycle records the scan enable the rising edge saw when every scan
+    flop shares one enable net (X otherwise), so ``estimate_power`` bills its
+    SE=1 cycles at the test rate; SI and SO are recorded as X.
+    """
 
     def __init__(
         self,
@@ -376,6 +381,8 @@ class CycleSim:
                 raise ProtocolError(f"{net!r} is not a primary input")
             v[i], k[i] = _rail(bit)
         evaluate(cn.program, v, k)
+        s = cn.enable
+        se = X if s < 0 or not k[s] else v[s]
         qv, qk = _latch(cn, v, k)
         for q, a, b in zip(cn.ff_q, qv, qk):
             v[q] = a
@@ -384,8 +391,8 @@ class CycleSim:
 
         row_v, row_k = bytes(v), bytes(k)
         index = self.trace.cycles
-        self.trace._append(row_v, row_k, phase, X, X, X)
-        return CycleRecord(index, phase, X, X, X, _CycleValues(cn.index, row_v, row_k))
+        self.trace._append(row_v, row_k, phase, se, X, X)
+        return CycleRecord(index, phase, se, X, X, _CycleValues(cn.index, row_v, row_k))
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
         """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -117,7 +117,7 @@ class TransistorNetwork:
     outputs: tuple[str, ...]
     transistors: tuple[Transistor, ...]
 
-    @property
+    @cached_property
     def w_max(self) -> float:
         return max((t.width for t in self.transistors), default=1.0)
 
@@ -126,47 +126,46 @@ class TransistorNetwork:
 
 
 @lru_cache(maxsize=None)
-def _channel_edges(net: TransistorNetwork) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
-    """Channel edges: transistor indices grouped by unordered node pair."""
+def _channels(
+    net: TransistorNetwork,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, tuple], ...]]:
+    """The network by node index: transistor gates and channel edges.
+
+    A transistor's gate entry is (on level, gate node): 1 for an NMOS, 0 for
+    a PMOS. An edge (a, b, devices) joins one unordered node pair; parallel
+    transistors on the same pair (e.g. a transmission gate) share it. A
+    device is (transistor index, on level, driven rank, driven rank at the
+    degraded width); a device passes its own on level degraded.
+    """
+    index = {n: i for i, n in enumerate(net.nodes)}
+    on = [1 if t.ttype == TransistorType.NMOS else 0 for t in net.transistors]
     groups: dict[frozenset, list[int]] = {}
-    order: list[frozenset] = []
-    for idx, t in enumerate(net.transistors):
-        key = frozenset((t.src, t.drn))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(idx)
+    for ti, t in enumerate(net.transistors):
+        groups.setdefault(frozenset((t.src, t.drn)), []).append(ti)
     edges = []
-    for key in order:
+    for key, devs in groups.items():
         a, b = sorted(key)
-        edges.append((a, b, tuple(groups[key])))
-    return tuple(edges)
-
-
-def _conduction(ttype: TransistorType, gate_logic: Bit) -> int:
-    if gate_logic is None:
-        return _MAYBE
-    if ttype == TransistorType.NMOS:
-        return _ON if gate_logic == 1 else _OFF
-    return _ON if gate_logic == 0 else _OFF
+        devices = []
+        for ti in devs:
+            width = net.transistors[ti].width
+            full = net.driven_rank(width)
+            devices.append((ti, on[ti], full, net.driven_rank(width * DEGRADED_WIDTH_FACTOR)))
+        edges.append((index[a], index[b], tuple(devices)))
+    gates = tuple((on[ti], index[t.gate]) for ti, t in enumerate(net.transistors))
+    return gates, tuple(edges)
 
 
 def _resolve(contribs: list[tuple[Bit, float]]) -> tuple[Bit, float]:
-    if not contribs:
-        return (X, RANK_FLOATING)
-    top = max(rank for _, rank in contribs)
-    logic: Bit = None
-    first = True
+    """The strongest contribution; X if any of the strongest is X or they disagree."""
+    top, logic, clash = -1.0, X, True
     for cl, rank in contribs:
-        if rank != top:
-            continue
-        if cl is None:
-            return (X, top)
-        if first:
-            logic, first = cl, False
-        elif cl != logic:
-            return (X, top)
-    return (logic, top)
+        if rank > top:
+            top, logic, clash = rank, cl, cl is None
+        elif rank == top and cl != logic:
+            clash = True
+    if top < RANK_FLOATING:
+        return (X, RANK_FLOATING)
+    return (X if clash else logic, top)
 
 
 def settle(
@@ -190,102 +189,84 @@ def settle(
         raise StimulusError("max_iters must be >= 1")
 
     charge = charge or {}
+    nodes = net.nodes
+    index = {n: i for i, n in enumerate(nodes)}
     input_rank = net.driven_rank(INPUT_DRIVE_WIDTH)
-    base: dict[str, list[tuple[Bit, float]]] = {}
+    base: list[list[tuple[Bit, float]]] = [[] for _ in nodes]
     for name in net.inputs:
-        base[name] = [(inputs[name], input_rank)]
+        base[index[name]].append((inputs[name], input_rank))
     for name in net.storage:
-        base.setdefault(name, []).append((charge.get(name, X), RANK_CHARGED))
+        base[index[name]].append((charge.get(name, X), RANK_CHARGED))
+    pinned: list[Optional[tuple[Bit, float]]] = [None] * len(nodes)
+    pinned[index[VDD]] = (1, RANK_SUPPLY)
+    pinned[index[GND]] = (0, RANK_SUPPLY)
 
-    edges = _channel_edges(net)
-    incident: dict[str, list[int]] = {n: [] for n in net.nodes}
+    # Edge ei's message into its node a sits in slot 2*ei, into b in 2*ei+1.
+    gates, edges = _channels(net)
+    into: list[list[tuple[int, int]]] = [[] for _ in nodes]
     for ei, (a, b, _) in enumerate(edges):
-        incident[a].append(ei)
-        incident[b].append(ei)
-
-    nmos = TransistorType.NMOS
-    transistors = net.transistors
+        into[a].append((ei, 2 * ei))
+        into[b].append((ei, 2 * ei + 1))
 
     def node_value(
-        name: str, msgs: dict[tuple[int, str], Optional[tuple[Bit, float]]],
-        exclude: int,
+        n: int, msgs: list[Optional[tuple[Bit, float]]], exclude: int
     ) -> tuple[Bit, float]:
-        if name == VDD:
-            return (1, RANK_SUPPLY)
-        if name == GND:
-            return (0, RANK_SUPPLY)
-        contribs = list(base.get(name, ()))
-        for ej in incident[name]:
-            if ej == exclude:
-                continue
-            m = msgs[(ej, name)]
-            if m is not None:
-                contribs.append(m)
-        return _resolve(contribs)
+        fixed = pinned[n]
+        if fixed is not None:
+            return fixed
+        return _resolve(base[n] + [
+            msgs[slot] for ej, slot in into[n] if ej != exclude and msgs[slot] is not None
+        ])
 
-    def solve_channels(
-        conduction: tuple[int, ...]
-    ) -> dict[str, tuple[Bit, float]]:
-        msgs: dict[tuple[int, str], Optional[tuple[Bit, float]]] = {}
-        for ei, (a, b, _) in enumerate(edges):
-            msgs[(ei, a)] = None
-            msgs[(ei, b)] = None
+    def solve_channels(conduction: list[int]) -> list[tuple[Bit, float]]:
+        msgs: list[Optional[tuple[Bit, float]]] = [None] * (2 * len(edges))
         for _ in range(max_iters):
-            new_msgs: dict[tuple[int, str], Optional[tuple[Bit, float]]] = {}
+            new_msgs = list(msgs)
             for ei, (a, b, devs) in enumerate(edges):
-                for src_n, dst_n in ((a, b), (b, a)):
-                    logic, rank = node_value(src_n, msgs, exclude=ei)
+                for src, slot in ((a, 2 * ei + 1), (b, 2 * ei)):
+                    logic, rank = node_value(src, msgs, ei)
                     contribs: list[tuple[Bit, float]] = []
-                    for ti in devs:
+                    for ti, on, full, degraded in devs:
                         state = conduction[ti]
                         if state == _OFF:
                             continue
-                        t = transistors[ti]
                         if rank >= RANK_DRIVEN_BASE:
                             if state == _ON:
-                                width = t.width
-                                if logic == 1 and t.ttype == nmos:
-                                    width *= DEGRADED_WIDTH_FACTOR
-                                elif logic == 0 and t.ttype != nmos:
-                                    width *= DEGRADED_WIDTH_FACTOR
-                                contribs.append((logic, net.driven_rank(width)))
+                                contribs.append((logic, degraded if logic == on else full))
                             else:
-                                contribs.append((X, net.driven_rank(t.width)))
+                                contribs.append((X, full))
                         elif rank == RANK_CHARGED:
                             contribs.append(
                                 (X if state == _MAYBE else logic, RANK_CHARGED)
                             )
-                    new_msgs[(ei, dst_n)] = _resolve(contribs) if contribs else None
+                    new_msgs[slot] = _resolve(contribs) if contribs else None
             if new_msgs == msgs:
                 break
-            msgs = new_msgs
+            msgs, last = new_msgs, msgs
         else:
-            moving = {
-                node
-                for (ei, node), m in new_msgs.items()
-                if msgs[(ei, node)] != m
-            }
-            raise OscillationError(moving)
-        return {n: node_value(n, msgs, exclude=-1) for n in net.nodes}
+            moving = (
+                edges[slot // 2][slot % 2]
+                for slot, (m, old) in enumerate(zip(msgs, last))
+                if m != old
+            )
+            raise OscillationError(nodes[n] for n in moving if pinned[n] is None)
+        return [node_value(n, msgs, -1) for n in range(len(nodes))]
 
-    values: dict[str, tuple[Bit, float]] = {
-        n: (X, RANK_FLOATING) for n in net.nodes
-    }
-    values[VDD] = (1, RANK_SUPPLY)
-    values[GND] = (0, RANK_SUPPLY)
-    for name, contribs in base.items():
-        values[name] = _resolve(contribs)
-
+    values = [
+        _resolve(contribs) if fixed is None else fixed
+        for fixed, contribs in zip(pinned, base)
+    ]
     prev = values
     for _ in range(max_iters):
-        conduction = tuple(
-            _conduction(t.ttype, values[t.gate][0]) for t in transistors
-        )
+        conduction = []
+        for on, gate in gates:
+            g = values[gate][0]
+            conduction.append(_MAYBE if g is None else _ON if g == on else _OFF)
         new_values = solve_channels(conduction)
         if new_values == values:
-            return {n: NodeValue(*v) for n, v in values.items()}
+            return {n: NodeValue(*v) for n, v in zip(nodes, values)}
         prev, values = values, new_values
-    raise OscillationError({n for n in prev if prev[n] != values[n]})
+    raise OscillationError(n for n, p, v in zip(nodes, prev, values) if p != v)
 
 
 class SwitchFF:
@@ -302,12 +283,18 @@ class SwitchFF:
         self.cache = cache if cache is not None else {}
         self._storage_order = tuple(sorted(net.storage))
 
+    @property
+    def state(self) -> tuple[Bit, ...]:
+        """The storage-node charge in sorted node order; assign to restore it."""
+        return tuple(self.charge[n] for n in self._storage_order)
+
+    @state.setter
+    def state(self, charge: Sequence[Bit]) -> None:
+        self.charge = dict(zip(self._storage_order, charge))
+
     def step_phase(self, pins: Mapping[str, Bit]) -> dict[str, NodeValue]:
         inputs = {n: pins.get(n, X) for n in self.net.inputs}
-        key = (
-            tuple(inputs[n] for n in self.net.inputs),
-            tuple(self.charge[n] for n in self._storage_order),
-        )
+        key = (tuple(inputs[n] for n in self.net.inputs), self.state)
         hit = self.cache.get(key)
         if hit is None:
             settled = settle(self.net, inputs, self.charge)
@@ -318,6 +305,18 @@ class SwitchFF:
         self.charge = dict(new_charge)
         return settled
 
+    def cycle(self, di: Bit, si: Bit, se: Bit) -> Bit:
+        """One clock cycle, CLK high then low; Q's logic after the falling phase."""
+        self.step_phase({"CLK": 1, "DI": di, "SI": si, "SE": se})
+        return _q(self.step_phase({"CLK": 0, "DI": di, "SI": si, "SE": se}))
+
+
+def _q(settled: Mapping[str, NodeValue]) -> Bit:
+    q = settled.get("Q")
+    if q is None:
+        raise StimulusError("the network has no node named Q to sample")
+    return q.logic
+
 
 def run_clocked(
     net: TransistorNetwork,
@@ -326,11 +325,10 @@ def run_clocked(
 ) -> list[Bit]:
     """Drive (CLK, DI, SI, SE) phases and return Q's logic after each phase."""
     ff = SwitchFF(net, cache)
-    waveform: list[Bit] = []
-    for clk, di, si, se in stimulus:
-        settled = ff.step_phase({"CLK": clk, "DI": di, "SI": si, "SE": se})
-        waveform.append(settled["Q"].logic)
-    return waveform
+    return [
+        _q(ff.step_phase({"CLK": clk, "DI": di, "SI": si, "SE": se}))
+        for clk, di, si, se in stimulus
+    ]
 
 
 def run_cycles(
@@ -338,14 +336,9 @@ def run_cycles(
     stimulus: Sequence[tuple[Bit, Bit, Bit]],
     cache: Optional[dict] = None,
 ) -> list[Bit]:
-    """Full clock cycles (CLK high then low); Q sampled after each falling phase."""
+    """Full clock cycles (``SwitchFF.cycle``); Q sampled after each falling phase."""
     ff = SwitchFF(net, cache)
-    waveform: list[Bit] = []
-    for di, si, se in stimulus:
-        ff.step_phase({"CLK": 1, "DI": di, "SI": si, "SE": se})
-        settled = ff.step_phase({"CLK": 0, "DI": di, "SI": si, "SE": se})
-        waveform.append(settled["Q"].logic)
-    return waveform
+    return [ff.cycle(di, si, se) for di, si, se in stimulus]
 
 
 def load_network(text: str) -> TransistorNetwork:

@@ -68,6 +68,32 @@ def test_capture_cycle_bills_the_functional_rate():
     }
 
 
+def test_functional_run_with_se_high_bills_the_test_rate(chain10_path):
+    # sim_functional records the chain's shared enable, so cycles that shift
+    # are priced as shifts whichever simulator drove them.
+    n = load_netlist(str(chain10_path))
+    shifting = sim_functional(n, [{"A": 0, "SI": 1, "SE": 1}], cycles=20)
+    assert shifting.se == [1] * 20
+    assert shifting.si == shifting.so == [None] * 20
+    rep = estimate_power(shifting, FFVariant.MUX, POST, t_clk_ns=1.0)
+    assert rep.mode is Mode.TEST
+    assert rep.ff_internal_energy_fj == pytest.approx(10 * 20 * 3.81, abs=1e-9)
+    holding = sim_functional(n, [{"A": 0, "SI": 1, "SE": 0}], cycles=20)
+    assert holding.se == [0] * 20
+    assert estimate_power(holding, FFVariant.MUX, POST, t_clk_ns=1.0).mode is Mode.FUNCTIONAL
+
+
+def test_cyclesim_records_se_only_for_one_shared_enable():
+    # Two scan flops on different enables: no single SE to record.
+    n = parse_netlist(
+        "module two\ninput SI E1 E2\noutput Q1\n"
+        "scanff f1 MUX Q1 Q1 SI E1\nscanff f2 MUX Q2 Q2 Q1 E2\nendmodule\n"
+    )
+    trace = sim_functional(n, [{"SI": 1, "E1": 1, "E2": 1}], cycles=3)
+    assert trace.se == [None] * 3
+    assert estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=1.0).mode is Mode.FUNCTIONAL
+
+
 def test_zero_toggle_trace_has_no_combinational_energy():
     n = parse_netlist(
         "module quiet\ninput A\noutput Q1\ngate g1 AND2 D1 A A\ndff f1 Q1 D1\nendmodule\n"

@@ -7,6 +7,7 @@ flip-flop networks are checked against the behavioral model.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -322,3 +323,66 @@ def test_matches_behavioral_model_on_random_runs(variant):
             state = ff_cycle(state, di, si, se)
             if state.q is not X:
                 assert got[i] == state.q
+
+
+# SHA-256 of every node's (logic, rank) after settle(), over all 3**4 input x
+# 3**2 charge combinations of each bundled cell, in node order; recorded
+# from the name-keyed solver that the index-keyed one replaced.
+SETTLE_PINS = {
+    FFVariant.MUX: "04a3f68c9d56f2035d0ecf474681ffaccbc889753c56ee98d4c618e67d870d0a",
+    FFVariant.GDI: "f0273a312f14c0104ba418b0970d41c8378bdac33fc0216a8b151b4ad8cadfc0",
+    FFVariant.APPROX: "4004514d08d25aab5eba8d522d2ee7ea8b0f594f359810e16ded8777fa87bedc",
+}
+
+
+@pytest.mark.parametrize("variant", list(FFVariant))
+def test_settle_is_pinned_on_every_state_of_the_bundled_cells(variant):
+    net = bundled_network(variant)
+    storage = sorted(net.storage)
+    digest = hashlib.sha256()
+    for ins in itertools.product((0, 1, X), repeat=len(net.inputs)):
+        for charge in itertools.product((0, 1, X), repeat=len(storage)):
+            settled = settle(net, dict(zip(net.inputs, ins)), dict(zip(storage, charge)))
+            digest.update(
+                repr([(n, v.logic, v.rank) for n, v in settled.items()]).encode()
+            )
+    assert digest.hexdigest() == SETTLE_PINS[variant]
+
+
+def test_channel_oscillation_names_the_moving_nodes():
+    # Frozen conduction whose channel messages never settle: the error names
+    # the nodes whose incoming messages still change.
+    net = load_network(
+        """
+supply VDD
+supply GND
+node N0 storage
+node N1
+node N2
+node N3
+io in N3
+io in N1
+io in N2
+t t0 N N2 N0 GND 2
+t t1 N N3 N1 N2 1.5
+t t2 P N2 N0 N1 1
+t t3 N N3 N2 N0 0.5
+"""
+    )
+    with pytest.raises(OscillationError) as exc:
+        settle(net, {"N1": 0, "N2": 1, "N3": 1}, {"N0": 0})
+    assert exc.value.nodes == {"N0", "N2"}
+
+
+def test_cycle_steps_a_clock_cycle_from_a_restored_state():
+    net = bundled_network(FFVariant.MUX)
+    ff = SwitchFF(net)
+    start = ff.state
+    assert start == (X,) * len(net.storage)
+    assert ff.cycle(1, 0, 0) == 1
+    loaded = ff.state
+    assert ff.cycle(0, 0, 0) == 0
+    ff.state = loaded
+    assert ff.cycle(0, 1, 1) == 1
+    ff.state = start
+    assert [ff.cycle(0, b, 1) for b in (1, 0, 1)] == [1, 0, 1]
