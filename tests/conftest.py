@@ -3,6 +3,12 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a failure reproduces
+# and tier-1 results do not vary; no example database is written.
+settings.register_profile("scanforge", derandomize=True, database=None, deadline=None)
+settings.load_profile("scanforge")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -10,6 +10,7 @@ clever for an oracle.
 from __future__ import annotations
 
 import random
+import re
 from typing import Optional
 
 from scanforge.cells import FFVariant, GateType
@@ -283,3 +284,23 @@ def wtc_by_list_shift(bits: str) -> int:
         toggles += sum(1 for old, now in zip(chain, new) if old != now)
         chain = new
     return toggles
+
+
+_TOKEN_RE = re.compile(r"\S+")
+
+
+def regex_tokenize(text: str) -> list[list[tuple[str, int, int]]]:
+    """(token, 1-based line, 1-based column) rows of a .snl text, one per nonblank line.
+
+    The netlist parser's original regex tokenizer, kept as the reference for
+    its positions: a token is a maximal ``\\S+`` run of a line cut at its
+    first '#', and its column counts code points from the start of the line.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        pos = raw.find("#")
+        body = raw if pos < 0 else raw[:pos]
+        row = [(m.group(), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(body)]
+        if row:
+            rows.append(row)
+    return rows
