@@ -9,191 +9,69 @@ variants.
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .cells import (
-    CellConfigError,
-    CellLibrary,
-    ComparisonRow,
-    FFVariant,
-    FFVariantParams,
-    GateParams,
-    GateType,
-    Mode,
-    ModeTiming,
-    ScalingFactors,
-    Stage,
-    builtin_params,
-    comparison_table,
-    load_library,
-    resolve_library,
-    scale_params,
-)
-from .errors import ScanforgeError
-from .ffmodel import FFState, ff_cycle, ff_selected_input
-from .logic import X, Bit
-from .netlist import (
-    CombinationalCycleError,
-    Dff,
-    DuplicateInstanceError,
-    Gate,
-    MultiplyDrivenNetError,
-    Netlist,
-    NetlistSyntaxError,
-    PatternSet,
-    PatternSyntaxError,
-    PatternWidthError,
-    ScanFF,
-    UndrivenNetError,
-    load_netlist,
-    load_patterns,
-    parse_netlist,
-    parse_patterns,
-    save_netlist,
-    serialize_netlist,
-)
-from .power import (
-    PowerModelError,
-    PowerReport,
-    estimate_power,
-    power_gain,
-    weighted_transition_count,
-)
-from .protocol import (
-    CycleRecord,
-    CycleSim,
-    Phase,
-    ProtocolError,
-    ProtocolTrace,
-    cycle_budget,
-    flush_chain,
-    run_scan_test,
-    sim_functional,
-)
-from .scan import (
-    BrokenChainError,
-    MixedVariantError,
-    MultipleChainsError,
-    NameCollisionError,
-    ScanChainPlan,
-    ScanPlanError,
-    default_plan,
-    insert_scan,
-    verify_chain,
-)
-from .sta import (
-    TimingError,
-    TimingReport,
-    analyze_timing,
-    time_gain,
-    zero_cloud_netlist,
-)
-from .switchsim import (
-    DanglingNodeError,
-    MissingSupplyError,
-    NetworkSyntaxError,
-    NodeValue,
-    OscillationError,
-    StimulusError,
-    SwitchFF,
-    Transistor,
-    TransistorNetwork,
-    TransistorType,
-    bundled_network,
-    load_network,
-    load_network_file,
-    run_clocked,
-    run_cycles,
-    settle,
-)
-from .vcd import dump_vcd, to_vcd
+# The public names, by the module that defines each. ``import scanforge``
+# loads none of these modules: a name is imported from its home module the
+# first time it is looked up (PEP 562), and then kept here.
+_EXPORTS = {
+    "logic": ("Bit", "X"),
+    "errors": ("ScanforgeError",),
+    "cells": (
+        "FFVariant", "Stage", "Mode", "GateType", "ModeTiming", "FFVariantParams",
+        "GateParams", "ScalingFactors", "CellLibrary", "CellConfigError",
+        "ComparisonRow", "builtin_params", "comparison_table", "scale_params",
+        "load_library", "resolve_library",
+    ),
+    "netlist": (
+        "Netlist", "Gate", "Dff", "ScanFF", "PatternSet", "NetlistSyntaxError",
+        "DuplicateInstanceError", "MultiplyDrivenNetError", "UndrivenNetError",
+        "CombinationalCycleError", "PatternSyntaxError", "PatternWidthError",
+        "parse_netlist", "serialize_netlist", "load_netlist", "save_netlist",
+        "parse_patterns", "load_patterns",
+    ),
+    "ffmodel": ("FFState", "ff_selected_input", "ff_cycle"),
+    "switchsim": (
+        "TransistorType", "Transistor", "TransistorNetwork", "NodeValue",
+        "NetworkSyntaxError", "DanglingNodeError", "MissingSupplyError",
+        "StimulusError", "OscillationError", "SwitchFF", "settle", "run_clocked",
+        "run_cycles", "load_network", "load_network_file", "bundled_network",
+        "check_behavioral",
+    ),
+    "scan": (
+        "ScanChainPlan", "ScanPlanError", "NameCollisionError", "BrokenChainError",
+        "MultipleChainsError", "MixedVariantError", "default_plan", "insert_scan",
+        "verify_chain",
+    ),
+    "protocol": (
+        "Phase", "CycleRecord", "CycleSim", "ProtocolTrace", "ProtocolError",
+        "sim_functional", "run_scan_test", "flush_chain", "cycle_budget",
+    ),
+    "sta": (
+        "TimingReport", "TimingError", "analyze_timing", "time_gain",
+        "zero_cloud_netlist",
+    ),
+    "power": (
+        "PowerReport", "PowerModelError", "estimate_power", "power_gain",
+        "weighted_transition_count",
+    ),
+    "vcd": ("to_vcd", "dump_vcd"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Bit",
-    "X",
-    "ScanforgeError",
-    "FFVariant",
-    "Stage",
-    "Mode",
-    "GateType",
-    "ModeTiming",
-    "FFVariantParams",
-    "GateParams",
-    "ScalingFactors",
-    "CellLibrary",
-    "CellConfigError",
-    "ComparisonRow",
-    "builtin_params",
-    "comparison_table",
-    "scale_params",
-    "load_library",
-    "resolve_library",
-    "Netlist",
-    "Gate",
-    "Dff",
-    "ScanFF",
-    "PatternSet",
-    "NetlistSyntaxError",
-    "DuplicateInstanceError",
-    "MultiplyDrivenNetError",
-    "UndrivenNetError",
-    "CombinationalCycleError",
-    "PatternSyntaxError",
-    "PatternWidthError",
-    "parse_netlist",
-    "serialize_netlist",
-    "load_netlist",
-    "save_netlist",
-    "parse_patterns",
-    "load_patterns",
-    "FFState",
-    "ff_selected_input",
-    "ff_cycle",
-    "TransistorType",
-    "Transistor",
-    "TransistorNetwork",
-    "NodeValue",
-    "NetworkSyntaxError",
-    "DanglingNodeError",
-    "MissingSupplyError",
-    "StimulusError",
-    "OscillationError",
-    "SwitchFF",
-    "settle",
-    "run_clocked",
-    "run_cycles",
-    "load_network",
-    "load_network_file",
-    "bundled_network",
-    "ScanChainPlan",
-    "ScanPlanError",
-    "NameCollisionError",
-    "BrokenChainError",
-    "MultipleChainsError",
-    "MixedVariantError",
-    "default_plan",
-    "insert_scan",
-    "verify_chain",
-    "Phase",
-    "CycleRecord",
-    "CycleSim",
-    "ProtocolTrace",
-    "ProtocolError",
-    "sim_functional",
-    "run_scan_test",
-    "flush_chain",
-    "cycle_budget",
-    "TimingReport",
-    "TimingError",
-    "analyze_timing",
-    "time_gain",
-    "zero_cloud_netlist",
-    "PowerReport",
-    "PowerModelError",
-    "estimate_power",
-    "power_gain",
-    "weighted_transition_count",
-    "to_vcd",
-    "dump_vcd",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

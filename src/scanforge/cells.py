@@ -17,7 +17,6 @@ in the file overrides the builtin value.
 
 from __future__ import annotations
 
-import configparser
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -323,7 +322,10 @@ def load_library(path: str | Path) -> CellLibrary:
     avg_power_uw (ns, ns, ns, uW). ``[ff.<VARIANT>.<stage>]`` accepts an
     ``area`` key. Unspecified keys keep their builtin values.
     """
-    parser = configparser.ConfigParser()
+    import configparser
+
+    # no interpolation: a '%' in a value reaches _parse_float as written
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -5,31 +5,25 @@ run emits one report document (JSON by default, CSV/text projections via
 --format) to stdout or -o. Domain errors exit 1 with a machine-readable JSON
 object on stderr; usage errors exit 2. Reports are deterministic for fixed
 inputs and --seed.
+
+Each handler imports the modules it runs when it is called, so a process
+that runs one subcommand loads only that subcommand's part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from .cells import FFVariant, Mode, Stage, comparison_table, load_library, resolve_library
+from .cells import FFVariant, Mode, Stage, load_library, resolve_library
 from .errors import ScanforgeError
-from .ffmodel import FFState, ff_cycle
-from .logic import X
-from .netlist import Netlist, load_netlist, load_patterns, serialize_netlist
-from .power import estimate_power, power_gain
-from .protocol import cycle_budget, run_scan_test, sim_functional
 from .reports import FORMATS, envelope, format_report
-from .scan import default_plan, insert_scan, verify_chain
-from .sta import analyze_timing, time_gain, zero_cloud_netlist
-from .switchsim import SwitchFF, TransistorNetwork, bundled_network, load_network_file
-from .vcd import dump_vcd
+
+if TYPE_CHECKING:
+    from .switchsim import TransistorNetwork
 
 
 class CommandError(ScanforgeError):
@@ -77,6 +71,11 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any]) -> None:
 
 
 def cmd_insert(args: argparse.Namespace) -> dict[str, Any]:
+    from dataclasses import replace
+
+    from .netlist import load_netlist, serialize_netlist
+    from .scan import default_plan, insert_scan, verify_chain
+
     n = load_netlist(args.netlist)
     variant = FFVariant(args.variant)
     ports = {"chain_in": args.chain_in, "chain_out": args.chain_out, "enable": args.enable}
@@ -109,11 +108,16 @@ def cmd_insert(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
+    from .netlist import load_netlist
+    from .protocol import sim_functional
+
     n = load_netlist(args.netlist)
     init = {f.id: 0 for f in n.flops} if args.init == "zero" else None
     stimulus = [{net: 0 for net in n.inputs}]
     trace = sim_functional(n, stimulus, cycles=args.cycles, init=init)
     if args.vcd:
+        from .vcd import dump_vcd
+
         dump_vcd(trace, args.vcd)
     return envelope(
         "sim",
@@ -133,6 +137,10 @@ def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_scan_test(args: argparse.Namespace) -> dict[str, Any]:
+    from .netlist import load_netlist, load_patterns
+    from .protocol import cycle_budget, run_scan_test
+    from .scan import verify_chain
+
     n = load_netlist(args.netlist)
     plan = verify_chain(n)
     patterns = load_patterns(args.patterns, len(plan.order))
@@ -142,6 +150,8 @@ def cmd_scan_test(args: argparse.Namespace) -> dict[str, Any]:
         )
     trace, responses = run_scan_test(n, patterns, pipelined=args.pipelined, plan=plan)
     if args.vcd:
+        from .vcd import dump_vcd
+
         dump_vcd(trace, args.vcd)
     has_expected = any(e is not None for e in patterns.expected)
     mismatched = [
@@ -194,6 +204,9 @@ def _timing_payload(report, gain_ns: float) -> dict[str, Any]:
 
 
 def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
+    from .netlist import load_netlist
+    from .sta import analyze_timing, time_gain
+
     n = load_netlist(args.netlist)
     lib = _library(args)
     variant = FFVariant(args.variant)
@@ -209,6 +222,11 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
+    from .netlist import load_netlist, load_patterns
+    from .power import estimate_power, power_gain
+    from .protocol import run_scan_test, sim_functional
+    from .scan import verify_chain
+
     n = load_netlist(args.netlist)
     lib = _library(args)
     variant = FFVariant(args.variant)
@@ -262,70 +280,18 @@ def _infer_variant(path: str, flag: Optional[str]) -> Optional[FFVariant]:
 
 
 def _load_any_network(path: str) -> TransistorNetwork:
+    from .switchsim import bundled_network, load_network_file
+
     if not Path(path).exists() and Path(path).name in _BUNDLED_NETWORKS:
         return bundled_network(_BUNDLED_NETWORKS[Path(path).name])
     return load_network_file(path)
 
 
-def _check_behavioral(
-    net: TransistorNetwork,
-    variant: Optional[FFVariant],
-    rng: random.Random,
-    vectors: int,
-) -> tuple[int, int]:
-    """Check a network against the ``ffmodel`` cycle model; (sequences, mismatches).
-
-    The stimulus is every length-4 sequence of (DI, SI, SE) bits, 4,096 of
-    them, plus ``vectors`` random length-8 ones, each started from X: X charge
-    on every storage node and an X model state. A mismatch is a cycle where
-    the model's Q is known and the network's Q after the falling phase is not
-    the same; the count is over all cycles of all sequences.
-
-    Sequences are not replayed one by one. A state of the product machine is
-    (storage charge, model Q), and ``step`` memoises one switch-level clock
-    cycle plus one ``ff_cycle`` per (state, pins). The exhaustive part counts
-    the prefixes that reach each state, so a mismatch at depth d stands for
-    ``count * 8**(3 - d)`` sequences; the random part steps the memo with the
-    draws a replay would make, in the same order.
-    """
-    ff = SwitchFF(net)
-    memo: dict = {}
-
-    def step(state: tuple, pins: tuple[int, int, int]) -> tuple[tuple, bool]:
-        hit = memo.get((state, pins))
-        if hit is None:
-            charge, model_q = state
-            ff.state = charge
-            q = ff.cycle(*pins)
-            # after a cycle the model's master and slave both hold its Q
-            model_q = ff_cycle(FFState(variant, model_q, model_q), *pins).q
-            hit = memo[(state, pins)] = (
-                (ff.state, model_q), model_q is not X and q != model_q
-            )
-        return hit
-
-    start = (ff.state, X)
-    mismatches = 0
-    level = {start: 1}
-    all_pins = list(itertools.product((0, 1), repeat=3))
-    for depth in range(4):
-        weight = len(all_pins) ** (3 - depth)
-        reached: dict = {}
-        for state, count in level.items():
-            for pins in all_pins:
-                new, bad = step(state, pins)
-                mismatches += bad * count * weight
-                reached[new] = reached.get(new, 0) + count
-        level = reached
-    for _ in range(vectors):
-        state = start
-        for _ in range(8):
-            state, bad = step(state, (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)))
-            mismatches += bad
-    return len(all_pins) ** 4 + vectors, mismatches
-
-
 def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
+    import random
+
+    from .switchsim import check_behavioral
+
     net = _load_any_network(args.network)
     variant = _infer_variant(args.network, args.variant)
     verdict = None
@@ -337,7 +303,7 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
                 "cannot infer the flip-flop variant to check against; pass --variant"
             )
         rng = random.Random(args.seed)
-        checked, mismatches = _check_behavioral(net, variant, rng, args.vectors)
+        checked, mismatches = check_behavioral(net, variant, rng, args.vectors)
         verdict = "equivalent" if mismatches == 0 else "mismatch"
     return envelope(
         "switchsim",
@@ -360,9 +326,14 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
+    from .cells import comparison_table
+    from .netlist import load_netlist
+    from .power import power_gain
+    from .sta import analyze_timing, time_gain, zero_cloud_netlist
+
     lib = _library(args)
     stage = Stage(args.stage)
-    n: Netlist = load_netlist(args.netlist) if args.netlist else zero_cloud_netlist()
+    n = load_netlist(args.netlist) if args.netlist else zero_cloud_netlist()
     rows = []
     for mode in Mode:
         mux = analyze_timing(n, FFVariant.MUX, stage, mode, lib)

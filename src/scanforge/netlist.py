@@ -16,6 +16,12 @@ Grammar (.snl), one directive per line, '#' starts a comment:
     scanff <id> <MUX|GDI|APPROX> <Q> <DI> <SI> <SE>
     endmodule
 
+Lines are those of ``str.splitlines()`` (so a vertical tab or form feed also
+ends one), and tokens are separated by ``str.split()`` whitespace, any
+character for which ``str.isspace()`` holds. Syntax errors carry a 1-based
+line and column; the column counts code points from the start of the line,
+in the text left once the comment is cut.
+
 Pattern files (.pat) hold one bit vector per line, leftmost bit shifted
 first, with an optional ``-> <expected>`` response suffix.
 """
@@ -33,7 +39,6 @@ from .errors import ScanforgeError
 CLK_NET = "CLK"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.\[\]]*\Z")
-_TOKEN_RE = re.compile(r"\S+")
 
 
 class NetlistSyntaxError(ScanforgeError):
@@ -274,7 +279,9 @@ def validate_netlist(n: Netlist) -> None:
         if net not in driven:
             raise UndrivenNetError(f"output net {net!r} has no driver")
 
-    _topo_gates(n)
+    # compiling sorts the gates and raises on a cycle; the netlist keeps the
+    # compiled form, so timing and simulation do not sort again
+    n.compiled
 
 
 def _strip_comment(line: str) -> str:
@@ -282,61 +289,65 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
-@dataclass
-class _Tok:
-    text: str
-    line: int
-    column: int
+# One nonblank line: (1-based line number, the line, its tokens).
+_Row = tuple[int, str, list[str]]
 
 
-def _tokenize(text: str) -> list[list[_Tok]]:
-    """Token rows for nonblank lines, with 1-based positions."""
+def _rows(text: str) -> list[_Row]:
+    """The lines that hold tokens once their comment is cut, in file order."""
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw)
-        toks = [
-            _Tok(m.group(), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(body)
-        ]
-        if toks:
-            rows.append(toks)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = _strip_comment(line).split()
+        if words:
+            rows.append((lineno, line, words))
     return rows
 
 
-def _require_ident(tok: _Tok, what: str) -> str:
-    if not _IDENT_RE.match(tok.text):
-        raise NetlistSyntaxError(
-            f"bad {what} {tok.text!r}", tok.line, tok.column
-        )
-    if tok.text == CLK_NET:
-        raise NetlistSyntaxError(
-            f"{CLK_NET} is the implicit clock and may not be named", tok.line, tok.column
-        )
-    return tok.text
+def _at(row: _Row, index: int = 0) -> tuple[int, int]:
+    """1-based (line, column) of token ``index`` of a row; used only to raise.
+
+    The line is scanned again token by token, so a token that occurs more
+    than once on it gets the column of its own occurrence.
+    """
+    lineno, line, words = row
+    body = _strip_comment(line)
+    end = 0
+    for word in words[: index + 1]:
+        start = body.find(word, end)
+        end = start + len(word)
+    return lineno, start + 1
 
 
-def _require_arity(row: list[_Tok], count: int) -> None:
-    if len(row) != count:
+def _require_ident(row: _Row, index: int, what: str) -> str:
+    word = row[2][index]
+    if not _IDENT_RE.match(word):
+        raise NetlistSyntaxError(f"bad {what} {word!r}", *_at(row, index))
+    if word == CLK_NET:
         raise NetlistSyntaxError(
-            f"{row[0].text!r} expects {count - 1} arguments, got {len(row) - 1}",
-            row[0].line,
-            row[0].column,
+            f"{CLK_NET} is the implicit clock and may not be named", *_at(row, index)
+        )
+    return word
+
+
+def _require_arity(row: _Row, count: int) -> None:
+    words = row[2]
+    if len(words) != count:
+        raise NetlistSyntaxError(
+            f"{words[0]!r} expects {count - 1} arguments, got {len(words) - 1}", *_at(row)
         )
 
 
 def parse_netlist(text: str) -> Netlist:
-    rows = _tokenize(text)
+    rows = _rows(text)
     if not rows:
         raise NetlistSyntaxError("empty file, expected 'module'", 1)
-    pos = 0
 
-    head = rows[pos]
-    if head[0].text != "module":
-        raise NetlistSyntaxError(
-            f"expected 'module', got {head[0].text!r}", head[0].line, head[0].column
-        )
+    head = rows[0]
+    if head[2][0] != "module":
+        raise NetlistSyntaxError(f"expected 'module', got {head[2][0]!r}", *_at(head))
     _require_arity(head, 2)
-    name = _require_ident(head[1], "module name")
-    pos += 1
+    name = _require_ident(head, 1, "module name")
+    pos = 1
 
     inputs: list[str] = []
     outputs: list[str] = []
@@ -347,78 +358,71 @@ def parse_netlist(text: str) -> Netlist:
     while pos < len(rows):
         row = rows[pos]
         pos += 1
-        word = row[0].text
+        words = row[2]
+        word = words[0]
         if word == "endmodule":
             _require_arity(row, 1)
             ended = True
             break
         if word == "module":
-            raise NetlistSyntaxError("nested module", row[0].line, row[0].column)
+            raise NetlistSyntaxError("nested module", *_at(row))
         if word == "input" or word == "output":
-            if len(row) < 2:
-                raise NetlistSyntaxError(
-                    f"{word!r} expects at least one net", row[0].line, row[0].column
-                )
-            for tok in row[1:]:
-                net = _require_ident(tok, "net name")
+            if len(words) < 2:
+                raise NetlistSyntaxError(f"{word!r} expects at least one net", *_at(row))
+            for i in range(1, len(words)):
+                net = _require_ident(row, i, "net name")
                 if word == "input":
                     inputs.append(net)
                 else:
                     if net in output_decls:
                         raise NetlistSyntaxError(
-                            f"net {net!r} declared output twice", tok.line, tok.column
+                            f"net {net!r} declared output twice", *_at(row, i)
                         )
                     output_decls.add(net)
                     outputs.append(net)
         elif word == "gate":
-            if len(row) < 4:
+            if len(words) < 4:
                 raise NetlistSyntaxError(
-                    "'gate' expects <id> <TYPE> <out> <in>...", row[0].line, row[0].column
+                    "'gate' expects <id> <TYPE> <out> <in>...", *_at(row)
                 )
-            gid = _require_ident(row[1], "instance id")
+            gid = _require_ident(row, 1, "instance id")
             try:
-                gtype = GateType(row[2].text.upper())
+                gtype = GateType(words[2].upper())
             except ValueError:
                 raise NetlistSyntaxError(
-                    f"unknown gate type {row[2].text!r}", row[2].line, row[2].column
+                    f"unknown gate type {words[2]!r}", *_at(row, 2)
                 ) from None
             _require_arity(row, 4 + gtype.num_inputs)
-            out = _require_ident(row[3], "net name")
-            ins = tuple(_require_ident(tok, "net name") for tok in row[4:])
+            out = _require_ident(row, 3, "net name")
+            ins = tuple(_require_ident(row, i, "net name") for i in range(4, len(words)))
             instances.append(Gate(gid, gtype, out, ins))
         elif word == "dff":
             _require_arity(row, 4)
             instances.append(
                 Dff(
-                    _require_ident(row[1], "instance id"),
-                    _require_ident(row[2], "net name"),
-                    _require_ident(row[3], "net name"),
+                    _require_ident(row, 1, "instance id"),
+                    _require_ident(row, 2, "net name"),
+                    _require_ident(row, 3, "net name"),
                 )
             )
         elif word == "scanff":
             _require_arity(row, 7)
-            fid = _require_ident(row[1], "instance id")
+            fid = _require_ident(row, 1, "instance id")
             try:
-                variant = FFVariant(row[2].text.lower())
+                variant = FFVariant(words[2].lower())
             except ValueError:
                 raise NetlistSyntaxError(
-                    f"unknown scan flip-flop variant {row[2].text!r}",
-                    row[2].line,
-                    row[2].column,
+                    f"unknown scan flip-flop variant {words[2]!r}", *_at(row, 2)
                 ) from None
-            nets = [_require_ident(tok, "net name") for tok in row[3:7]]
+            nets = [_require_ident(row, i, "net name") for i in range(3, 7)]
             instances.append(ScanFF(fid, variant, *nets))
         else:
-            raise NetlistSyntaxError(
-                f"unknown directive {word!r}", row[0].line, row[0].column
-            )
+            raise NetlistSyntaxError(f"unknown directive {word!r}", *_at(row))
 
     if not ended:
-        last = rows[-1][0]
-        raise NetlistSyntaxError("missing 'endmodule'", last.line, last.column)
+        raise NetlistSyntaxError("missing 'endmodule'", *_at(rows[-1]))
     if pos < len(rows):
-        tok = rows[pos][0]
-        raise NetlistSyntaxError("text after 'endmodule'", tok.line, tok.column)
+        raise NetlistSyntaxError("text after 'endmodule'", *_at(rows[pos]))
 
     n = Netlist(
         name=name,

@@ -13,11 +13,13 @@ because no credible per-event figure exists to bake in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .cells import CellLibrary, FFVariant, Mode, Stage, resolve_library
 from .errors import ScanforgeError
-from .protocol import ProtocolTrace
+
+if TYPE_CHECKING:
+    from .protocol import ProtocolTrace
 
 
 class PowerModelError(ScanforgeError):

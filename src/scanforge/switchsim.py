@@ -34,6 +34,8 @@ independently of transistor list order; a network that never stabilizes
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -42,6 +44,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .cells import FFVariant
 from .errors import ScanforgeError
+from .ffmodel import FFState, ff_cycle
 from .logic import Bit, X
 
 RANK_FLOATING = 0.0
@@ -339,6 +342,64 @@ def run_cycles(
     """Full clock cycles (``SwitchFF.cycle``); Q sampled after each falling phase."""
     ff = SwitchFF(net, cache)
     return [ff.cycle(di, si, se) for di, si, se in stimulus]
+
+
+def check_behavioral(
+    net: TransistorNetwork,
+    variant: Optional[FFVariant],
+    rng: random.Random,
+    vectors: int,
+) -> tuple[int, int]:
+    """Check a network against the ``ffmodel`` cycle model; (sequences, mismatches).
+
+    The stimulus is every length-4 sequence of (DI, SI, SE) bits, 4,096 of
+    them, plus ``vectors`` random length-8 ones, each started from X: X charge
+    on every storage node and an X model state. A mismatch is a cycle where
+    the model's Q is known and the network's Q after the falling phase is not
+    the same; the count is over all cycles of all sequences.
+
+    Sequences are not replayed one by one. A state of the product machine is
+    (storage charge, model Q), and ``step`` memoises one switch-level clock
+    cycle plus one ``ff_cycle`` per (state, pins). The exhaustive part counts
+    the prefixes that reach each state, so a mismatch at depth d stands for
+    ``count * 8**(3 - d)`` sequences; the random part steps the memo with the
+    draws a replay would make, in the same order.
+    """
+    ff = SwitchFF(net)
+    memo: dict = {}
+
+    def step(state: tuple, pins: tuple[int, int, int]) -> tuple[tuple, bool]:
+        hit = memo.get((state, pins))
+        if hit is None:
+            charge, model_q = state
+            ff.state = charge
+            q = ff.cycle(*pins)
+            # after a cycle the model's master and slave both hold its Q
+            model_q = ff_cycle(FFState(variant, model_q, model_q), *pins).q
+            hit = memo[(state, pins)] = (
+                (ff.state, model_q), model_q is not X and q != model_q
+            )
+        return hit
+
+    start = (ff.state, X)
+    mismatches = 0
+    level = {start: 1}
+    all_pins = list(itertools.product((0, 1), repeat=3))
+    for depth in range(4):
+        weight = len(all_pins) ** (3 - depth)
+        reached: dict = {}
+        for state, count in level.items():
+            for pins in all_pins:
+                new, bad = step(state, pins)
+                mismatches += bad * count * weight
+                reached[new] = reached.get(new, 0) + count
+        level = reached
+    for _ in range(vectors):
+        state = start
+        for _ in range(8):
+            state, bad = step(state, (rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)))
+            mismatches += bad
+    return len(all_pins) ** 4 + vectors, mismatches
 
 
 def load_network(text: str) -> TransistorNetwork:

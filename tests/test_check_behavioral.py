@@ -1,7 +1,8 @@
 """The switch-level behavioural check against a per-sequence replay.
 
-``scantool switchsim --check-behavioral`` walks the product machine of a
-network and the ``ffmodel`` cycle model instead of replaying sequences. The
+``switchsim.check_behavioral`` (``scantool switchsim --check-behavioral``)
+walks the product machine of a network and the ``ffmodel`` cycle model
+instead of replaying sequences. The
 oracle here is that replay, written out in full: every sequence runs through
 ``run_cycles`` and an ``ff_cycle`` loop from a fresh ``FFState``. A random
 sequence set of n vectors is a prefix of the 256-vector set drawn from the
@@ -21,10 +22,10 @@ import pytest
 
 import scanforge
 from scanforge.cells import FFVariant
-from scanforge.cli import _check_behavioral, main
+from scanforge.cli import main
 from scanforge.ffmodel import FFState, ff_cycle
 from scanforge.logic import X
-from scanforge.switchsim import bundled_network, run_cycles
+from scanforge.switchsim import bundled_network, check_behavioral, run_cycles
 
 MODELS = [FFVariant.MUX, FFVariant.GDI, FFVariant.APPROX, None]
 SEEDS = [1, 42, 99]
@@ -96,13 +97,13 @@ def test_walk_counts_what_the_replay_counts(cell, model, seed):
             4096 + vectors,
             replay_exhaustive(cell, model) + sum(replay_random(cell, model, seed)[:vectors]),
         )
-        assert _check_behavioral(net, model, random.Random(seed), vectors) == want
+        assert check_behavioral(net, model, random.Random(seed), vectors) == want
 
 
 def test_plain_dff_model_mismatches_the_scan_cells():
     # The plain D flip-flop ignores SE, so it disagrees with every scan cell.
     net = bundled_network(FFVariant.MUX)
-    assert _check_behavioral(net, None, random.Random(42), 256) == (4352, 4595)
+    assert check_behavioral(net, None, random.Random(42), 256) == (4352, 4595)
 
 
 def run_cli(capsys, *argv):

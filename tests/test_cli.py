@@ -290,6 +290,22 @@ def test_tool_errors_exit_one_with_json(capsys, tmp_path, chain10):
     assert payload["error"]["code"] == "patterns.width"
 
 
+@pytest.mark.parametrize("value", ["%0.088", "%(t_cq)s", "0.1%"])
+def test_percent_in_a_cells_value_is_a_config_error(capsys, tmp_path, value):
+    # a '%' is not interpolation syntax in a .cellcfg: the value is read as
+    # written and rejected as a number, never a configparser traceback
+    cfg = tmp_path / "f.cellcfg"
+    cfg.write_text(f"[ff.MUX.post_layout.functional]\nt_su = {value}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", "--cells", str(cfg))
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": {
+            "code": "cells.config",
+            "message": f"[ff.MUX.post_layout.functional] t_su: not a number: {value!r}",
+        }
+    }
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "sta", "no_such_design.snl")
     assert code == 1

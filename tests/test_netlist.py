@@ -197,16 +197,17 @@ def test_topological_order_is_valid():
 
 
 def test_one_sort_serves_timing_and_simulation(monkeypatch, chain10_path, chain10_patterns_path):
-    n = load_netlist(str(chain10_path))
     sorts = []
     real = netlist_module._topo_gates
     monkeypatch.setattr(netlist_module, "_topo_gates", lambda m: sorts.append(m) or real(m))
+    n = load_netlist(str(chain10_path))
     for variant, stage, mode in itertools.product(FFVariant, Stage, Mode):
         analyze_timing(n, variant, stage, mode)
     run_scan_test(n, load_patterns(str(chain10_patterns_path), 10))
     sim_functional(n, [{"A": 0, "SI": 0, "SE": 0}], cycles=8)
-    assert len(sorts) <= 1
+    assert len(sorts) == 1 and sorts[0] is n
     assert n.comb_order() is n.compiled.gates
+
 
 def test_patterns_basic():
     ps = parse_patterns("101\n", 3)

@@ -200,5 +200,8 @@ _SPECIAL = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u200
 @given(st.text(alphabet=st.one_of(st.sampled_from(_SPECIAL), st.sampled_from("ab9_"),
                                   st.characters()), max_size=60))
 def test_tokenizer_matches_regex_oracle(text):
-    got = [[(t.text, t.line, t.column) for t in row] for row in netlist_module._tokenize(text)]
+    got = [
+        [(word, *netlist_module._at(row, i)) for i, word in enumerate(row[2])]
+        for row in netlist_module._rows(text)
+    ]
     assert got == regex_tokenize(text)
