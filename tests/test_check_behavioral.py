@@ -2,11 +2,11 @@
 
 ``switchsim.check_behavioral`` (``scantool switchsim --check-behavioral``)
 walks the product machine of a network and the ``ffmodel`` cycle model
-instead of replaying sequences. The
-oracle here is that replay, written out in full: every sequence runs through
-``run_cycles`` and an ``ff_cycle`` loop from a fresh ``FFState``. A random
-sequence set of n vectors is a prefix of the 256-vector set drawn from the
-same seed, so the oracle replays 256 per seed and sums prefixes.
+instead of replaying sequences. The oracle here is that replay, written out
+in full: every sequence runs through ``run_cycles`` and an ``ff_cycle`` loop
+from a fresh ``FFState``. A random sequence set of n vectors is a prefix of
+the 256-vector set drawn from the same seed, so the oracle replays 256 per
+seed and sums prefixes.
 """
 
 from __future__ import annotations
