@@ -1,4 +1,4 @@
-"""Byte and figure pins for two fixed traces and for STA reports.
+"""Byte and figure pins for fixed traces and for STA reports.
 
 The VCD digests and power figures were recorded from the per-cycle
 simulator that the lane-based engine replaced; they hold the trace format
@@ -12,6 +12,11 @@ the compiled one replaced. They cover every variant, stage and mode, zero
 and nonzero input arrival / output required times, and random netlists
 timed with one delay for every gate type, so equal arrivals are common and
 the tie-breaking (first input of a gate, first endpoint) is pinned too.
+
+The hand-driven ``CycleSim`` digests were recorded before functional runs
+kept only their input and flip-flop rows. They cover partial input maps,
+SE at 1 and X, X and mixed power-up state, and cycles added after a
+``finish()``.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ from pathlib import Path
 import pytest
 
 from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
-from scanforge.netlist import load_netlist, load_patterns, parse_netlist
+from scanforge.logic import X
+from scanforge.netlist import ScanFF, load_netlist, load_patterns, parse_netlist
 from scanforge.power import estimate_power
-from scanforge.protocol import run_scan_test, sim_functional
+from scanforge.protocol import CycleSim, Phase, run_scan_test, sim_functional
 from scanforge.sta import analyze_timing
 from scanforge.vcd import to_vcd
 
@@ -162,3 +168,149 @@ def test_sta_reports_do_not_depend_on_the_hash_seed():
         ).stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0]) == [STA_SHA256[key] for key in sorted(STA_SHA256)]
+
+
+# -- hand-driven CycleSim runs ---------------------------------------------------
+
+CHAIN10_FLOPS = [f"f{i}" for i in range(10)]
+
+
+def _chain10(approx: bool = False):
+    n = load_netlist(str(FIXTURES / "chain10.snl"))
+    if not approx:
+        return n
+    instances = tuple(
+        replace(i, variant=FFVariant.APPROX) if isinstance(i, ScanFF) else i
+        for i in n.instances
+    )
+    return replace(n, instances=instances)
+
+
+def _partial_maps():
+    # SI is never given and stays X; an input left out of a map keeps the
+    # value it was last given.
+    return [
+        {"A": 1, "SE": 0}, {}, {"SE": 0}, {"A": 0}, {}, {"A": 1, "SE": 0}, {}, {"A": 0},
+        {"A": 1}, {}, {}, {"A": 0}, {"A": X}, {}, {"A": 1}, {"SE": 1}, {"SE": 0}, {},
+    ]
+
+
+def _maps(ses, seed: int):
+    rng = random.Random(seed)
+    return [{"A": rng.randint(0, 1), "SI": rng.randint(0, 1), "SE": se} for se in ses]
+
+
+# SE at 1 (shifting), X and 0, with SI and A changing underneath
+SE_MIXED = [1] * 12 + [X] * 3 + [0] * 4 + [1] * 5 + [X, 0, X, 1, 1, 0]
+# shift known bits over an unknown state, then run free
+SE_LOAD = [1] * 7 + [0] * 9
+
+
+# name -> (netlist, init, input maps before each finish())
+CYCLESIM_RUNS = {
+    "partial": (lambda: _chain10(), dict.fromkeys(CHAIN10_FLOPS, 0), [_partial_maps()]),
+    "se_mux": (lambda: _chain10(), dict.fromkeys(CHAIN10_FLOPS, 0), [_maps(SE_MIXED, 2024)]),
+    "se_approx": (
+        lambda: _chain10(True), dict.fromkeys(CHAIN10_FLOPS, 1), [_maps(SE_MIXED, 2024)]
+    ),
+    "init_x": (lambda: _chain10(True), dict.fromkeys(CHAIN10_FLOPS, X), [_maps(SE_LOAD, 5)]),
+    "init_mixed": (
+        lambda: _chain10(),
+        {"f0": 1, "f1": 0, "f2": X, "f3": 0, "f4": 1, "f5": 1, "f6": 0, "f8": X, "f9": 0},
+        [_maps(SE_LOAD, 6)],
+    ),
+    "refinish": (lambda: parse_netlist(TFF), {"f1": 0}, [[{"EN": 0}] * 6, [{"EN": 1}] * 3]),
+}
+
+
+def cyclesim_digests(name: str, ordered: bool) -> list[str]:
+    """SHA-256 per finish() of the run's VCD, net toggles, internal
+    toggles, contentions, warnings and per-cycle SE.
+
+    Net toggles keep their order when ``ordered``; ties in that order follow
+    net ids, which move with the string hash seed, so unordered digests sort
+    them.
+    """
+    make, init, rounds = CYCLESIM_RUNS[name]
+    sim = CycleSim(make(), init=init)
+    digests = []
+    for maps in rounds:
+        for pi in maps:
+            sim.cycle(pi, Phase.FUNCTIONAL)
+        trace = sim.finish()
+        toggles = list(trace.net_toggles.items())
+        body = {
+            "vcd": hashlib.sha256(to_vcd(trace).encode()).hexdigest(),
+            "net_toggles": toggles if ordered else sorted(toggles),
+            "internal": list(trace.ff_internal_toggles.items()),
+            "contentions": list(trace.ff_contentions.items()),
+            "warnings": trace.warnings,
+            "se": trace.se,
+        }
+        digests.append(hashlib.sha256(json.dumps(body).encode()).hexdigest())
+    return digests
+
+
+CYCLESIM_SHA256 = {
+    "init_mixed": [
+        "48dc926ecebc8df714e56b685fc90f451168bc7b2229c7377a4817858b197427",
+    ],
+    "init_x": [
+        "7e842cc56485548251a7fc6433d712cc840ed191124a93b5fa486bf9ed3cd0c4",
+    ],
+    "partial": [
+        "306e66bceae04a65d7fd8f4a6ebc4d5b150639e85f0b407022522c992ecb8b4f",
+    ],
+    "refinish": [
+        "3e9348186a2bafafff138e0b60756decfd2a7feb00a45e8b3d6bab2e054c667e",
+        "af3be6e21b8e26c81110802fb7992a03e817f05be4610961c0d8782786fedffd",
+    ],
+    "se_approx": [
+        "80f2ca690c0345bb6fde60536e7842d6adcb1784942b1d0d084712ff3910c07d",
+    ],
+    "se_mux": [
+        "ce38b4682132bb59e22d8f7fe6074b3f5821deb7c15b8cc394e205465c9729c5",
+    ],
+}
+
+# the same digests with net toggles in trace order, under PYTHONHASHSEED=0
+CYCLESIM_ORDERED_SHA256 = {
+    "init_mixed": [
+        "2919d45cd5403da463e0a326a30bd44caf2406d29e81ced26b13f0415f655b53",
+    ],
+    "init_x": [
+        "2be362ea9b1b1c70ab69e47d4c651cf3350987d8e0841b53ba2d2cb48dcbdac1",
+    ],
+    "partial": [
+        "42174788fd9d0749b6790e508b02797c6d3ef236e8e79f382aae047260e92cf0",
+    ],
+    "refinish": [
+        "3e9348186a2bafafff138e0b60756decfd2a7feb00a45e8b3d6bab2e054c667e",
+        "55e1c728dce99ec78143bb8105c55ceaa46d15e2a61bec4076cddc974d6c3d51",
+    ],
+    "se_approx": [
+        "40912441edfc83e7ebf7f42d3888edbdd9311cb7c53bf00affe6e76fbe884b3b",
+    ],
+    "se_mux": [
+        "fb5bfde601a776eb3cf17d3f2365d1c8b882ab534627e85cddfa5744b69f6054",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLESIM_RUNS))
+def test_cyclesim_runs_are_pinned(name):
+    assert cyclesim_digests(name, ordered=False) == CYCLESIM_SHA256[name]
+
+
+def test_cyclesim_toggle_order_is_pinned():
+    code = (
+        "import json; from test_trace_pins import CYCLESIM_RUNS, cyclesim_digests; "
+        "print(json.dumps({k: cyclesim_digests(k, True) for k in sorted(CYCLESIM_RUNS)}))"
+    )
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == CYCLESIM_ORDERED_SHA256
