@@ -1,9 +1,10 @@
-"""Three-valued (0/1/X) logic primitives shared by the simulators.
+"""Three-valued (0/1/X) bits shared by the simulators.
 
 A bit is ``0``, ``1`` or ``X`` (unknown). ``X`` is represented by ``None`` so
 that ordinary ``==`` comparisons behave naturally and dictionaries of net
-values stay cheap. Gate evaluation uses controlling-value semantics: an AND
-with one input at 0 is 0 regardless of the other input being X.
+values stay cheap. Gates are evaluated by ``protocol.evaluate`` over two-rail
+ints, with controlling-value semantics: an AND with one input at 0 is 0
+regardless of the other input being X.
 """
 
 from __future__ import annotations
@@ -32,44 +33,6 @@ def bit_from_char(c: str) -> Bit:
     if c in ("x", "X"):
         return X
     raise ValueError(f"not a bit character: {c!r}")
-
-
-def inv(a: Bit) -> Bit:
-    return X if a is None else 1 - a
-
-
-def buf(a: Bit) -> Bit:
-    return a
-
-
-def and2(a: Bit, b: Bit) -> Bit:
-    if a == 0 or b == 0:
-        return 0
-    if a is None or b is None:
-        return X
-    return 1
-
-
-def or2(a: Bit, b: Bit) -> Bit:
-    if a == 1 or b == 1:
-        return 1
-    if a is None or b is None:
-        return X
-    return 0
-
-
-def nand2(a: Bit, b: Bit) -> Bit:
-    return inv(and2(a, b))
-
-
-def nor2(a: Bit, b: Bit) -> Bit:
-    return inv(or2(a, b))
-
-
-def xor2(a: Bit, b: Bit) -> Bit:
-    if a is None or b is None:
-        return X
-    return a ^ b
 
 
 def toggled(old: Bit, new: Bit) -> bool:

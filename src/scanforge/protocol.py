@@ -20,14 +20,16 @@ cycles, bit t for cycle t. One evaluator (``evaluate``) runs the gate
 program of ``Netlist.compiled`` over either width; the netlist keeps that
 compiled form, so repeated runs on one netlist do not sort it again.
 
-``CycleSim`` and ``sim_functional`` step every cycle at width 1 and append
-one row per cycle. ``run_scan_test`` and ``flush_chain`` step at width 1
-only where the chain's shift cannot be written down: the SE=0 capture
-cycles, or every cycle when some flop is not on the SI -> Q chain. On every
-SE=1 cycle each chain flop loads SI, so the Q lane of chain position p is
-``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for the head), with CAP_p
-the bits of the stepped cycles. One width-T pass over all cycles then gives
-the end-of-cycle lanes of every net.
+Every trace is built one way: from the lanes of the primary inputs and the
+flip-flop Qs, which fix every other net's end-of-cycle value, one width-T
+pass over all cycles gives the end-of-cycle lanes of every net.
+``CycleSim`` and ``sim_functional`` step every cycle at width 1 and keep
+only those state nets' bits per cycle. ``run_scan_test`` and
+``flush_chain`` step at width 1 only where the chain's shift cannot be
+written down: the SE=0 capture cycles, or every cycle when some flop is not
+on the SI -> Q chain. On every SE=1 cycle each chain flop loads SI, so the
+Q lane of chain position p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI
+itself for the head), with CAP_p the bits of the stepped cycles.
 
 A trace stores those lanes as per-net columns. Its counts all come from the
 columns: net toggles are ``popcount((v ^ v>>1) & k & k>>1)``, and a second
@@ -101,8 +103,15 @@ def evaluate(program: Sequence[tuple[int, int, int, int]], v: list[int], k: list
         k[out] = known
 
 
-def _rail(bit: Bit) -> tuple[int, int]:
-    return (0, 0) if bit is None else (bit, 1)
+_RAILS = {0: (0, 1), 1: (1, 1), X: (0, 0)}
+
+
+def _rail(bit: Bit, net: str) -> tuple[int, int]:
+    """The (value, known) rails of a bit given for a net."""
+    try:
+        return _RAILS[bit]
+    except (KeyError, TypeError):
+        raise ProtocolError(f"{net!r} given {bit!r}, not 0, 1 or X") from None
 
 
 def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], list[int]]:
@@ -189,8 +198,8 @@ class CycleRecord:
 class ProtocolTrace:
     """End-of-cycle lanes of every net, per-cycle pins, and the counts.
 
-    ``nets`` lists the net names in column order. Cycles appended as rows
-    (``CycleSim``) are folded into the columns the next time they are read.
+    ``nets`` lists the net names in column order; ``_lane_trace`` fills the
+    columns and the counts.
     """
 
     netlist_name: str
@@ -210,9 +219,6 @@ class ProtocolTrace:
         self._index = {net: i for i, net in enumerate(self.nets)}
         self._v = [0] * len(self.nets)
         self._k = [0] * len(self.nets)
-        self._sealed = 0  # cycles held in the columns
-        self._rows_v = bytearray()  # later cycles, one row of net bits each
-        self._rows_k = bytearray()
 
     @property
     def cycles(self) -> int:
@@ -226,26 +232,6 @@ class ProtocolTrace:
     def contention_cycles(self) -> int:
         return sum(self.ff_contentions.values())
 
-    def _append(self, v: bytes, k: bytes, phase: Phase, se: Bit, si: Bit, so: Bit) -> None:
-        self._rows_v += v
-        self._rows_k += k
-        self.phases.append(phase)
-        self.se.append(se)
-        self.si.append(si)
-        self.so.append(so)
-
-    def _columns(self) -> tuple[list[int], list[int]]:
-        """The value and known lanes of every net, rows folded in."""
-        if self._sealed < self.cycles:
-            n, base = len(self.nets), self._sealed
-            for i in range(n):
-                self._v[i] |= _bits_to_lane(self._rows_v[i::n]) << base
-                self._k[i] |= _bits_to_lane(self._rows_k[i::n]) << base
-            self._rows_v.clear()
-            self._rows_k.clear()
-            self._sealed = self.cycles
-        return self._v, self._k
-
     def bit_string(self, net: str) -> str:
         """The net's end-of-cycle values, one '0', '1' or 'x' per cycle."""
         return self.bit_columns([net])
@@ -258,8 +244,7 @@ class ProtocolTrace:
         ids = [self._index[net] for net in nets]
         if not ids or not self.cycles:
             return ""
-        v, k = self._columns()
-        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles)
+        return _lane_chars([(self._v[i], self._k[i]) for i in ids], self.cycles)
 
     @property
     def records(self) -> list[CycleRecord]:
@@ -283,17 +268,24 @@ class ProtocolTrace:
         return [bit_from_char(c) for c in self.bit_string(net)]
 
 
-def _account(
-    trace: ProtocolTrace,
-    cn: CompiledNetlist,
-    init_v: Sequence[int],
-    init_k: Sequence[int],
-    warmup_cycles: int,
-) -> None:
-    """Fill the trace's counts from its columns and the flops' power-up state."""
-    width = trace.cycles
+def _lane_trace(
+    n: Netlist, v: list[int], k: list[int], phases: list[Phase], se: list[Bit], si: list[Bit],
+    init: Sequence[tuple[int, int]], warmup_cycles: int,
+) -> ProtocolTrace:
+    """The trace of a run, from its state lanes and the flops' power-up rails.
+
+    ``v`` and ``k`` hold, by net id, the two-rail lanes of the primary inputs
+    and the flop Qs over the run's cycles; one width-T pass settles every
+    other net's end-of-cycle lane in place. SO is recorded as X.
+    """
+    cn = n.compiled
+    width = len(phases)
     full = (1 << width) - 1
-    v, k = trace._columns()
+    evaluate(cn.program, v, k)
+    trace = ProtocolTrace(
+        n.name, cn.nets, net_drivers=dict(cn.drivers), phases=phases, se=se, si=si, so=[X] * width
+    )
+    trace._v, trace._k = v, k
 
     # Toggles in the order they first happen, ties in net order.
     firsts = []
@@ -306,7 +298,7 @@ def _account(
 
     # What each rising edge saw: this cycle's inputs with the last cycle's Q.
     pv, pk = list(v), list(k)
-    for q, iv, ik in zip(cn.ff_q, init_v, init_k):
+    for q, (iv, ik) in zip(cn.ff_q, init):
         pv[q] = (v[q] << 1 | iv) & full
         pk[q] = (k[q] << 1 | ik) & full
     evaluate(cn.program, pv, pk)
@@ -332,9 +324,10 @@ def _account(
         f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x
     ]
     phase_counts: dict[str, int] = {}
-    for phase in trace.phases:
+    for phase in phases:
         phase_counts[phase.value] = phase_counts.get(phase.value, 0) + 1
     trace.phase_counts = phase_counts
+    return trace
 
 
 # -- stepping one cycle at a time ------------------------------------------------
@@ -343,9 +336,11 @@ def _account(
 class CycleSim:
     """Incremental simulator; drives one netlist cycle by cycle.
 
-    Each cycle records the scan enable the rising edge saw when every scan
-    flop shares one enable net (X otherwise), so ``estimate_power`` bills its
-    SE=1 cycles at the test rate; SI and SO are recorded as X.
+    Each cycle keeps the bits of the primary inputs and the flop Qs, from
+    which ``finish`` builds the trace, and the scan enable the rising edge
+    saw when every scan flop shares one enable net (X otherwise), so
+    ``estimate_power`` bills its SE=1 cycles at the test rate; SI and SO are
+    recorded as X.
     """
 
     def __init__(
@@ -364,22 +359,28 @@ class CycleSim:
                     raise ProtocolError(f"{fid!r} is not a flip-flop instance")
         self._v = [0] * len(cn.nets)
         self._k = [0] * len(cn.nets)
-        seeds = [_rail(init.get(fid, X) if init else X) for fid in cn.ff_ids]
-        self._init_v = [s[0] for s in seeds]
-        self._init_k = [s[1] for s in seeds]
-        for q, (sv, sk) in zip(cn.ff_q, seeds):
-            self._v[q] = sv
-            self._k[q] = sk
-        self.trace = ProtocolTrace(netlist_name=n.name, nets=cn.nets)
-        self.trace.net_drivers = dict(cn.drivers)
+        self._init = [_rail(init.get(fid, X) if init else X, fid) for fid in cn.ff_ids]
+        for q, (a, b) in zip(cn.ff_q, self._init):
+            self._v[q] = a
+            self._k[q] = b
+        self._state_ids = (*cn.inputs.values(), *cn.ff_q)
+        self._state_v = bytearray()  # one row of state bits per cycle
+        self._state_k = bytearray()
+        self._phases: list[Phase] = []
+        self._se: list[Bit] = []
 
     def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> CycleRecord:
+        """Apply inputs, clock every flop once, and return the end-of-cycle values.
+
+        The map may be partial: an input left out keeps the value it was last
+        given, and one never given is X.
+        """
         cn, v, k = self.compiled, self._v, self._k
         for net, bit in pi_values.items():
             i = cn.inputs.get(net)
             if i is None:
                 raise ProtocolError(f"{net!r} is not a primary input")
-            v[i], k[i] = _rail(bit)
+            v[i], k[i] = _rail(bit, net)
         evaluate(cn.program, v, k)
         s = cn.enable
         se = X if s < 0 or not k[s] else v[s]
@@ -389,10 +390,12 @@ class CycleSim:
             k[q] = b
         evaluate(cn.program, v, k)
 
-        row_v, row_k = bytes(v), bytes(k)
-        index = self.trace.cycles
-        self.trace._append(row_v, row_k, phase, se, X, X)
-        return CycleRecord(index, phase, se, X, X, _CycleValues(cn.index, row_v, row_k))
+        self._state_v += bytes(map(v.__getitem__, self._state_ids))
+        self._state_k += bytes(map(k.__getitem__, self._state_ids))
+        index = len(self._phases)
+        self._phases.append(phase)
+        self._se.append(se)
+        return CycleRecord(index, phase, se, X, X, _CycleValues(cn.index, bytes(v), bytes(k)))
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
         """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.
@@ -408,8 +411,17 @@ class CycleSim:
             k[ff_q[f]] = b
 
     def finish(self) -> ProtocolTrace:
-        _account(self.trace, self.compiled, self._init_v, self._init_k, self.warmup_cycles)
-        return self.trace
+        """The trace of every cycle so far."""
+        state, width = self._state_ids, len(self._phases)
+        v = [0] * len(self.compiled.nets)
+        k = [0] * len(self.compiled.nets)
+        for j, i in enumerate(state):
+            v[i] = _bits_to_lane(self._state_v[j::len(state)])
+            k[i] = _bits_to_lane(self._state_k[j::len(state)])
+        return _lane_trace(
+            self.netlist, v, k, list(self._phases), list(self._se), [X] * width,
+            self._init, self.warmup_cycles,
+        )
 
 
 def sim_functional(
@@ -480,9 +492,9 @@ def _run_schedule(
     cn = sim.compiled
     if plan.chain_out not in cn.index:
         raise ProtocolError(f"chain output {plan.chain_out!r} is not a net")
+    base = {cn.index[net]: _rail(bit, net) for net, bit in base_pi.items()}
     width = len(phases)
     full = (1 << width) - 1
-    si_id, se_id = cn.index[plan.chain_in], cn.index[plan.enable]
     si_lane = _bits_to_lane(bytes(si_bits))
     se_lane = _bits_to_lane(bytes(se_bits))
     chain = _shift_chain(cn, plan)
@@ -490,7 +502,7 @@ def _run_schedule(
     flops = len(cn.ff_q)
 
     # Step the cycles the shift does not cover, through the one width-1
-    # stepper (its own rows go unused); their Q bits go to cap_v/cap_k,
+    # stepper (its state rows go unused); their Q bits go to cap_v/cap_k,
     # flop-major (flop f's cycle t at f * width + t).
     cap_v = bytearray(flops * width)
     cap_k = bytearray(flops * width)
@@ -508,39 +520,25 @@ def _run_schedule(
         cap_v[t::width] = bytes(sim._v[q] for q in cn.ff_q)
         cap_k[t::width] = bytes(sim._k[q] for q in cn.ff_q)
 
-    q_v = [_bits_to_lane(cap_v[f * width:(f + 1) * width]) for f in range(flops)]
-    q_k = [_bits_to_lane(cap_k[f * width:(f + 1) * width]) for f in range(flops)]
-    if chain is not None:
-        pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
-        for f in chain:
-            q_v[f] |= pin_v & shift
-            q_k[f] |= pin_k & shift
-            pin_v, pin_k = q_v[f] << 1, q_k[f] << 1
-
-    # One width-T pass gives every net's end-of-cycle lane.
     lv = [0] * len(cn.nets)
     lk = [0] * len(cn.nets)
-    for net, bit in base_pi.items():
-        i = cn.index[net]
-        lv[i], lk[i] = (0, 0) if bit is None else (full if bit else 0, full)
-    lv[si_id], lk[si_id] = si_lane, full
-    lv[se_id], lk[se_id] = se_lane, full
-    for q, a, b in zip(cn.ff_q, q_v, q_k):
-        lv[q] = a
-        lk[q] = b
-    evaluate(cn.program, lv, lk)
-
-    trace = ProtocolTrace(
-        netlist_name=n.name,
-        nets=cn.nets,
-        net_drivers=dict(cn.drivers),
-        phases=phases,
-        se=list(se_bits),
-        si=list(si_bits),
+    for f, q in enumerate(cn.ff_q):
+        lv[q] = _bits_to_lane(cap_v[f * width:(f + 1) * width])
+        lk[q] = _bits_to_lane(cap_k[f * width:(f + 1) * width])
+    if chain is not None:
+        pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
+        for q in (cn.ff_q[f] for f in chain):
+            lv[q] |= pin_v & shift
+            lk[q] |= pin_k & shift
+            pin_v, pin_k = lv[q] << 1, lk[q] << 1
+    for i, (a, b) in base.items():
+        lv[i], lk[i] = full * a, full * b
+    lv[cn.index[plan.chain_in]], lk[cn.index[plan.chain_in]] = si_lane, full
+    lv[cn.index[plan.enable]], lk[cn.index[plan.enable]] = se_lane, full
+    trace = _lane_trace(
+        n, lv, lk, phases, list(se_bits), list(si_bits), sim._init, sim.warmup_cycles
     )
-    trace._v, trace._k, trace._sealed = lv, lk, width
     trace.so = [bit_from_char(c) for c in trace.bit_string(plan.chain_out)]
-    _account(trace, cn, [0] * flops, [0] * flops, sim.warmup_cycles)
     return trace
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from scanforge.netlist import (
     parse_patterns,
 )
 from scanforge.protocol import (
+    CycleSim,
     Phase,
     ProtocolError,
     cycle_budget,
@@ -279,3 +282,33 @@ endmodule
     assert responses == ["0"]
     assert trace.ff_contentions["f0"] == 1
     assert trace.contention_cycles == 1
+
+
+TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
+CHAIN10 = Path(__file__).parent / "fixtures" / "chain10.snl"
+
+# entry point -> (call with one bad value, the net or flop it is given for)
+BIT_ENTRY_POINTS = {
+    "stimulus": (lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}, {"EN": bad}]), "EN"),
+    "sim_functional init": (
+        lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}], init={"f1": bad}), "f1"
+    ),
+    "CycleSim init": (lambda bad: CycleSim(parse_netlist(TFF), init={"f1": bad}), "f1"),
+    "CycleSim.cycle": (
+        lambda bad: CycleSim(parse_netlist(TFF)).cycle({"EN": bad}, Phase.FUNCTIONAL), "EN"
+    ),
+    "pi_defaults": (
+        lambda bad: run_scan_test(
+            load_netlist(str(CHAIN10)), parse_patterns("0110100101\n", 10), pi_defaults={"A": bad}
+        ),
+        "A",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2, -1, "1", "x", 0.5, [1]], ids=repr)
+@pytest.mark.parametrize("entry", sorted(BIT_ENTRY_POINTS))
+def test_a_value_that_is_not_a_bit_is_a_protocol_error(entry, bad):
+    call, net = BIT_ENTRY_POINTS[entry]
+    with pytest.raises(ProtocolError, match=re.escape(repr(net))):
+        call(bad)

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from scanforge.cells import FFVariant, GateType
-from scanforge.logic import X, and2, buf, inv, nand2, nor2, or2, xor2
+from scanforge.logic import X
 from scanforge.netlist import Dff, Gate, Netlist, ScanFF, parse_netlist, parse_patterns
 from scanforge.protocol import (
     CycleSim,
@@ -30,28 +30,18 @@ from scanforge.protocol import (
 )
 from scanforge.scan import verify_chain
 
-from oracles import NaiveRun, naive_scan_test, random_netlist
-
-SCALAR_GATES = {
-    GateType.INV: inv,
-    GateType.BUF: buf,
-    GateType.AND2: and2,
-    GateType.NAND2: nand2,
-    GateType.OR2: or2,
-    GateType.NOR2: nor2,
-    GateType.XOR2: xor2,
-}
+from oracles import NaiveRun, naive_gate, naive_scan_test, random_netlist
 
 
 @pytest.mark.parametrize("gtype", list(GateType))
 def test_two_rail_evaluator_matches_the_scalar_gates(gtype):
     # Every 0/1/X input combination, one per bit of a lane: the wide pass
-    # and the width-1 steps must both agree with logic's scalar functions.
+    # and the width-1 steps must both agree with the oracle's truth tables.
     pins = ["A", "B"][: gtype.num_inputs]
     text = f"module g\ninput A B\noutput Y\ngate g0 {gtype.value} Y {' '.join(pins)}\nendmodule\n"
     cn = parse_netlist(text).compiled
     combos = list(itertools.product((0, 1, X), repeat=gtype.num_inputs))
-    want = [SCALAR_GATES[gtype](*ins) for ins in combos]
+    want = [naive_gate(gtype.value, ins) for ins in combos]
 
     v = [0] * len(cn.nets)
     k = [0] * len(cn.nets)
@@ -186,7 +176,8 @@ def test_hand_driven_cyclesim_matches_sim_functional_and_the_oracle(seed):
 
 
 def test_cyclesim_appends_after_finish():
-    # Rows appended after a finish() fold into the same columns.
+    # Each finish() builds the trace from every cycle so far, so cycles
+    # added after one count in the next.
     n = parse_netlist("module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n")
     sim = CycleSim(n, init={"f1": 0})
     for _ in range(3):

@@ -186,13 +186,12 @@ def _chain10(approx: bool = False):
     return replace(n, instances=instances)
 
 
-def _partial_maps():
-    # SI is never given and stays X; an input left out of a map keeps the
-    # value it was last given.
-    return [
-        {"A": 1, "SE": 0}, {}, {"SE": 0}, {"A": 0}, {}, {"A": 1, "SE": 0}, {}, {"A": 0},
-        {"A": 1}, {}, {}, {"A": 0}, {"A": X}, {}, {"A": 1}, {"SE": 1}, {"SE": 0}, {},
-    ]
+# SI is never given and stays X; an input left out of a map keeps the value
+# it was last given.
+PARTIAL_MAPS = [
+    {"A": 1, "SE": 0}, {}, {"SE": 0}, {"A": 0}, {}, {"A": 1, "SE": 0}, {}, {"A": 0},
+    {"A": 1}, {}, {}, {"A": 0}, {"A": X}, {}, {"A": 1}, {"SE": 1}, {"SE": 0}, {},
+]
 
 
 def _maps(ses, seed: int):
@@ -208,7 +207,7 @@ SE_LOAD = [1] * 7 + [0] * 9
 
 # name -> (netlist, init, input maps before each finish())
 CYCLESIM_RUNS = {
-    "partial": (lambda: _chain10(), dict.fromkeys(CHAIN10_FLOPS, 0), [_partial_maps()]),
+    "partial": (lambda: _chain10(), dict.fromkeys(CHAIN10_FLOPS, 0), [PARTIAL_MAPS]),
     "se_mux": (lambda: _chain10(), dict.fromkeys(CHAIN10_FLOPS, 0), [_maps(SE_MIXED, 2024)]),
     "se_approx": (
         lambda: _chain10(True), dict.fromkeys(CHAIN10_FLOPS, 1), [_maps(SE_MIXED, 2024)]
