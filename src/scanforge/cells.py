@@ -12,16 +12,19 @@ downstream consumers can decide which figure to trust.
 
 Libraries load from `.cellcfg` files (INI syntax, sections like
 ``[gate.NAND2]`` and ``[ff.APPROX.post_layout.functional]``); any key present
-in the file overrides the builtin value.
+in the file overrides the builtin value. Every value, from a file or from
+code, passes the range check of the dataclass that holds it, and NaN and
+infinities are out of every range.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from .errors import ScanforgeError
 
@@ -40,6 +43,14 @@ class CellConfigError(ScanforgeError):
     """Malformed or out-of-range data in a .cellcfg file."""
 
     code = "cells.config"
+
+
+def _check(name: str, value: float, low: Optional[float] = None, strict: bool = False) -> None:
+    """Raise unless value is finite and >= low (> low when strict)."""
+    if math.isfinite(value) and (low is None or (value > low if strict else value >= low)):
+        return
+    bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
+    raise CellConfigError(f"{name} must be a finite number{bound}, got {value}")
 
 
 class FFVariant(str, Enum):
@@ -94,12 +105,10 @@ class ModeTiming:
     avg_power_uw: float  # average power at f_ref, microwatts
 
     def __post_init__(self) -> None:
-        if self.t_su < 0:
-            raise CellConfigError(f"t_su must be >= 0, got {self.t_su}")
-        if self.t_cq <= 0:
-            raise CellConfigError(f"t_cq must be > 0, got {self.t_cq}")
-        if self.avg_power_uw <= 0:
-            raise CellConfigError(f"avg_power must be > 0, got {self.avg_power_uw}")
+        _check("t_su", self.t_su, 0)
+        _check("t_cq", self.t_cq, 0, strict=True)
+        _check("t_pd", self.t_pd)
+        _check("avg_power_uw", self.avg_power_uw, 0, strict=True)
 
     @property
     def t_pd_sum(self) -> float:
@@ -121,6 +130,9 @@ class FFVariantParams:
     area: float  # transistor-count units
     f_ref_hz: float = F_REF_HZ
 
+    def __post_init__(self) -> None:
+        _check("area", self.area, 0, strict=True)
+
     def mode(self, mode: Mode) -> ModeTiming:
         return self.functional if mode == Mode.FUNCTIONAL else self.test
 
@@ -140,12 +152,8 @@ class GateParams:
     energy_per_toggle_fj: float
 
     def __post_init__(self) -> None:
-        if self.delay_ns <= 0:
-            raise CellConfigError(f"gate delay must be > 0, got {self.delay_ns}")
-        if self.energy_per_toggle_fj < 0:
-            raise CellConfigError(
-                f"gate energy must be >= 0, got {self.energy_per_toggle_fj}"
-            )
+        _check("delay_ns", self.delay_ns, 0, strict=True)
+        _check("energy_per_toggle_fj", self.energy_per_toggle_fj, 0)
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,7 @@ class ScalingFactors:
 
     def __post_init__(self) -> None:
         for name in ("delay_factor", "power_factor", "area_factor"):
-            if getattr(self, name) <= 0:
-                raise CellConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            _check(name, getattr(self, name), 0, strict=True)
 
     def inverse(self) -> "ScalingFactors":
         return ScalingFactors(
@@ -184,69 +191,22 @@ def scale_params(p: FFVariantParams, f: ScalingFactors) -> FFVariantParams:
     )
 
 
-def _row(t_su: float, t_cq: float, t_pd: float, power: float) -> ModeTiming:
-    return ModeTiming(t_su, t_cq, t_pd, power)
-
-
 # Characterized flip-flop rows, stored verbatim (known t_pd inconsistencies
-# included and flagged, never repaired here).
-_BUILTIN_FFS: dict[tuple[FFVariant, Stage], FFVariantParams] = {}
-
-
-def _add_builtin(
-    variant: FFVariant,
-    stage: Stage,
-    functional: ModeTiming,
-    test: ModeTiming,
-    area: float,
-) -> None:
-    _BUILTIN_FFS[(variant, stage)] = FFVariantParams(
-        variant=variant, stage=stage, functional=functional, test=test, area=area
+# included and flagged, never repaired here): variant, stage, functional and
+# test (t_su, t_cq, t_pd, avg_power_uw), area.
+_BUILTIN_FFS: dict[tuple[FFVariant, Stage], FFVariantParams] = {
+    (variant, stage): FFVariantParams(
+        variant, stage, ModeTiming(*functional), ModeTiming(*test), area
     )
-
-
-_add_builtin(
-    FFVariant.MUX,
-    Stage.PRE_LAYOUT,
-    functional=_row(0.058, 0.141, 0.19, 2.65),
-    test=_row(0.06, 0.14, 0.2, 2.1),
-    area=16,
-)
-_add_builtin(
-    FFVariant.GDI,
-    Stage.PRE_LAYOUT,
-    functional=_row(0.18, 0.14, 0.32, 0.56),
-    test=_row(0.38, 0.13, 0.51, 0.57),
-    area=12,
-)
-_add_builtin(
-    FFVariant.APPROX,
-    Stage.PRE_LAYOUT,
-    functional=_row(0.06, 0.14, 0.2, 0.41),
-    test=_row(0.04, 0.14, 0.18, 0.44),
-    area=14,
-)
-_add_builtin(
-    FFVariant.MUX,
-    Stage.POST_LAYOUT,
-    functional=_row(0.088, 0.283, 0.371, 3.62),
-    test=_row(0.085, 0.05, 0.365, 3.81),
-    area=16,
-)
-_add_builtin(
-    FFVariant.GDI,
-    Stage.POST_LAYOUT,
-    functional=_row(0.66, 0.284, 1.05, 1.06),
-    test=_row(0.77, 0.282, 0.94, 1.37),
-    area=12,
-)
-_add_builtin(
-    FFVariant.APPROX,
-    Stage.POST_LAYOUT,
-    functional=_row(0.055, 0.3, 0.35, 0.51),
-    test=_row(0.04, 0.3, 0.34, 0.56),
-    area=14,
-)
+    for variant, stage, functional, test, area in (
+        (FFVariant.MUX, Stage.PRE_LAYOUT, (0.058, 0.141, 0.19, 2.65), (0.06, 0.14, 0.2, 2.1), 16),
+        (FFVariant.GDI, Stage.PRE_LAYOUT, (0.18, 0.14, 0.32, 0.56), (0.38, 0.13, 0.51, 0.57), 12),
+        (FFVariant.APPROX, Stage.PRE_LAYOUT, (0.06, 0.14, 0.2, 0.41), (0.04, 0.14, 0.18, 0.44), 14),
+        (FFVariant.MUX, Stage.POST_LAYOUT, (0.088, 0.283, 0.371, 3.62), (0.085, 0.05, 0.365, 3.81), 16),
+        (FFVariant.GDI, Stage.POST_LAYOUT, (0.66, 0.284, 1.05, 1.06), (0.77, 0.282, 0.94, 1.37), 12),
+        (FFVariant.APPROX, Stage.POST_LAYOUT, (0.055, 0.3, 0.35, 0.51), (0.04, 0.3, 0.34, 0.56), 14),
+    )
+}
 
 # Synthetic combinational cell data (no published source; see default.cellcfg).
 _BUILTIN_GATES: dict[GateType, GateParams] = {
@@ -307,24 +267,44 @@ def builtin_params(variant: FFVariant, stage: Stage) -> FFVariantParams:
     return _BUILTIN_FFS[(variant, stage)]
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+_GATE_KEYS = ("delay_ns", "energy_per_toggle_fj")
+_FF_KEYS = ("area",)
+_MODE_KEYS = ("t_su", "t_cq", "t_pd", "avg_power_uw")
+
+
+def _override(section: str, base: Any, values: Mapping[str, str], allowed: tuple[str, ...]) -> Any:
+    """Apply one section's keys to its base object through the object's own checks."""
+    changes = {}
+    for key, raw in values.items():
+        if key not in allowed:
+            raise CellConfigError(
+                f"[{section}] unknown key {key!r}; allowed keys: {', '.join(allowed)}"
+            )
+        try:
+            changes[key] = float(raw)
+        except ValueError:
+            raise CellConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
     try:
-        return float(raw)
-    except ValueError:
-        raise CellConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+        return replace(base, **changes)
+    except CellConfigError as exc:
+        raise CellConfigError(f"[{section}] {exc}") from None
 
 
 def load_library(path: str | Path) -> CellLibrary:
     """Load a .cellcfg file as overrides on top of the builtin library.
 
     Sections: ``[gate.<TYPE>]`` with keys delay_ns / energy_per_toggle_fj,
-    and ``[ff.<VARIANT>.<stage>.<mode>]`` with keys t_su / t_cq / t_pd /
-    avg_power_uw (ns, ns, ns, uW). ``[ff.<VARIANT>.<stage>]`` accepts an
-    ``area`` key. Unspecified keys keep their builtin values.
+    ``[ff.<VARIANT>.<stage>]`` with key area (transistors), and
+    ``[ff.<VARIANT>.<stage>.<mode>]`` with keys t_su / t_cq / t_pd /
+    avg_power_uw (ns, ns, ns, uW). Unspecified keys keep their builtin
+    values; keys in a ``[DEFAULT]`` section count as keys of every section.
+    A key a section does not allow, a value that is not a number, and a
+    value outside its field's range (NaN and infinities included) raise
+    CellConfigError naming the section.
     """
     import configparser
 
-    # no interpolation: a '%' in a value reaches _parse_float as written
+    # no interpolation: a '%' in a value reaches _override as written
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -345,17 +325,7 @@ def load_library(path: str | Path) -> CellLibrary:
                 gtype = GateType(parts[1].upper())
             except ValueError:
                 raise CellConfigError(f"unknown gate type in [{section}]") from None
-            base = gates[gtype]
-            gates[gtype] = GateParams(
-                delay_ns=_parse_float(section, "delay_ns", values["delay_ns"])
-                if "delay_ns" in values
-                else base.delay_ns,
-                energy_per_toggle_fj=_parse_float(
-                    section, "energy_per_toggle_fj", values["energy_per_toggle_fj"]
-                )
-                if "energy_per_toggle_fj" in values
-                else base.energy_per_toggle_fj,
-            )
+            gates[gtype] = _override(section, gates[gtype], values, _GATE_KEYS)
         elif parts[0] == "ff" and len(parts) in (3, 4):
             try:
                 variant = FFVariant(parts[1].lower())
@@ -366,32 +336,13 @@ def load_library(path: str | Path) -> CellLibrary:
                 ) from None
             params = ffs[(variant, stage)]
             if len(parts) == 3:
-                if "area" in values:
-                    params = replace(
-                        params, area=_parse_float(section, "area", values["area"])
-                    )
+                params = _override(section, params, values, _FF_KEYS)
             else:
                 try:
                     mode = Mode(parts[3].lower())
                 except ValueError:
                     raise CellConfigError(f"unknown mode in [{section}]") from None
-                base = params.mode(mode)
-                row = ModeTiming(
-                    t_su=_parse_float(section, "t_su", values["t_su"])
-                    if "t_su" in values
-                    else base.t_su,
-                    t_cq=_parse_float(section, "t_cq", values["t_cq"])
-                    if "t_cq" in values
-                    else base.t_cq,
-                    t_pd=_parse_float(section, "t_pd", values["t_pd"])
-                    if "t_pd" in values
-                    else base.t_pd,
-                    avg_power_uw=_parse_float(
-                        section, "avg_power_uw", values["avg_power_uw"]
-                    )
-                    if "avg_power_uw" in values
-                    else base.avg_power_uw,
-                )
+                row = _override(section, params.mode(mode), values, _MODE_KEYS)
                 params = replace(params, **{mode.value: row})
             ffs[(variant, stage)] = params
         else:

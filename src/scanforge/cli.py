@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from .cells import FFVariant, Mode, Stage, load_library, resolve_library
+from .cells import FFVariant, Mode, Stage, resolve_library
 from .errors import ScanforgeError
 from .reports import FORMATS, envelope, format_report
 
@@ -56,10 +56,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="seed for randomized stimulus")
     sub.add_argument("-o", "--output", metavar="PATH", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=FORMATS, default="json", help="report format")
-
-
-def _library(args: argparse.Namespace):
-    return load_library(args.cells) if args.cells else resolve_library()
 
 
 def _emit(args: argparse.Namespace, doc: dict[str, Any]) -> None:
@@ -208,7 +204,7 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
     from .sta import analyze_timing, time_gain
 
     n = load_netlist(args.netlist)
-    lib = _library(args)
+    lib = resolve_library(args.cells)
     variant = FFVariant(args.variant)
     stage = Stage(args.stage)
     mode = Mode(args.mode)
@@ -228,7 +224,7 @@ def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
     from .scan import verify_chain
 
     n = load_netlist(args.netlist)
-    lib = _library(args)
+    lib = resolve_library(args.cells)
     variant = FFVariant(args.variant)
     stage = Stage(args.stage)
     if args.patterns:
@@ -331,7 +327,7 @@ def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
     from .power import power_gain
     from .sta import analyze_timing, time_gain, zero_cloud_netlist
 
-    lib = _library(args)
+    lib = resolve_library(args.cells)
     stage = Stage(args.stage)
     n = load_netlist(args.netlist) if args.netlist else zero_cloud_netlist()
     rows = []

@@ -12,6 +12,7 @@ because no credible per-event figure exists to bake in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -64,10 +65,12 @@ def estimate_power(
     """Price one simulation trace under one FF variant's calibration."""
     if not trace.cycles:
         raise PowerModelError("trace has no cycles")
-    if t_clk_ns <= 0.0:
-        raise PowerModelError("t_clk_ns must be positive")
-    if contention_penalty_fj < 0.0:
-        raise PowerModelError("contention penalty must be >= 0")
+    if not 0.0 < t_clk_ns < math.inf:
+        raise PowerModelError(f"t_clk_ns must be positive and finite, got {t_clk_ns}")
+    if not 0.0 <= contention_penalty_fj < math.inf:
+        raise PowerModelError(
+            f"contention penalty must be >= 0 and finite, got {contention_penalty_fj}"
+        )
     lib = resolve_library(library)
     params = lib.ff(variant, stage)
     e_test = params.energy_per_cycle_fj(Mode.TEST)

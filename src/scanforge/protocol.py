@@ -373,8 +373,12 @@ class CycleSim:
         """Apply inputs, clock every flop once, and return the end-of-cycle values.
 
         The map may be partial: an input left out keeps the value it was last
-        given, and one never given is X.
+        given, and one never given is X. ``phase`` is a Phase or its value.
         """
+        try:
+            phase = Phase(phase)
+        except ValueError:
+            raise ProtocolError(f"{phase!r} is not a phase") from None
         cn, v, k = self.compiled, self._v, self._k
         for net, bit in pi_values.items():
             i = cn.inputs.get(net)

@@ -3,7 +3,8 @@
 JSON is the primary format: keys are emitted sorted so identical runs give
 byte-identical files. CSV and text are flat projections of the same document
 (dotted key paths, one scalar per line), not separate report designs. Each
-subcommand's JSON shape has a schema shipped under data/schemas/.
+subcommand's JSON shape has a schema shipped under data/schemas/. A NaN or
+infinite value is refused in every format, since JSON cannot carry it.
 """
 
 from __future__ import annotations
@@ -11,13 +12,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from importlib import resources
 from typing import Any, Optional
 
 from . import __version__
+from .errors import ScanforgeError
 
 TOOL_NAME = "scanforge"
 FORMATS = ("json", "csv", "text")
+
+
+class ReportValueError(ScanforgeError):
+    code = "reports.value"
 
 
 def envelope(command: str, report: dict[str, Any], seed: Optional[int] = None) -> dict[str, Any]:
@@ -31,6 +38,7 @@ def envelope(command: str, report: dict[str, Any], seed: Optional[int] = None) -
 
 
 def to_json(doc: dict[str, Any]) -> str:
+    _rows(doc)  # refuses NaN and infinities before anything is written
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -45,6 +53,16 @@ def _flatten(value: Any, path: str, out: list[tuple[str, Any]]) -> None:
         out.append((path, value))
 
 
+def _rows(doc: dict[str, Any]) -> list[tuple[str, Any]]:
+    """The (dotted key, scalar) rows of a document; NaN and infinities raise."""
+    rows: list[tuple[str, Any]] = []
+    _flatten(doc, "", rows)
+    for path, value in rows:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ReportValueError(f"{path}: {value} is not a finite number")
+    return rows
+
+
 def _scalar_text(value: Any) -> str:
     if value is None:
         return ""
@@ -56,8 +74,7 @@ def _scalar_text(value: Any) -> str:
 
 
 def to_csv(doc: dict[str, Any]) -> str:
-    rows: list[tuple[str, Any]] = []
-    _flatten(doc, "", rows)
+    rows = _rows(doc)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
@@ -67,8 +84,7 @@ def to_csv(doc: dict[str, Any]) -> str:
 
 
 def to_text(doc: dict[str, Any]) -> str:
-    rows: list[tuple[str, Any]] = []
-    _flatten(doc, "", rows)
+    rows = _rows(doc)
     width = max(len(path) for path, _ in rows)
     lines = [f"{path.ljust(width)}  {_scalar_text(value)}" for path, value in rows]
     return "\n".join(lines) + "\n"

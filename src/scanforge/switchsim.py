@@ -35,6 +35,7 @@ independently of transistor list order; a network that never stabilizes
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -466,8 +467,8 @@ def load_network(text: str) -> TransistorNetwork:
                 raise NetworkSyntaxError(
                     f"line {lineno}: bad width {width_s!r}"
                 ) from None
-            if width <= 0:
-                raise NetworkSyntaxError(f"line {lineno}: width must be > 0")
+            if not 0 < width < math.inf:
+                raise NetworkSyntaxError(f"line {lineno}: width must be finite and > 0")
             for name in (gate, src, drn):
                 if name not in node_set:
                     raise DanglingNodeError(

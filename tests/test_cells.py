@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from scanforge.cells import (
     CellConfigError,
     CellLibrary,
     FFVariant,
+    GateParams,
     GateType,
     Mode,
     ModeTiming,
@@ -84,6 +88,28 @@ def test_mode_timing_validation():
         ModeTiming(t_su=0.1, t_cq=0.0, t_pd=0.1, avg_power_uw=1.0)
     with pytest.raises(CellConfigError):
         ModeTiming(t_su=0.1, t_cq=0.1, t_pd=0.2, avg_power_uw=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_every_check_rejects_non_finite_values(value):
+    row = builtin_params(FFVariant.MUX, Stage.POST_LAYOUT).test
+    for key in ("t_su", "t_cq", "t_pd", "avg_power_uw"):
+        with pytest.raises(CellConfigError, match=key):
+            replace(row, **{key: value})
+    with pytest.raises(CellConfigError, match="area"):
+        replace(builtin_params(FFVariant.MUX, Stage.POST_LAYOUT), area=value)
+    with pytest.raises(CellConfigError, match="delay_ns"):
+        GateParams(value, 0.5)
+    with pytest.raises(CellConfigError, match="energy_per_toggle_fj"):
+        GateParams(0.05, value)
+    with pytest.raises(CellConfigError, match="power_factor"):
+        ScalingFactors(power_factor=value)
+
+
+@pytest.mark.parametrize("area", [0, -1])
+def test_area_must_be_positive(area):
+    with pytest.raises(CellConfigError, match="area"):
+        replace(builtin_params(FFVariant.GDI, Stage.PRE_LAYOUT), area=area)
 
 
 def test_scale_params_identity_and_round_trip():
@@ -184,3 +210,45 @@ def test_bundled_example_config_loads():
     path = resources.files("scanforge") / "data" / "default.cellcfg"
     lib = load_library(str(path))
     assert lib.ff(FFVariant.MUX, Stage.POST_LAYOUT).mode(Mode.FUNCTIONAL).t_pd == 0.371
+
+
+def _load(tmp_path, text):
+    cfg = tmp_path / "case.cellcfg"
+    cfg.write_text(text, encoding="utf-8")
+    return load_library(cfg)
+
+
+@pytest.mark.parametrize(
+    "section, allowed",
+    [
+        ("gate.NAND2", "delay_ns, energy_per_toggle_fj"),
+        ("ff.mux.post_layout", "area"),
+        ("ff.mux.post_layout.test", "t_su, t_cq, t_pd, avg_power_uw"),
+    ],
+)
+def test_an_unknown_key_names_the_section_and_the_allowed_keys(tmp_path, section, allowed):
+    with pytest.raises(CellConfigError) as exc:
+        _load(tmp_path, f"[{section}]\ndelay = 0.2\n")
+    assert str(exc.value) == f"[{section}] unknown key 'delay'; allowed keys: {allowed}"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("ff.approx.pre_layout", "area"), ("ff.approx.pre_layout.functional", "avg_power_uw")],
+)
+def test_out_of_range_file_values_name_the_section(tmp_path, section, key, value):
+    with pytest.raises(CellConfigError, match=rf"^\[{section}\] {key} must be a finite number > 0"):
+        _load(tmp_path, f"[{section}]\n{key} = {value}\n")
+
+
+def test_default_section_keys_count_as_each_sections_own(tmp_path):
+    lib = _load(
+        tmp_path,
+        "[DEFAULT]\nt_su = 0.25\n\n[ff.gdi.pre_layout.test]\n[ff.mux.post_layout.functional]\n",
+    )
+    assert lib.ff(FFVariant.GDI, Stage.PRE_LAYOUT).test.t_su == 0.25
+    assert lib.ff(FFVariant.MUX, Stage.POST_LAYOUT).functional.t_su == 0.25
+    # a section without the key in its allowed set rejects the default too
+    with pytest.raises(CellConfigError, match=r"^\[gate.INV\] unknown key 't_su'"):
+        _load(tmp_path, "[DEFAULT]\nt_su = 0.25\n\n[gate.INV]\n")

@@ -1,7 +1,8 @@
 """Command-line interface tests.
 
 Every subcommand is exercised in-process through main(); JSON outputs are
-validated against the bundled schemas and checked for byte-level determinism.
+parsed strictly (no NaN or Infinity), validated against the bundled schemas
+and checked for byte-level determinism.
 """
 
 from __future__ import annotations
@@ -26,10 +27,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse JSON, failing on the NaN / Infinity tokens that JSON does not allow."""
+
+    def reject(token):
+        raise AssertionError(f"not valid JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return strict_json(out)
 
 
 def netlist_file(tmp_path, text, name="design.snl"):
@@ -304,6 +314,53 @@ def test_percent_in_a_cells_value_is_a_config_error(capsys, tmp_path, value):
             "message": f"[ff.MUX.post_layout.functional] t_su: not a number: {value!r}",
         }
     }
+
+
+BAD_INPUT_CASES = {
+    "area nan": ("cells.config", ["compare"], "[ff.mux.post_layout]\narea = nan\n"),
+    "t_su inf": ("cells.config", ["sta"], "[ff.MUX.post_layout.functional]\nt_su = inf\n"),
+    "delay_ns nan": ("cells.config", ["sta"], "[gate.NAND2]\ndelay_ns = nan\n"),
+    "misspelt key": ("cells.config", ["sta"], "[gate.NAND2]\ndelay = 0.2\n"),
+    "tclk nan": ("power.model", ["power", "--tclk", "nan"], None),
+    "penalty inf": ("power.model", ["power", "--contention-penalty-fj", "inf"], None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_inputs_exit_one_in_every_format(capsys, tmp_path, chain10, case, fmt):
+    code_name, argv, cellcfg = BAD_INPUT_CASES[case]
+    argv = [argv[0]] + ([] if argv[0] == "compare" else [chain10]) + argv[1:]
+    if cellcfg is not None:
+        cfg = tmp_path / "bad.cellcfg"
+        cfg.write_text(cellcfg, encoding="utf-8")
+        argv += ["--cells", str(cfg)]
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 1 and not out
+    assert strict_json(err)["error"]["code"] == code_name
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_non_finite_report_value_is_named_by_its_key(capsys, chain10, fmt):
+    # the energy over a 1e-320 ns clock overflows to inf, the gain to nan
+    code, out, err = run_cli(capsys, "power", chain10, "--tclk", "1e-320", "--format", fmt)
+    assert code == 1 and not out
+    assert strict_json(err)["error"] == {
+        "code": "reports.value",
+        "message": "report.power.avg_power_uw: inf is not a finite number",
+    }
+
+
+def test_non_finite_transistor_widths_are_syntax_errors(capsys, tmp_path):
+    # the bundled approximate cell with both SI pass devices at width nan
+    text = (Path(scanforge.__file__).parent / "data" / "approx_sff.tnl").read_text()
+    for dev in ("t n_si N SE SI DI", "t p_si P NSE SI DI"):
+        assert f"{dev} 2\n" in text
+        text = text.replace(f"{dev} 2\n", f"{dev} nan\n")
+    cell = netlist_file(tmp_path, text, "approx_sff.tnl")
+    code, out, err = run_cli(capsys, "switchsim", cell, "--check-behavioral", "--vectors", "0")
+    assert code == 1 and not out
+    assert strict_json(err)["error"]["code"] == "switchsim.syntax"
 
 
 def test_missing_file_exits_one(capsys):

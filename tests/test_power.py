@@ -236,10 +236,12 @@ def test_estimate_validation(chain10_path):
 
     with pytest.raises(PowerModelError):
         estimate_power(ProtocolTrace("empty"), FFVariant.MUX, POST, t_clk_ns=1.0)
-    with pytest.raises(PowerModelError):
-        estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=0.0)
-    with pytest.raises(PowerModelError):
-        estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=1.0, contention_penalty_fj=-1.0)
+    for t_clk_ns in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(PowerModelError):
+            estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=t_clk_ns)
+    for penalty in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(PowerModelError):
+            estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=1.0, contention_penalty_fj=penalty)
 
 
 def test_wtc_closed_form_examples():

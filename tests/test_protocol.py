@@ -312,3 +312,19 @@ def test_a_value_that_is_not_a_bit_is_a_protocol_error(entry, bad):
     call, net = BIT_ENTRY_POINTS[entry]
     with pytest.raises(ProtocolError, match=re.escape(repr(net))):
         call(bad)
+
+
+@pytest.mark.parametrize("bad", ["bogus", "FUNCTIONAL", None, 3, [1]], ids=repr)
+def test_a_value_that_is_not_a_phase_is_a_protocol_error_at_the_call(bad):
+    sim = CycleSim(parse_netlist(TFF), init={"f1": 0})
+    with pytest.raises(ProtocolError, match="is not a phase"):
+        sim.cycle({"EN": 0}, bad)
+    assert sim.finish().cycles == 0  # the bad cycle left nothing behind
+
+
+def test_cyclesim_cycle_takes_a_phase_value():
+    by_value = CycleSim(parse_netlist(TFF), init={"f1": 0})
+    by_member = CycleSim(parse_netlist(TFF), init={"f1": 0})
+    assert by_value.cycle({"EN": 0}, "capture").phase is Phase.CAPTURE
+    by_member.cycle({"EN": 0}, Phase.CAPTURE)
+    assert by_value.finish().phase_counts == by_member.finish().phase_counts == {"capture": 1}

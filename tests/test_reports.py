@@ -14,6 +14,7 @@ from scanforge.protocol import sim_functional
 from scanforge.reports import (
     FORMATS,
     TOOL_NAME,
+    ReportValueError,
     envelope,
     format_report,
     load_schema,
@@ -80,6 +81,14 @@ def test_format_report_dispatch():
         assert format_report(DOC, fmt)
     with pytest.raises(ValueError):
         format_report(DOC, "yaml")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_non_finite_values_are_refused_in_every_format(fmt, value):
+    doc = envelope("sta", {"timing": {"t_comb_ns": 0.15, "path": [1.0, value]}})
+    with pytest.raises(ReportValueError, match=r"^report\.timing\.path\.1: "):
+        format_report(doc, fmt)
 
 
 @pytest.mark.parametrize(

@@ -228,6 +228,8 @@ def test_stimulus_validation():
         ("t q N IN VDD OUT abc", NetworkSyntaxError),
         ("t q N IN VDD OUT 0", NetworkSyntaxError),
         ("t q N IN VDD OUT -1", NetworkSyntaxError),
+        ("t q N IN VDD OUT nan", NetworkSyntaxError),
+        ("t q N IN VDD OUT inf", NetworkSyntaxError),
         ("t q N MISSING VDD OUT 1", DanglingNodeError),
         ("t q N OUT OUT GND 1", NetworkSyntaxError),
         ("t q N IN OUT OUT 1", NetworkSyntaxError),
