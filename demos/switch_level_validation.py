@@ -68,12 +68,11 @@ print()
 rng = random.Random(2026)
 for variant in FFVariant:
     net = bundled_network(variant)
-    cache: dict = {}
     checked = 0
     mismatches = 0
     for _ in range(500):
         stim = [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(8)]
-        waveform = run_cycles(net, stim, cache)
+        waveform = run_cycles(net, stim)
         state = FFState(variant=variant)
         for q_switch, (di, si, se) in zip(waveform, stim):
             state = ff_cycle(state, di, si, se)

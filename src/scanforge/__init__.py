@@ -36,9 +36,8 @@ _EXPORTS = {
     "switchsim": (
         "TransistorType", "Transistor", "TransistorNetwork", "NodeValue",
         "NetworkSyntaxError", "DanglingNodeError", "MissingSupplyError",
-        "StimulusError", "OscillationError", "SwitchFF", "settle", "run_clocked",
-        "run_cycles", "load_network", "load_network_file", "bundled_network",
-        "check_behavioral",
+        "StimulusError", "OscillationError", "SwitchFF", "settle", "run_cycles",
+        "load_network", "load_network_file", "bundled_network", "check_behavioral",
     ),
     "scan": (
         "ScanChainPlan", "ScanPlanError", "NameCollisionError", "BrokenChainError",

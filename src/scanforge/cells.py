@@ -109,6 +109,7 @@ class ModeTiming:
         _check("t_cq", self.t_cq, 0, strict=True)
         _check("t_pd", self.t_pd)
         _check("avg_power_uw", self.avg_power_uw, 0, strict=True)
+        _check("t_su + t_cq", self.t_pd_sum)
 
     @property
     def t_pd_sum(self) -> float:

@@ -147,10 +147,6 @@ class Netlist:
         """Flip-flops in declaration order (the default scan-chain order)."""
         return tuple(i for i in self.instances if isinstance(i, (Dff, ScanFF)))
 
-    def drivers(self) -> dict[str, Instance]:
-        """Map net -> driving instance (module inputs are not included)."""
-        return {i.output_net: i for i in self.instances}
-
     def nets(self) -> set[str]:
         nets = set(self.inputs) | set(self.outputs)
         for inst in self.instances:

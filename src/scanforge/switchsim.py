@@ -125,6 +125,11 @@ class TransistorNetwork:
     def w_max(self) -> float:
         return max((t.width for t in self.transistors), default=1.0)
 
+    @cached_property
+    def _phases(self) -> dict:
+        """Settled phases, (input bits, storage charge) -> (values, new charge)."""
+        return {}
+
     def driven_rank(self, width: float) -> float:
         return RANK_DRIVEN_BASE + _DRIVEN_SPAN * (width / self.w_max)
 
@@ -276,72 +281,44 @@ def settle(
 class SwitchFF:
     """Stateful wrapper: one flip-flop network stepped phase by phase.
 
-    Storage-node charge persists between phases. An optional shared ``cache``
-    dict memoizes (inputs, charge) -> settled values, which collapses the
-    cost of long stimulus runs to the tiny reachable state space.
+    ``state`` is the storage-node charge in sorted node order; it persists
+    between phases and may be assigned to restore an earlier charge. Settled
+    phases are memoised on the network, keyed by (input bits, charge), so
+    every ``SwitchFF`` on one network shares them.
     """
 
-    def __init__(self, net: TransistorNetwork, cache: Optional[dict] = None):
+    def __init__(self, net: TransistorNetwork):
         self.net = net
-        self.charge: dict[str, Bit] = {n: X for n in net.storage}
-        self.cache = cache if cache is not None else {}
         self._storage_order = tuple(sorted(net.storage))
-
-    @property
-    def state(self) -> tuple[Bit, ...]:
-        """The storage-node charge in sorted node order; assign to restore it."""
-        return tuple(self.charge[n] for n in self._storage_order)
-
-    @state.setter
-    def state(self, charge: Sequence[Bit]) -> None:
-        self.charge = dict(zip(self._storage_order, charge))
+        self.state: tuple[Bit, ...] = (X,) * len(self._storage_order)
 
     def step_phase(self, pins: Mapping[str, Bit]) -> dict[str, NodeValue]:
-        inputs = {n: pins.get(n, X) for n in self.net.inputs}
-        key = (tuple(inputs[n] for n in self.net.inputs), self.state)
-        hit = self.cache.get(key)
+        net = self.net
+        inputs = {n: pins.get(n, X) for n in net.inputs}
+        key = (tuple(inputs.values()), self.state)
+        hit = net._phases.get(key)
         if hit is None:
-            settled = settle(self.net, inputs, self.charge)
-            new_charge = {n: settled[n].logic for n in self._storage_order}
-            hit = (settled, new_charge)
-            self.cache[key] = hit
-        settled, new_charge = hit
-        self.charge = dict(new_charge)
+            settled = settle(net, inputs, dict(zip(self._storage_order, self.state)))
+            hit = net._phases[key] = (
+                settled, tuple(settled[n].logic for n in self._storage_order)
+            )
+        settled, self.state = hit
         return settled
 
     def cycle(self, di: Bit, si: Bit, se: Bit) -> Bit:
         """One clock cycle, CLK high then low; Q's logic after the falling phase."""
         self.step_phase({"CLK": 1, "DI": di, "SI": si, "SE": se})
-        return _q(self.step_phase({"CLK": 0, "DI": di, "SI": si, "SE": se}))
-
-
-def _q(settled: Mapping[str, NodeValue]) -> Bit:
-    q = settled.get("Q")
-    if q is None:
-        raise StimulusError("the network has no node named Q to sample")
-    return q.logic
-
-
-def run_clocked(
-    net: TransistorNetwork,
-    stimulus: Sequence[tuple[Bit, Bit, Bit, Bit]],
-    cache: Optional[dict] = None,
-) -> list[Bit]:
-    """Drive (CLK, DI, SI, SE) phases and return Q's logic after each phase."""
-    ff = SwitchFF(net, cache)
-    return [
-        _q(ff.step_phase({"CLK": clk, "DI": di, "SI": si, "SE": se}))
-        for clk, di, si, se in stimulus
-    ]
+        q = self.step_phase({"CLK": 0, "DI": di, "SI": si, "SE": se}).get("Q")
+        if q is None:
+            raise StimulusError("the network has no node named Q to sample")
+        return q.logic
 
 
 def run_cycles(
-    net: TransistorNetwork,
-    stimulus: Sequence[tuple[Bit, Bit, Bit]],
-    cache: Optional[dict] = None,
+    net: TransistorNetwork, stimulus: Sequence[tuple[Bit, Bit, Bit]]
 ) -> list[Bit]:
     """Full clock cycles (``SwitchFF.cycle``); Q sampled after each falling phase."""
-    ff = SwitchFF(net, cache)
+    ff = SwitchFF(net)
     return [ff.cycle(di, si, se) for di, si, se in stimulus]
 
 

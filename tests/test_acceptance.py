@@ -143,13 +143,12 @@ def test_acceptance_5_switch_level_equivalence():
             failures.append(
                 f"{variant.value}: {len(net.transistors)} transistors, want {want_count}"
             )
-        cache: dict = {}
         mismatches = 0
         checked = 0
 
         def run_one(stim):
             nonlocal mismatches, checked
-            got = run_cycles(net, stim, cache)
+            got = run_cycles(net, stim)
             state = FFState(variant=variant)
             for i, (di, si, se) in enumerate(stim):
                 state = ff_cycle(state, di, si, se)

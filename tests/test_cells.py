@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from scanforge.cells import (
     resolve_library,
     scale_params,
 )
+from scanforge.cli import main
 
 # published characterization rows: (t_su, t_cq, t_pd, avg_power_uw)
 TABLE = {
@@ -252,3 +254,15 @@ def test_default_section_keys_count_as_each_sections_own(tmp_path):
     # a section without the key in its allowed set rejects the default too
     with pytest.raises(CellConfigError, match=r"^\[gate.INV\] unknown key 't_su'"):
         _load(tmp_path, "[DEFAULT]\nt_su = 0.25\n\n[gate.INV]\n")
+
+
+def test_finite_values_whose_path_delay_overflows_name_the_section(tmp_path, chain10_path, capsys):
+    text = "[ff.mux.post_layout.functional]\nt_su = 1e308\nt_cq = 1e308\n"
+    message = "[ff.mux.post_layout.functional] t_su + t_cq must be a finite number, got inf"
+    with pytest.raises(CellConfigError) as exc:
+        _load(tmp_path, text)
+    assert str(exc.value) == message
+    code = main(["sta", str(chain10_path), "--cells", str(tmp_path / "case.cellcfg")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err) == {"error": {"code": "cells.config", "message": message}}

@@ -54,8 +54,8 @@ t load N CLK DI A 4
 """
 
 
-def replay_mismatches(net, model, seq, cache) -> int:
-    got = run_cycles(net, seq, cache)
+def replay_mismatches(net, model, seq) -> int:
+    got = run_cycles(net, seq)
     state = FFState(variant=model)
     bad = 0
     for (di, si, se), q in zip(seq, got):
@@ -67,10 +67,10 @@ def replay_mismatches(net, model, seq, cache) -> int:
 
 @lru_cache(maxsize=None)
 def replay_exhaustive(cell: FFVariant, model) -> int:
-    net, cache = bundled_network(cell), {}
+    net = bundled_network(cell)
     pins = list(itertools.product((0, 1), repeat=3))
     return sum(
-        replay_mismatches(net, model, list(seq), cache)
+        replay_mismatches(net, model, list(seq))
         for seq in itertools.product(pins, repeat=4)
     )
 
@@ -78,12 +78,12 @@ def replay_exhaustive(cell: FFVariant, model) -> int:
 @lru_cache(maxsize=None)
 def replay_random(cell: FFVariant, model, seed: int) -> tuple[int, ...]:
     """Mismatches of each of 256 random length-8 sequences, in draw order."""
-    net, cache = bundled_network(cell), {}
+    net = bundled_network(cell)
     rng = random.Random(seed)
     counts = []
     for _ in range(256):
         seq = [(rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1)) for _ in range(8)]
-        counts.append(replay_mismatches(net, model, seq, cache))
+        counts.append(replay_mismatches(net, model, seq))
     return tuple(counts)
 
 

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from scanforge import switchsim
 from scanforge.cells import FFVariant
 from scanforge.ffmodel import FFState, ff_cycle
 from scanforge.logic import X
@@ -28,8 +29,8 @@ from scanforge.switchsim import (
     StimulusError,
     SwitchFF,
     bundled_network,
+    check_behavioral,
     load_network,
-    run_clocked,
     run_cycles,
     settle,
 )
@@ -292,9 +293,11 @@ def test_q_moves_only_after_the_falling_phase():
         last_q = low["Q"].logic
 
 
-def test_run_clocked_phase_waveform():
-    net = bundled_network(FFVariant.MUX)
-    assert run_clocked(net, [(1, 1, 0, 0), (0, 1, 0, 0)]) == [X, 1]
+def test_step_phase_waveform():
+    # Q after each phase: X while CLK is high from X charge, DI once it falls
+    ff = SwitchFF(bundled_network(FFVariant.MUX))
+    phases = [{"CLK": clk, "DI": 1, "SI": 0, "SE": 0} for clk in (1, 0)]
+    assert [ff.step_phase(pins)["Q"].logic for pins in phases] == [X, 1]
 
 
 @pytest.mark.parametrize("variant", list(FFVariant))
@@ -302,9 +305,8 @@ def test_matches_behavioral_model_exhaustively(variant):
     # Every binary four-cycle stimulus; the behavioral model is authoritative
     # wherever it predicts a known Q.
     net = bundled_network(variant)
-    cache: dict = {}
     for stim in itertools.product(itertools.product((0, 1), repeat=3), repeat=4):
-        got = run_cycles(net, stim, cache)
+        got = run_cycles(net, stim)
         state = FFState(variant=variant)
         for i, (di, si, se) in enumerate(stim):
             state = ff_cycle(state, di, si, se)
@@ -315,11 +317,10 @@ def test_matches_behavioral_model_exhaustively(variant):
 @pytest.mark.parametrize("variant", list(FFVariant))
 def test_matches_behavioral_model_on_random_runs(variant):
     net = bundled_network(variant)
-    cache: dict = {}
     rng = random.Random(7000 + hash(variant.value) % 97)
     for _ in range(300):
         stim = [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(8)]
-        got = run_cycles(net, stim, cache)
+        got = run_cycles(net, stim)
         state = FFState(variant=variant)
         for i, (di, si, se) in enumerate(stim):
             state = ff_cycle(state, di, si, se)
@@ -388,3 +389,32 @@ def test_cycle_steps_a_clock_cycle_from_a_restored_state():
     assert ff.cycle(0, 1, 1) == 1
     ff.state = start
     assert [ff.cycle(0, b, 1) for b in (1, 0, 1)] == [1, 0, 1]
+
+
+@pytest.fixture()
+def settle_calls(monkeypatch):
+    """Counts the ``settle`` calls that ``SwitchFF.step_phase`` makes."""
+    calls = []
+    real = switchsim.settle
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(switchsim, "settle", counting)
+    return calls
+
+
+def test_phases_are_memoised_on_the_network(settle_calls):
+    net = bundled_network(FFVariant.MUX)
+    stim = [(1, 0, 0), (0, 1, 1), (1, 0, 0)]
+    first = run_cycles(net, stim)
+    assert len(settle_calls) == 6
+    assert run_cycles(net, stim) == first
+    assert len(settle_calls) == 6
+
+
+@pytest.mark.parametrize("variant", list(FFVariant))
+def test_check_behavioral_settles_48_phases_on_a_fresh_network(variant, settle_calls):
+    check_behavioral(bundled_network(variant), variant, random.Random(1), 256)
+    assert len(settle_calls) == 48
