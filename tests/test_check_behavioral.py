@@ -166,3 +166,34 @@ def test_bad_vector_count_is_a_usage_error(capsys, value):
         main(["switchsim", "mux_sff.tnl", "--check-behavioral", "--vectors", value])
     assert exc.value.code == 2
     assert "--vectors" in capsys.readouterr().err
+
+
+# SHA-256 over the `scantool switchsim` reports of each bundled cell: with and
+# without --check-behavioral, seeds {1, 42} x --vectors {0, 256}, each in
+# json, csv and text, in that nesting order.
+REPORT_PINS = {
+    "mux_sff.tnl": (
+        "56f46f4690508e7ad1d61313ae7af4c9dd38c46b7bb9a971d166f6f605d18243"
+    ),
+    "gdi_sff.tnl": (
+        "d005838a45f6fe01434900f7496abeca6f1b07131042165dba418b78333ce607"
+    ),
+    "approx_sff.tnl": (
+        "cbc3ce5f30b7b37093bd237cec4916bd15beaf4257d8de4041e005d2e61f62b8"
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", list(REPORT_PINS))
+def test_switchsim_reports_are_pinned(capsys, cell):
+    digest = hashlib.sha256()
+    for check, seed, vectors, fmt in itertools.product(
+        ([], ["--check-behavioral"]), (1, 42), (0, 256), ("json", "csv", "text")
+    ):
+        code, out, err = run_cli(
+            capsys, "switchsim", cell, *check, "--seed", str(seed),
+            "--vectors", str(vectors), "--format", fmt,
+        )
+        assert code == 0, err
+        digest.update(out.encode())
+    assert digest.hexdigest() == REPORT_PINS[cell]
