@@ -16,14 +16,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .cells import FFVariant, Mode, Stage, resolve_library
 from .errors import ScanforgeError
 from .reports import FORMATS, envelope, format_report
-
-if TYPE_CHECKING:
-    from .switchsim import TransistorNetwork
 
 
 class CommandError(ScanforgeError):
@@ -33,12 +30,6 @@ class CommandError(ScanforgeError):
 _VARIANTS = [v.value for v in FFVariant]
 _STAGES = [s.value for s in Stage]
 _MODES = [m.value for m in Mode]
-
-_BUNDLED_NETWORKS = {
-    "mux_sff.tnl": FFVariant.MUX,
-    "gdi_sff.tnl": FFVariant.GDI,
-    "approx_sff.tnl": FFVariant.APPROX,
-}
 
 
 def _non_negative(text: str) -> int:
@@ -269,30 +260,18 @@ def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
     )
 
 
-def _infer_variant(path: str, flag: Optional[str]) -> Optional[FFVariant]:
-    if flag:
-        return FFVariant(flag)
-    return _BUNDLED_NETWORKS.get(Path(path).name)
-
-
-def _load_any_network(path: str) -> TransistorNetwork:
-    from .switchsim import bundled_network, load_network_file
-
-    if not Path(path).exists() and Path(path).name in _BUNDLED_NETWORKS:
-        return bundled_network(_BUNDLED_NETWORKS[Path(path).name])
-    return load_network_file(path)
-
-
 def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
     import random
 
-    from .switchsim import check_behavioral
+    from .switchsim import BUNDLED, bundled_network, check_behavioral, load_network_file
 
-    net = _load_any_network(args.network)
-    variant = _infer_variant(args.network, args.variant)
-    verdict = None
-    checked = 0
-    mismatches = 0
+    bundled = BUNDLED.get(Path(args.network).name)
+    if bundled is not None and not Path(args.network).exists():
+        net = bundled_network(bundled)
+    else:
+        net = load_network_file(args.network)
+    variant = FFVariant(args.variant) if args.variant else bundled
+    verdict, checked, mismatches = None, 0, 0
     if args.check_behavioral:
         if variant is None:
             raise CommandError(

@@ -183,8 +183,10 @@ class CompiledNetlist:
     """A netlist as integer net ids, a flat gate program and flop index arrays.
 
     Built once per netlist object by ``Netlist.compiled``. Net ids follow
-    ``Netlist.nets()`` iteration order, which the string hash seed changes,
-    so no result may depend on their order. Program step i is
+    ``Netlist.nets()`` iteration order, which the string hash seed changes.
+    ``estimate_power`` adds float energies in id order, so the last bits of
+    its figures do depend on the seed; the benchmark pins ``PYTHONHASHSEED``
+    (see "Deterministic by construction" in ROADMAP.md). Program step i is
     ``(op, out, a, b)`` for ``gates[i]`` in topological order, with
     ``b == a`` for one-input gates. Flop arrays follow ``Netlist.flops``;
     ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop. ``enable`` is

@@ -28,8 +28,11 @@ sends into a node is computed from the far node's value EXCLUDING that same
 edge's reverse message, so a value never reflects back through the device
 that delivered it. Supplies are pinned and never relay. On the
 tree-structured channel graphs of CMOS latches this converges exactly and
-independently of transistor list order; a network that never stabilizes
-(e.g. a ring oscillator) raises OscillationError with the unsettled nodes.
+independently of transistor list order; a network where either loop is still
+moving after ``MAX_ITERS`` rounds (e.g. a ring oscillator) raises
+OscillationError with the unsettled nodes. A network is compiled on first use
+into node indices, channel edges with their ranks and a memo of settled
+phases (``TransistorNetwork.compiled``), kept on the network object only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -61,7 +64,18 @@ DEGRADED_WIDTH_FACTOR = 0.5
 VDD = "VDD"
 GND = "GND"
 
+# Rounds each fixed-point loop may take before it counts as oscillating.
+MAX_ITERS = 100
+
+# The shipped flip-flop networks by file name, under src/scanforge/data.
+BUNDLED = {
+    "mux_sff.tnl": FFVariant.MUX,
+    "gdi_sff.tnl": FFVariant.GDI,
+    "approx_sff.tnl": FFVariant.APPROX,
+}
+
 _OFF, _MAYBE, _ON = 0, 1, 2
+_BITS: dict[object, Bit] = {0: 0, 1: 1, X: X}
 
 
 class NetworkSyntaxError(ScanforgeError):
@@ -81,7 +95,7 @@ class StimulusError(ScanforgeError):
 
 
 class OscillationError(ScanforgeError):
-    """No fixed point within max_iters; carries the still-changing nodes."""
+    """No fixed point within MAX_ITERS rounds; carries the still-changing nodes."""
 
     code = "switchsim.oscillation"
 
@@ -122,46 +136,55 @@ class TransistorNetwork:
     transistors: tuple[Transistor, ...]
 
     @cached_property
-    def w_max(self) -> float:
-        return max((t.width for t in self.transistors), default=1.0)
-
-    @cached_property
-    def _phases(self) -> dict:
-        """Settled phases, (input bits, storage charge) -> (values, new charge)."""
-        return {}
-
-    def driven_rank(self, width: float) -> float:
-        return RANK_DRIVEN_BASE + _DRIVEN_SPAN * (width / self.w_max)
+    def compiled(self) -> "CompiledNetwork":
+        """The network's compiled form, built on first use and then kept."""
+        return CompiledNetwork(self)
 
 
-@lru_cache(maxsize=None)
-def _channels(
-    net: TransistorNetwork,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, tuple], ...]]:
-    """The network by node index: transistor gates and channel edges.
+class CompiledNetwork:
+    """A transistor network by node index, with its settled-phase memo.
 
-    A transistor's gate entry is (on level, gate node): 1 for an NMOS, 0 for
-    a PMOS. An edge (a, b, devices) joins one unordered node pair; parallel
-    transistors on the same pair (e.g. a transmission gate) share it. A
-    device is (transistor index, on level, driven rank, driven rank at the
-    degraded width); a device passes its own on level degraded.
+    Built once per network object by ``TransistorNetwork.compiled``; ``settle``
+    and ``SwitchFF`` read it. ``gates[t]`` is transistor t's (on level, gate
+    node): 1 for an NMOS, 0 for a PMOS. An edge (a, b, devices) joins one
+    unordered node pair; parallel transistors on the same pair (e.g. a
+    transmission gate) share it. A device is (transistor index, on level,
+    driven rank, driven rank at the degraded width); a device passes its own
+    on level degraded. Edge ei's message into its node a sits in slot 2*ei,
+    into b in 2*ei+1, and ``into[n]`` lists node n's (edge, slot) pairs.
+    ``pinned[n]`` is a supply's fixed value, else None. ``storage`` is the
+    storage nodes in sorted order, the order of ``SwitchFF.state``, and
+    ``phases`` maps (input bits, charge) to (settled values, new charge).
     """
-    index = {n: i for i, n in enumerate(net.nodes)}
-    on = [1 if t.ttype == TransistorType.NMOS else 0 for t in net.transistors]
-    groups: dict[frozenset, list[int]] = {}
-    for ti, t in enumerate(net.transistors):
-        groups.setdefault(frozenset((t.src, t.drn)), []).append(ti)
-    edges = []
-    for key, devs in groups.items():
-        a, b = sorted(key)
-        devices = []
-        for ti in devs:
-            width = net.transistors[ti].width
-            full = net.driven_rank(width)
-            devices.append((ti, on[ti], full, net.driven_rank(width * DEGRADED_WIDTH_FACTOR)))
-        edges.append((index[a], index[b], tuple(devices)))
-    gates = tuple((on[ti], index[t.gate]) for ti, t in enumerate(net.transistors))
-    return gates, tuple(edges)
+
+    def __init__(self, net: TransistorNetwork):
+        self.index = index = {n: i for i, n in enumerate(net.nodes)}
+        widest = max((t.width for t in net.transistors), default=1.0)
+
+        def rank(width: float) -> float:
+            return RANK_DRIVEN_BASE + _DRIVEN_SPAN * (width / widest)
+
+        on = [1 if t.ttype == TransistorType.NMOS else 0 for t in net.transistors]
+        self.gates = tuple((on[ti], index[t.gate]) for ti, t in enumerate(net.transistors))
+        groups: dict[frozenset, list[tuple]] = {}
+        for ti, t in enumerate(net.transistors):
+            groups.setdefault(frozenset((t.src, t.drn)), []).append(
+                (ti, on[ti], rank(t.width), rank(t.width * DEGRADED_WIDTH_FACTOR))
+            )
+        edges = []
+        self.into: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+        for ei, (key, devices) in enumerate(groups.items()):
+            a, b = (index[n] for n in sorted(key))
+            edges.append((a, b, tuple(devices)))
+            self.into[a].append((ei, 2 * ei))
+            self.into[b].append((ei, 2 * ei + 1))
+        self.edges = tuple(edges)
+        self.pinned: list[Optional[tuple[Bit, float]]] = [None] * len(net.nodes)
+        self.pinned[index[VDD]] = (1, RANK_SUPPLY)
+        self.pinned[index[GND]] = (0, RANK_SUPPLY)
+        self.input_rank = rank(INPUT_DRIVE_WIDTH)
+        self.storage = tuple(sorted(net.storage))
+        self.phases: dict = {}
 
 
 def _resolve(contribs: list[tuple[Bit, float]]) -> tuple[Bit, float]:
@@ -177,49 +200,46 @@ def _resolve(contribs: list[tuple[Bit, float]]) -> tuple[Bit, float]:
     return (X if clash else logic, top)
 
 
+def _bit(bit: object, node: str) -> Bit:
+    """A stimulus value as a bit; anything but 0, 1 or X names its node."""
+    try:
+        return _BITS[bit]
+    except (KeyError, TypeError):
+        raise StimulusError(f"{node!r} given {bit!r}, not 0, 1 or X") from None
+
+
 def settle(
     net: TransistorNetwork,
     inputs: Mapping[str, Bit],
     charge: Optional[Mapping[str, Bit]] = None,
-    max_iters: int = 100,
 ) -> dict[str, NodeValue]:
     """Evaluate to a fixed point and return every node's resolved value.
 
-    ``inputs`` must cover every io-in node; ``charge`` gives storage-node
-    contents from the previous phase (missing entries float as X charge).
+    ``inputs`` must give 0, 1 or X for exactly the io-in nodes; ``charge``
+    gives storage-node contents from the previous phase (missing entries
+    float as X charge). Each fixed-point loop runs at most ``MAX_ITERS``
+    rounds.
     """
     for name in inputs:
-        if name not in net.nodes:
-            raise StimulusError(f"unknown input node {name!r}")
+        if name not in net.inputs:
+            raise StimulusError(f"{name!r} is not an input node")
     missing = [n for n in net.inputs if n not in inputs]
     if missing:
         raise StimulusError(f"uncovered input nodes: {', '.join(sorted(missing))}")
-    if max_iters < 1:
-        raise StimulusError("max_iters must be >= 1")
-
     charge = charge or {}
-    nodes = net.nodes
-    index = {n: i for i, n in enumerate(nodes)}
-    input_rank = net.driven_rank(INPUT_DRIVE_WIDTH)
+    for name in charge:
+        if name not in net.storage:
+            raise StimulusError(f"{name!r} is not a storage node")
+
+    c = net.compiled
+    nodes, edges, into, pinned = net.nodes, c.edges, c.into, c.pinned
     base: list[list[tuple[Bit, float]]] = [[] for _ in nodes]
     for name in net.inputs:
-        base[index[name]].append((inputs[name], input_rank))
-    for name in net.storage:
-        base[index[name]].append((charge.get(name, X), RANK_CHARGED))
-    pinned: list[Optional[tuple[Bit, float]]] = [None] * len(nodes)
-    pinned[index[VDD]] = (1, RANK_SUPPLY)
-    pinned[index[GND]] = (0, RANK_SUPPLY)
+        base[c.index[name]].append((_bit(inputs[name], name), c.input_rank))
+    for name in c.storage:
+        base[c.index[name]].append((_bit(charge.get(name, X), name), RANK_CHARGED))
 
-    # Edge ei's message into its node a sits in slot 2*ei, into b in 2*ei+1.
-    gates, edges = _channels(net)
-    into: list[list[tuple[int, int]]] = [[] for _ in nodes]
-    for ei, (a, b, _) in enumerate(edges):
-        into[a].append((ei, 2 * ei))
-        into[b].append((ei, 2 * ei + 1))
-
-    def node_value(
-        n: int, msgs: list[Optional[tuple[Bit, float]]], exclude: int
-    ) -> tuple[Bit, float]:
+    def node_value(n: int, msgs: list, exclude: int) -> tuple[Bit, float]:
         fixed = pinned[n]
         if fixed is not None:
             return fixed
@@ -227,9 +247,9 @@ def settle(
             msgs[slot] for ej, slot in into[n] if ej != exclude and msgs[slot] is not None
         ])
 
-    def solve_channels(conduction: list[int]) -> list[tuple[Bit, float]]:
+    def solve_edges(conduction: list[int]) -> list[tuple[Bit, float]]:
         msgs: list[Optional[tuple[Bit, float]]] = [None] * (2 * len(edges))
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             new_msgs = list(msgs)
             for ei, (a, b, devs) in enumerate(edges):
                 for src, slot in ((a, 2 * ei + 1), (b, 2 * ei)):
@@ -266,12 +286,12 @@ def settle(
         for fixed, contribs in zip(pinned, base)
     ]
     prev = values
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         conduction = []
-        for on, gate in gates:
+        for on, gate in c.gates:
             g = values[gate][0]
             conduction.append(_MAYBE if g is None else _ON if g == on else _OFF)
-        new_values = solve_channels(conduction)
+        new_values = solve_edges(conduction)
         if new_values == values:
             return {n: NodeValue(*v) for n, v in zip(nodes, values)}
         prev, values = values, new_values
@@ -289,19 +309,17 @@ class SwitchFF:
 
     def __init__(self, net: TransistorNetwork):
         self.net = net
-        self._storage_order = tuple(sorted(net.storage))
-        self.state: tuple[Bit, ...] = (X,) * len(self._storage_order)
+        self.state: tuple[Bit, ...] = (X,) * len(net.compiled.storage)
 
     def step_phase(self, pins: Mapping[str, Bit]) -> dict[str, NodeValue]:
         net = self.net
-        inputs = {n: pins.get(n, X) for n in net.inputs}
+        c = net.compiled
+        inputs = {n: _bit(pins.get(n, X), n) for n in net.inputs}
         key = (tuple(inputs.values()), self.state)
-        hit = net._phases.get(key)
+        hit = c.phases.get(key)
         if hit is None:
-            settled = settle(net, inputs, dict(zip(self._storage_order, self.state)))
-            hit = net._phases[key] = (
-                settled, tuple(settled[n].logic for n in self._storage_order)
-            )
+            settled = settle(net, inputs, dict(zip(c.storage, self.state)))
+            hit = c.phases[key] = (settled, tuple(settled[n].logic for n in c.storage))
         settled, self.state = hit
         return settled
 
@@ -500,6 +518,6 @@ def load_network_file(path: str) -> TransistorNetwork:
 
 def bundled_network(variant: FFVariant) -> TransistorNetwork:
     """The shipped transistor-level encoding of one scan flip-flop variant."""
-    name = f"{variant.value}_sff.tnl"
+    name = next(name for name, v in BUNDLED.items() if v is variant)
     text = (resources.files(__package__) / "data" / name).read_text("utf-8")
     return load_network(text)

@@ -7,12 +7,16 @@ flip-flop networks are checked against the behavioral model.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 
+import scanforge
 from scanforge import switchsim
 from scanforge.cells import FFVariant
 from scanforge.ffmodel import FFState, ff_cycle
@@ -213,8 +217,61 @@ def test_stimulus_validation():
         settle(net, {})
     with pytest.raises(StimulusError):
         settle(net, {"IN": 0, "BOGUS": 1})
-    with pytest.raises(StimulusError):
-        settle(net, {"IN": 0}, max_iters=0)
+
+
+@pytest.mark.parametrize(
+    "text, inputs, charge, node",
+    [
+        (INVERTER, {"IN": 0, "OUT": 0}, None, "OUT"),
+        (INVERTER, {"IN": 0, "VDD": 1}, None, "VDD"),
+        (INVERTER, {"IN": 2}, None, "IN"),
+        (INVERTER, {"IN": "1"}, None, "IN"),
+        (INVERTER, {"IN": 0.5}, None, "IN"),
+        (INVERTER, {"IN": [0]}, None, "IN"),
+        (PASS_GATE, {"EN": 0, "IN": 0}, {"IN": 1}, "IN"),
+        (PASS_GATE, {"EN": 0, "IN": 0}, {"BOGUS": 1}, "BOGUS"),
+        (PASS_GATE, {"EN": 0, "IN": 0}, {"M": 7}, "M"),
+    ],
+    ids=[
+        "output", "supply", "two", "string", "half", "list",
+        "charge-on-input", "charge-on-unknown", "charge-seven",
+    ],
+)
+def test_stimulus_that_cannot_be_read_names_its_node(text, inputs, charge, node):
+    # Outputs, supplies and non-storage charge used to be dropped, and a bad
+    # value switched off every device it gates or came back as logic.
+    with pytest.raises(StimulusError) as exc:
+        settle(load_network(text), inputs, charge)
+    assert repr(node) in str(exc.value)
+
+
+@pytest.mark.parametrize("di", [2, [0]])
+def test_switch_ff_rejects_a_pin_that_is_not_a_bit(di):
+    with pytest.raises(StimulusError, match="'DI'"):
+        SwitchFF(bundled_network(FFVariant.MUX)).cycle(di, 0, 0)
+
+
+def assert_freed(text, use):
+    # The compiled form and its phase memo live on the network object only.
+    # The spare node keeps the network unequal to those of other tests.
+    net = load_network(text + "node SPARE\n")
+    use(net)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_settled_network_is_freed():
+    assert_freed(INVERTER, lambda net: settle(net, {"IN": 0}))
+
+
+def test_a_checked_network_is_freed():
+    mux = (Path(scanforge.__file__).parent / "data" / "mux_sff.tnl").read_text("utf-8")
+    assert_freed(
+        mux,
+        lambda net: check_behavioral(net, FFVariant.MUX, random.Random(1), 16),
+    )
 
 
 @pytest.mark.parametrize(
