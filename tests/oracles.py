@@ -250,6 +250,26 @@ def random_netlist(
     )
 
 
+def line_netlist(nets: int) -> Netlist:
+    """A line of ``nets - 1`` stages from input ``A``: ``nets`` nets in all.
+
+    Stage k drives ``L{k}`` from the stage before it. Every fifth stage is a
+    D flip-flop ``f{k}`` and the others alternate BUF and INV, so a value
+    moves one flop per cycle and most nets hold still over a short run.
+    """
+    instances: list = []
+    prev = "A"
+    for k in range(nets - 1):
+        out = f"L{k}"
+        if k % 5 == 4:
+            instances.append(Dff(f"f{k}", out, prev))
+        else:
+            kind = GateType.BUF if k % 2 else GateType.INV
+            instances.append(Gate(f"g{k}", kind, out, (prev,)))
+        prev = out
+    return Netlist(name="line", inputs=("A",), outputs=(prev,), instances=tuple(instances))
+
+
 def brute_force_longest(
     n: Netlist, gate_delay: dict[str, float], test_mode: bool
 ) -> float:

@@ -5,7 +5,9 @@ simulator that the lane-based engine replaced; they hold the trace format
 and the toggle accounting to exactly what that simulator produced.
 Power totals sum per-net energies in toggle order over a set of net names,
 so their last bits move with the string hash seed: they are compared with
-a relative tolerance of 1e-12.
+a relative tolerance of 1e-12. The ``line120`` and ``line9000`` VCD digests
+(2- and 3-character id codes) were recorded from the line-by-line VCD
+writer, before the body was built from per-cycle byte masks.
 
 The STA digests were recorded from the name-keyed longest-path walk that
 the compiled one replaced. They cover every variant, stage and mode, zero
@@ -41,7 +43,7 @@ from scanforge.protocol import CycleSim, Phase, run_scan_test, sim_functional
 from scanforge.sta import analyze_timing
 from scanforge.vcd import to_vcd
 
-from oracles import random_netlist
+from oracles import line_netlist, random_netlist
 
 TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,12 +55,27 @@ def traces():
     scan, responses = run_scan_test(n, load_patterns(str(FIXTURES / "chain10.pat"), 10))
     assert responses == ["1111111111", "1010101011", "0000000001", "0111111111"]
     func = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=64, init={"f1": 0})
-    return {"scan": scan, "func": func}
+    return {
+        "scan": scan, "func": func, "line120": line_trace(120, 12), "line9000": line_trace(9000, 5)
+    }
+
+
+def line_trace(nets: int, cycles: int):
+    """``line_netlist`` from a 0/1/X flop state under a stimulus with X.
+
+    120 nets take 2-character VCD id codes and 9,000 nets 3-character ones.
+    """
+    n = line_netlist(nets)
+    init = {f.id: (0, 1, X)[k % 3] for k, f in enumerate(n.flops)}
+    stimulus = [{"A": bit} for bit in (1, X, 0, 0, 1, X, 1, 0, 0, 1, 1, 0)]
+    return sim_functional(n, stimulus, cycles=cycles, init=init)
 
 
 VCD_SHA256 = {
     "scan": "24c366be79861e690fd851c3f793246e2c2edda214f16fb689adcc5f93aced26",
     "func": "ac77f1be3153e8a9ccf817b163006c741545a445a0fe13d16ae78ae4bdc61c9e",
+    "line120": "20fbe7fca99d99f2f2a24c62a45dffd1b33e6db36cf226462fedb64cb643814e",
+    "line9000": "7a73dc0c78f6e8d3d4d451882895309d8afa59465c0c36211fc4994552e48708",
 }
 
 # (trace, variant, stage) -> (ff internal fJ, combinational fJ, average uW)
