@@ -29,7 +29,7 @@ _EXPORTS = {
         "Netlist", "Gate", "Dff", "ScanFF", "PatternSet", "NetlistSyntaxError",
         "DuplicateInstanceError", "MultiplyDrivenNetError", "UndrivenNetError",
         "CombinationalCycleError", "PatternSyntaxError", "PatternWidthError",
-        "parse_netlist", "serialize_netlist", "load_netlist", "save_netlist",
+        "parse_netlist", "serialize_netlist", "load_netlist",
         "parse_patterns", "load_patterns",
     ),
     "ffmodel": ("FFState", "ff_selected_input", "ff_cycle"),

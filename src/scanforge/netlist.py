@@ -511,11 +511,6 @@ def load_netlist(path: str) -> Netlist:
         return parse_netlist(fh.read())
 
 
-def save_netlist(n: Netlist, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_netlist(n))
-
-
 def load_patterns(path: str, chain_length: int) -> PatternSet:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_patterns(fh.read(), chain_length)

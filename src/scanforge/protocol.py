@@ -150,8 +150,10 @@ def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> str:
     The lanes' strings follow one another in order, ``width`` characters each.
     """
     full = (1 << width) - 1
-    values = "".join(format(v, f"0{width}b") for v, _ in reversed(lanes))
-    unknown = "".join(format(full ^ k, f"0{width}b") for _, k in reversed(lanes))
+    spec = f"0{width}b"
+    lanes = lanes[::-1]
+    values = "".join([format(v, spec) for v, _ in lanes])
+    unknown = "".join([format(full ^ k, spec) for _, k in lanes])
     # Binary numerals read in base 16 add digit by digit with no carry.
     digits = int(values, 16) + 2 * int(unknown, 16)
     return format(digits, f"0{len(values)}x").translate(_X_DIGIT)[::-1]

@@ -314,6 +314,11 @@ class SwitchFF:
     def step_phase(self, pins: Mapping[str, Bit]) -> dict[str, NodeValue]:
         net = self.net
         c = net.compiled
+        if len(self.state) != len(c.storage):
+            raise StimulusError(
+                f"state has {len(self.state)} charges; the network has"
+                f" {len(c.storage)} storage nodes"
+            )
         inputs = {n: _bit(pins.get(n, X), n) for n in net.inputs}
         key = (tuple(inputs.values()), self.state)
         hit = c.phases.get(key)

@@ -2,13 +2,15 @@
 
 Everything here is deliberately written differently from the library code:
 gate evaluation uses truth tables and fixpoint relaxation instead of
-topological ordering, flip-flop next-state is a one-line mux, and longest
-paths come from exhaustive DFS enumeration. Slow and obvious beats fast and
+topological ordering, flip-flop next-state is a one-line mux, longest
+paths come from exhaustive DFS enumeration, and a VCD dump compares each
+net's bit string with itself one cycle back. Slow and obvious beats fast and
 clever for an oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from typing import Optional
@@ -248,6 +250,42 @@ def random_netlist(
         outputs=tuple(outputs),
         instances=tuple(instances),
     )
+
+
+def vcd_codes(count: int) -> list[str]:
+    """The first ``count`` VCD id codes: every 1-character code from '!' to
+    '~', then every 2-character one, and so on, each length in
+    lexicographic order."""
+    chars = [chr(c) for c in range(ord("!"), ord("~") + 1)]
+    by_length = (itertools.product(chars, repeat=k) for k in itertools.count(1))
+    return ["".join(c) for c in itertools.islice(itertools.chain.from_iterable(by_length), count)]
+
+
+def naive_vcd(trace, module: str = "") -> str:
+    """A trace's VCD text built one net at a time from its bit strings.
+
+    Nets are sorted by name and numbered in that order. ``#0`` dumps every
+    net; each later ``#t`` lists the nets whose character at t differs from
+    the one at t - 1, in net order.
+    """
+    nets = sorted(trace.nets)
+    codes = dict(zip(nets, vcd_codes(len(nets))))
+    bits = {net: trace.bit_string(net) for net in nets}
+    lines = [
+        "$version scanforge $end",
+        "$timescale 1ns $end",
+        f"$scope module {module or trace.netlist_name} $end",
+    ]
+    lines += [f"$var wire 1 {codes[net]} {net} $end" for net in nets]
+    lines += ["$upscope $end", "$enddefinitions $end", "#0", "$dumpvars"]
+    lines += [bits[net][0] + codes[net] for net in nets]
+    lines.append("$end")
+    for t in range(1, trace.cycles):
+        lines.append(f"#{t}")
+        for net in nets:
+            if bits[net][t] != bits[net][t - 1]:
+                lines.append(bits[net][t] + codes[net])
+    return "".join(line + "\n" for line in lines)
 
 
 def line_netlist(nets: int) -> Netlist:

@@ -448,6 +448,18 @@ def test_cycle_steps_a_clock_cycle_from_a_restored_state():
     assert [ff.cycle(0, b, 1) for b in (1, 0, 1)] == [1, 0, 1]
 
 
+@pytest.mark.parametrize("state", [(1,), (0, 1, 0), ()])
+def test_a_state_of_the_wrong_length_is_rejected_before_the_memo(state):
+    net = bundled_network(FFVariant.MUX)
+    ff = SwitchFF(net)
+    ff.cycle(1, 0, 0)
+    memo = dict(net.compiled.phases)
+    ff.state = state
+    with pytest.raises(StimulusError, match="the network has 2 storage nodes"):
+        ff.cycle(0, 0, 0)
+    assert net.compiled.phases == memo
+
+
 @pytest.fixture()
 def settle_calls(monkeypatch):
     """Counts the ``settle`` calls that ``SwitchFF.step_phase`` makes."""

@@ -1,0 +1,134 @@
+"""``to_vcd`` and ``dump_vcd`` against the per-net oracle.
+
+``to_vcd`` builds each cycle from byte masks over fixed-width slots, one
+per net; ``oracles.naive_vcd`` compares every net's bit string with itself
+one cycle back. They must agree byte for byte on scan tests and functional
+runs with X, at the edges of a run, and at the net counts where the id
+codes grow a character (94/95 and 8,930/8,931).
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from scanforge.logic import X
+from scanforge.netlist import parse_netlist, parse_patterns
+from scanforge.protocol import ProtocolTrace, run_scan_test, sim_functional
+from scanforge.scan import verify_chain
+from scanforge.vcd import dump_vcd, to_vcd
+
+from oracles import line_netlist, naive_vcd, random_netlist, vcd_codes
+from test_scan_engine import random_bits, scan_case
+from test_trace_pins import line_trace
+
+TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_scan_tests_match_the_oracle(seed):
+    # plain, approx and partial-scan designs, pipelined and not; the flops
+    # start at X and the free inputs are held at 0, 1 or X
+    rng, n = scan_case(seed)
+    plan = verify_chain(n)
+    length = len(plan.order)
+    vectors = [random_bits(rng, length) for _ in range(rng.randint(1, 3))]
+    free = [net for net in n.inputs if net not in (plan.chain_in, plan.enable)]
+    pi_defaults = {net: rng.choice((0, 1, X)) for net in free}
+    trace, _ = run_scan_test(
+        n, parse_patterns("\n".join(vectors) + "\n", length),
+        pipelined=seed % 2 == 0, pi_defaults=pi_defaults,
+    )
+    assert to_vcd(trace) == naive_vcd(trace)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_functional_runs_match_the_oracle(seed):
+    rng = random.Random(90_000 + seed)
+    n = random_netlist(rng, max_gates=10, max_ffs=4, min_ffs=1, scan=seed % 2 == 0)
+    init = {f.id: rng.choice((0, 1, X)) for f in n.flops}
+    stimulus = [
+        {net: X if rng.random() < 0.1 else rng.randint(0, 1) for net in n.inputs}
+        for _ in range(rng.randint(1, 24))
+    ]
+    trace = sim_functional(n, stimulus, init=init)
+    assert to_vcd(trace) == naive_vcd(trace)
+
+
+def test_a_one_cycle_trace_is_the_initial_dump():
+    trace = line_trace(12, 1)
+    text = to_vcd(trace)
+    assert text == naive_vcd(trace)
+    assert text.endswith("$dumpvars\n" + "".join(
+        f"{trace.bit_string(net)}{code}\n"
+        for net, code in zip(sorted(trace.nets), vcd_codes(12))
+    ) + "$end\n")
+
+
+def test_nets_that_never_change_are_dumped_once():
+    # A held at 1 from a known state: the line settles, then nothing moves
+    n = line_netlist(30)
+    init = dict.fromkeys((f.id for f in n.flops), 0)
+    trace = sim_functional(n, [{"A": 1}], cycles=12, init=init)
+    text = to_vcd(trace)
+    assert text == naive_vcd(trace)
+    code_a = vcd_codes(30)[sorted(trace.nets).index("A")]
+    assert text.count(f"\n1{code_a}\n") == 1
+    assert text.endswith("#9\n#10\n#11\n")
+
+
+def test_an_all_x_run_has_no_changes_after_the_initial_dump():
+    trace = sim_functional(line_netlist(30), [{"A": X}], cycles=6)
+    text = to_vcd(trace)
+    assert text == naive_vcd(trace)
+    assert text.endswith("$end\n#1\n#2\n#3\n#4\n#5\n")
+    assert set(trace.bit_columns(sorted(trace.nets))) == {"x"}
+
+
+def test_module_override_names_the_scope():
+    trace = line_trace(12, 6)
+    text = to_vcd(trace, module="top")
+    assert text == naive_vcd(trace, "top")
+    assert "$scope module top $end\n" in text
+    assert to_vcd(trace) == naive_vcd(trace, "line")
+
+
+@pytest.mark.parametrize("nets, width", [(94, 1), (95, 2), (8930, 2), (8931, 3)])
+def test_id_code_boundaries(nets, width, tmp_path):
+    trace = line_trace(nets, 5)
+    text = to_vcd(trace)
+    assert text == naive_vcd(trace)
+    last = text.splitlines()[nets + 2]  # the last $var line
+    assert last.startswith(f"$var wire 1 {vcd_codes(nets)[-1]} ")
+    assert len(vcd_codes(nets)[-1]) == width
+    out = tmp_path / "wave.vcd"
+    dump_vcd(trace, str(out))
+    assert out.read_bytes() == text.encode()
+
+
+def test_dump_vcd_writes_as_it_goes(tmp_path):
+    # 4,000 toggling cycles, 47 kB of text. to_vcd holds every cycle's
+    # chunk, their join and its decoding; dump_vcd holds the trace's columns
+    # and one cycle, so its peak stays below to_vcd's by more than the text.
+    trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=4000, init={"f1": 0})
+    out = tmp_path / "wave.vcd"
+    tracemalloc.start()
+    try:
+        dump_vcd(trace, str(out))
+        dumped = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        text = to_vcd(trace)
+        joined = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == text.encode()
+    assert dumped + len(text) < joined
+
+
+def test_an_empty_trace_writes_no_file(tmp_path):
+    out = tmp_path / "wave.vcd"
+    with pytest.raises(ValueError, match="no cycles"):
+        dump_vcd(ProtocolTrace("empty"), str(out))
+    assert not out.exists()
