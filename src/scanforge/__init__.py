@@ -21,9 +21,8 @@ _EXPORTS = {
     "errors": ("ScanforgeError",),
     "cells": (
         "FFVariant", "Stage", "Mode", "GateType", "ModeTiming", "FFVariantParams",
-        "GateParams", "ScalingFactors", "CellLibrary", "CellConfigError",
-        "ComparisonRow", "builtin_params", "comparison_table", "scale_params",
-        "load_library", "resolve_library",
+        "GateParams", "CellLibrary", "CellConfigError", "ComparisonRow",
+        "comparison_table", "load_library", "resolve_library",
     ),
     "netlist": (
         "Netlist", "Gate", "Dff", "ScanFF", "PatternSet", "NetlistSyntaxError",

@@ -2,8 +2,8 @@
 
 Holds per-variant scan flip-flop timing/power/area parameters for the two
 design stages (schematic-level and layout-extracted), default combinational
-gate delay/energy numbers, technology scaling, and the published comparison
-rows used by the `compare` report.
+gate delay/energy numbers, and the published comparison rows used by the
+`compare` report.
 
 The flip-flop numbers are stored exactly as characterized. Some rows print a
 propagation delay t_pd that differs from t_su + t_cq by more than rounding;
@@ -36,7 +36,7 @@ ENV_CELLS = "SCANFORGE_CELLS"
 CONSISTENCY_TOL_NS = 0.005
 _TOL_EPS = 1e-9
 
-F_REF_HZ = 1e9
+F_REF_HZ = 1e9  # the frequency every avg_power_uw is characterized at
 
 
 class CellConfigError(ScanforgeError):
@@ -102,12 +102,12 @@ class ModeTiming:
     t_su: float  # setup time, ns
     t_cq: float  # clock-to-Q delay, ns
     t_pd: float  # printed path delay, ns (nominally t_su + t_cq)
-    avg_power_uw: float  # average power at f_ref, microwatts
+    avg_power_uw: float  # average power at F_REF_HZ, microwatts
 
     def __post_init__(self) -> None:
         _check("t_su", self.t_su, 0)
         _check("t_cq", self.t_cq, 0, strict=True)
-        _check("t_pd", self.t_pd)
+        _check("t_pd", self.t_pd, 0)
         _check("avg_power_uw", self.avg_power_uw, 0, strict=True)
         _check("t_su + t_cq", self.t_pd_sum)
 
@@ -129,7 +129,6 @@ class FFVariantParams:
     functional: ModeTiming
     test: ModeTiming
     area: float  # transistor-count units
-    f_ref_hz: float = F_REF_HZ
 
     def __post_init__(self) -> None:
         _check("area", self.area, 0, strict=True)
@@ -140,11 +139,11 @@ class FFVariantParams:
     def energy_per_cycle_fj(self, mode: Mode) -> float:
         """Energy drawn by one FF in one clock cycle of the given mode.
 
-        Average power is calibrated at f_ref, so energy/cycle = P / f_ref.
-        With power in uW and f_ref in Hz the result is in fJ after the 1e9
+        Average power is calibrated at F_REF_HZ, so energy/cycle = P / F_REF_HZ.
+        With power in uW and F_REF_HZ in Hz the result is in fJ after the 1e9
         unit shuffle (1 uW / 1 GHz = 1 fJ).
         """
-        return self.mode(mode).avg_power_uw * 1e9 / self.f_ref_hz
+        return self.mode(mode).avg_power_uw * 1e9 / F_REF_HZ
 
 
 @dataclass(frozen=True)
@@ -155,41 +154,6 @@ class GateParams:
     def __post_init__(self) -> None:
         _check("delay_ns", self.delay_ns, 0, strict=True)
         _check("energy_per_toggle_fj", self.energy_per_toggle_fj, 0)
-
-
-@dataclass(frozen=True)
-class ScalingFactors:
-    delay_factor: float = 1.0
-    power_factor: float = 1.0
-    area_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("delay_factor", "power_factor", "area_factor"):
-            _check(name, getattr(self, name), 0, strict=True)
-
-    def inverse(self) -> "ScalingFactors":
-        return ScalingFactors(
-            1.0 / self.delay_factor, 1.0 / self.power_factor, 1.0 / self.area_factor
-        )
-
-
-def scale_params(p: FFVariantParams, f: ScalingFactors) -> FFVariantParams:
-    """Project params to another technology node by dividing out the factors."""
-
-    def scale_mode(m: ModeTiming) -> ModeTiming:
-        return ModeTiming(
-            t_su=m.t_su / f.delay_factor,
-            t_cq=m.t_cq / f.delay_factor,
-            t_pd=m.t_pd / f.delay_factor,
-            avg_power_uw=m.avg_power_uw / f.power_factor,
-        )
-
-    return replace(
-        p,
-        functional=scale_mode(p.functional),
-        test=scale_mode(p.test),
-        area=p.area / f.area_factor,
-    )
 
 
 # Characterized flip-flop rows, stored verbatim (known t_pd inconsistencies
@@ -262,10 +226,6 @@ class CellLibrary:
     @staticmethod
     def builtin() -> "CellLibrary":
         return CellLibrary(ffs=dict(_BUILTIN_FFS), gates=dict(_BUILTIN_GATES))
-
-
-def builtin_params(variant: FFVariant, stage: Stage) -> FFVariantParams:
-    return _BUILTIN_FFS[(variant, stage)]
 
 
 _GATE_KEYS = ("delay_ns", "energy_per_toggle_fj")

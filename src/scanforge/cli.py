@@ -123,6 +123,13 @@ def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
     )
 
 
+def _chain_variant(plan, wanted: Optional[str]) -> FFVariant:
+    """The chain's variant; a different ``--variant`` is a CommandError."""
+    if wanted and plan.variant is not FFVariant(wanted):
+        raise CommandError(f"chain uses the {plan.variant.value} flip-flop, not {wanted}")
+    return plan.variant
+
+
 def cmd_scan_test(args: argparse.Namespace) -> dict[str, Any]:
     from .netlist import load_netlist, load_patterns
     from .protocol import cycle_budget, run_scan_test
@@ -131,10 +138,7 @@ def cmd_scan_test(args: argparse.Namespace) -> dict[str, Any]:
     n = load_netlist(args.netlist)
     plan = verify_chain(n)
     patterns = load_patterns(args.patterns, len(plan.order))
-    if args.variant and plan.variant is not FFVariant(args.variant):
-        raise CommandError(
-            f"chain uses the {plan.variant.value} flip-flop, not {args.variant}"
-        )
+    _chain_variant(plan, args.variant)
     trace, responses = run_scan_test(n, patterns, pipelined=args.pipelined, plan=plan)
     if args.vcd:
         from .vcd import dump_vcd
@@ -216,13 +220,15 @@ def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
 
     n = load_netlist(args.netlist)
     lib = resolve_library(args.cells)
-    variant = FFVariant(args.variant)
     stage = Stage(args.stage)
     if args.patterns:
         plan = verify_chain(n)
         patterns = load_patterns(args.patterns, len(plan.order))
+        # contention comes from the chain's own cells, so price those
+        variant = _chain_variant(plan, args.variant)
         trace, _ = run_scan_test(n, patterns, plan=plan)
     else:
+        variant = FFVariant(args.variant or "mux")
         init = {f.id: 0 for f in n.flops}
         trace = sim_functional(
             n, [{net: 0 for net in n.inputs}], cycles=args.cycles, init=init
@@ -399,7 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="toggle-based power estimate from a simulated trace")
     p.add_argument("netlist")
     p.add_argument("patterns", nargs="?", help="scan patterns; omitted runs functional cycles")
-    p.add_argument("--variant", choices=_VARIANTS, default="mux")
+    p.add_argument(
+        "--variant", choices=_VARIANTS,
+        help="variant to price; with patterns it must be the chain's (the default), else mux",
+    )
     p.add_argument("--stage", choices=_STAGES, default="post_layout")
     p.add_argument("--tclk", type=float, default=1.0, help="clock period in ns")
     p.add_argument("--cycles", type=int, default=100, help="functional cycles when no patterns given")

@@ -25,16 +25,6 @@ def bit_char(b: Bit) -> str:
     return "x" if b is None else str(b)
 
 
-def bit_from_char(c: str) -> Bit:
-    if c == "0":
-        return 0
-    if c == "1":
-        return 1
-    if c in ("x", "X"):
-        return X
-    raise ValueError(f"not a bit character: {c!r}")
-
-
 def toggled(old: Bit, new: Bit) -> bool:
     """True for a real 0<->1 transition; X transitions do not count."""
     return is_known(old) and is_known(new) and old != new

@@ -48,7 +48,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .cells import GateType
 from .errors import ScanforgeError
-from .logic import X, Bit, bit_from_char
+from .logic import X, Bit
 from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
 from .netlist import PatternSyntaxError, PatternWidthError
 from .scan import ScanChainPlan, verify_chain
@@ -134,8 +134,6 @@ def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], 
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_VALUE_BIT = bytes.maketrans(b"01x", b"\x00\x01\x00")
-_KNOWN_BIT = bytes.maketrans(b"01x", b"\x01\x01\x00")
 _X_DIGIT = str.maketrans("2", "x")
 
 
@@ -191,14 +189,12 @@ class CycleRecord:
     index: int
     phase: Phase
     se: Bit
-    si: Bit
-    so: Bit
     values: Mapping[str, Bit]  # end-of-cycle net values
 
 
 @dataclass
 class ProtocolTrace:
-    """End-of-cycle lanes of every net, per-cycle pins, and the counts.
+    """End-of-cycle lanes of every net, per-cycle phase and SE, and the counts.
 
     ``nets`` lists the net names in column order; ``_lane_trace`` fills the
     columns and the counts.
@@ -214,8 +210,6 @@ class ProtocolTrace:
     warnings: list[str] = field(default_factory=list)
     phases: list[Phase] = field(default_factory=list)
     se: list[Bit] = field(default_factory=list)
-    si: list[Bit] = field(default_factory=list)
-    so: list[Bit] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self._index = {net: i for i, net in enumerate(self.nets)}
@@ -248,45 +242,22 @@ class ProtocolTrace:
             return ""
         return _lane_chars([(self._v[i], self._k[i]) for i in ids], self.cycles)
 
-    @property
-    def records(self) -> list[CycleRecord]:
-        """One record per cycle, built from the columns on every read."""
-        width = self.cycles
-        if not width:
-            return []
-        # net-major; cycle t's row is every width-th character from t
-        chars = self.bit_columns(self.nets).encode()
-        v_bits = chars.translate(_VALUE_BIT)
-        k_bits = chars.translate(_KNOWN_BIT)
-        return [
-            CycleRecord(
-                t, self.phases[t], self.se[t], self.si[t], self.so[t],
-                _CycleValues(self._index, v_bits[t::width], k_bits[t::width]),
-            )
-            for t in range(width)
-        ]
-
-    def output_waveform(self, net: str) -> list[Bit]:
-        return [bit_from_char(c) for c in self.bit_string(net)]
-
 
 def _lane_trace(
-    n: Netlist, v: list[int], k: list[int], phases: list[Phase], se: list[Bit], si: list[Bit],
+    n: Netlist, v: list[int], k: list[int], phases: list[Phase], se: list[Bit],
     init: Sequence[tuple[int, int]], warmup_cycles: int,
 ) -> ProtocolTrace:
     """The trace of a run, from its state lanes and the flops' power-up rails.
 
     ``v`` and ``k`` hold, by net id, the two-rail lanes of the primary inputs
     and the flop Qs over the run's cycles; one width-T pass settles every
-    other net's end-of-cycle lane in place. SO is recorded as X.
+    other net's end-of-cycle lane in place.
     """
     cn = n.compiled
     width = len(phases)
     full = (1 << width) - 1
     evaluate(cn.program, v, k)
-    trace = ProtocolTrace(
-        n.name, cn.nets, net_drivers=dict(cn.drivers), phases=phases, se=se, si=si, so=[X] * width
-    )
+    trace = ProtocolTrace(n.name, cn.nets, net_drivers=dict(cn.drivers), phases=phases, se=se)
     trace._v, trace._k = v, k
 
     # Toggles in the order they first happen, ties in net order.
@@ -341,8 +312,7 @@ class CycleSim:
     Each cycle keeps the bits of the primary inputs and the flop Qs, from
     which ``finish`` builds the trace, and the scan enable the rising edge
     saw when every scan flop shares one enable net (X otherwise), so
-    ``estimate_power`` bills its SE=1 cycles at the test rate; SI and SO are
-    recorded as X.
+    ``estimate_power`` bills its SE=1 cycles at the test rate.
     """
 
     def __init__(
@@ -401,7 +371,7 @@ class CycleSim:
         index = len(self._phases)
         self._phases.append(phase)
         self._se.append(se)
-        return CycleRecord(index, phase, se, X, X, _CycleValues(cn.index, bytes(v), bytes(k)))
+        return CycleRecord(index, phase, se, _CycleValues(cn.index, bytes(v), bytes(k)))
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
         """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.
@@ -418,15 +388,14 @@ class CycleSim:
 
     def finish(self) -> ProtocolTrace:
         """The trace of every cycle so far."""
-        state, width = self._state_ids, len(self._phases)
+        state = self._state_ids
         v = [0] * len(self.compiled.nets)
         k = [0] * len(self.compiled.nets)
         for j, i in enumerate(state):
             v[i] = _bits_to_lane(self._state_v[j::len(state)])
             k[i] = _bits_to_lane(self._state_k[j::len(state)])
         return _lane_trace(
-            self.netlist, v, k, list(self._phases), list(self._se), [X] * width,
-            self._init, self.warmup_cycles,
+            self.netlist, v, k, list(self._phases), list(self._se), self._init, self.warmup_cycles
         )
 
 
@@ -541,11 +510,7 @@ def _run_schedule(
         lv[i], lk[i] = full * a, full * b
     lv[cn.index[plan.chain_in]], lk[cn.index[plan.chain_in]] = si_lane, full
     lv[cn.index[plan.enable]], lk[cn.index[plan.enable]] = se_lane, full
-    trace = _lane_trace(
-        n, lv, lk, phases, list(se_bits), list(si_bits), sim._init, sim.warmup_cycles
-    )
-    trace.so = [bit_from_char(c) for c in trace.bit_string(plan.chain_out)]
-    return trace
+    return _lane_trace(n, lv, lk, phases, list(se_bits), sim._init, sim.warmup_cycles)
 
 
 def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:

@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 
 from .cells import CellLibrary, FFVariant, GateType, Mode, Stage, resolve_library
 from .errors import ScanforgeError
-from .netlist import CompiledNetlist, Gate, Netlist, ScanFF
+from .netlist import CompiledNetlist, Netlist, ScanFF
 
 
 class TimingError(ScanforgeError):
@@ -177,14 +177,3 @@ def zero_cloud_netlist(variant: FFVariant = FFVariant.MUX) -> Netlist:
         ),
     )
 
-
-def path_delay_sum(n: Netlist, path: tuple[str, ...], library: Optional[CellLibrary] = None) -> float:
-    """Sum of gate delays along a critical path (FF entries contribute 0)."""
-    lib = resolve_library(library)
-    by_id = {inst.id: inst for inst in n.instances}
-    total = 0.0
-    for iid in path:
-        inst = by_id[iid]
-        if isinstance(inst, Gate):
-            total += lib.gate(inst.gtype).delay_ns
-    return total

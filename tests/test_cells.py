@@ -14,13 +14,10 @@ from scanforge.cells import (
     GateType,
     Mode,
     ModeTiming,
-    ScalingFactors,
     Stage,
-    builtin_params,
     comparison_table,
     load_library,
     resolve_library,
-    scale_params,
 )
 from scanforge.cli import main
 
@@ -40,6 +37,8 @@ TABLE = {
     (FFVariant.APPROX, Stage.POST_LAYOUT, Mode.TEST): (0.04, 0.3, 0.34, 0.56),
 }
 
+BUILTIN = CellLibrary.builtin()
+
 AREAS = {FFVariant.MUX: 16, FFVariant.GDI: 12, FFVariant.APPROX: 14}
 
 # rows whose printed t_pd disagrees with t_su + t_cq by more than 0.005 ns
@@ -54,7 +53,7 @@ INCONSISTENT = {
 @pytest.mark.parametrize("key", sorted(TABLE, key=str))
 def test_builtin_rows_match_published_tables(key):
     variant, stage, mode = key
-    row = builtin_params(variant, stage).mode(mode)
+    row = BUILTIN.ff(variant, stage).mode(mode)
     t_su, t_cq, t_pd, power = TABLE[key]
     assert row.t_su == t_su
     assert row.t_cq == t_cq
@@ -65,20 +64,20 @@ def test_builtin_rows_match_published_tables(key):
 @pytest.mark.parametrize("variant", list(FFVariant))
 @pytest.mark.parametrize("stage", list(Stage))
 def test_builtin_areas(variant, stage):
-    assert builtin_params(variant, stage).area == AREAS[variant]
+    assert BUILTIN.ff(variant, stage).area == AREAS[variant]
 
 
 @pytest.mark.parametrize("key", sorted(TABLE, key=str))
 def test_consistency_flag(key):
     variant, stage, mode = key
-    row = builtin_params(variant, stage).mode(mode)
+    row = BUILTIN.ff(variant, stage).mode(mode)
     assert row.inconsistent == (key in INCONSISTENT)
     assert row.t_pd_sum == pytest.approx(row.t_su + row.t_cq)
 
 
 def test_energy_per_cycle_is_power_at_reference_frequency():
     # 1 uW average at 1 GHz is exactly 1 fJ per cycle
-    params = builtin_params(FFVariant.MUX, Stage.POST_LAYOUT)
+    params = BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT)
     assert params.energy_per_cycle_fj(Mode.TEST) == pytest.approx(3.81)
     assert params.energy_per_cycle_fj(Mode.FUNCTIONAL) == pytest.approx(3.62)
 
@@ -90,54 +89,30 @@ def test_mode_timing_validation():
         ModeTiming(t_su=0.1, t_cq=0.0, t_pd=0.1, avg_power_uw=1.0)
     with pytest.raises(CellConfigError):
         ModeTiming(t_su=0.1, t_cq=0.1, t_pd=0.2, avg_power_uw=0.0)
+    with pytest.raises(CellConfigError, match="t_pd must be a finite number >= 0"):
+        ModeTiming(t_su=0.1, t_cq=0.1, t_pd=-0.1, avg_power_uw=1.0)
+    # a zero printed delay is in range, as a zero setup time is
+    assert ModeTiming(t_su=0.0, t_cq=0.1, t_pd=0.0, avg_power_uw=1.0).t_pd == 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_every_check_rejects_non_finite_values(value):
-    row = builtin_params(FFVariant.MUX, Stage.POST_LAYOUT).test
+    row = BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT).test
     for key in ("t_su", "t_cq", "t_pd", "avg_power_uw"):
         with pytest.raises(CellConfigError, match=key):
             replace(row, **{key: value})
     with pytest.raises(CellConfigError, match="area"):
-        replace(builtin_params(FFVariant.MUX, Stage.POST_LAYOUT), area=value)
+        replace(BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT), area=value)
     with pytest.raises(CellConfigError, match="delay_ns"):
         GateParams(value, 0.5)
     with pytest.raises(CellConfigError, match="energy_per_toggle_fj"):
         GateParams(0.05, value)
-    with pytest.raises(CellConfigError, match="power_factor"):
-        ScalingFactors(power_factor=value)
 
 
 @pytest.mark.parametrize("area", [0, -1])
 def test_area_must_be_positive(area):
     with pytest.raises(CellConfigError, match="area"):
-        replace(builtin_params(FFVariant.GDI, Stage.PRE_LAYOUT), area=area)
-
-
-def test_scale_params_identity_and_round_trip():
-    params = builtin_params(FFVariant.GDI, Stage.POST_LAYOUT)
-    ident = scale_params(params, ScalingFactors(1.0, 1.0, 1.0))
-    assert ident == params
-
-    factors = ScalingFactors(delay_factor=1.7, power_factor=0.4, area_factor=2.0)
-    back = scale_params(scale_params(params, factors), factors.inverse())
-    for mode in Mode:
-        row, ref = back.mode(mode), params.mode(mode)
-        assert row.t_su == pytest.approx(ref.t_su, rel=1e-12)
-        assert row.t_cq == pytest.approx(ref.t_cq, rel=1e-12)
-        assert row.t_pd == pytest.approx(ref.t_pd, rel=1e-12)
-        assert row.avg_power_uw == pytest.approx(ref.avg_power_uw, rel=1e-12)
-    assert back.area == pytest.approx(params.area, rel=1e-12)
-
-
-def test_scale_params_divides_by_factors():
-    params = builtin_params(FFVariant.MUX, Stage.PRE_LAYOUT)
-    scaled = scale_params(params, ScalingFactors(2.0, 4.0, 8.0))
-    assert scaled.functional.t_su == pytest.approx(params.functional.t_su / 2.0)
-    assert scaled.functional.avg_power_uw == pytest.approx(
-        params.functional.avg_power_uw / 4.0
-    )
-    assert scaled.area == pytest.approx(params.area / 8.0)
+        replace(BUILTIN.ff(FFVariant.GDI, Stage.PRE_LAYOUT), area=area)
 
 
 def test_comparison_table_rows():
@@ -263,6 +238,19 @@ def test_finite_values_whose_path_delay_overflows_name_the_section(tmp_path, cha
         _load(tmp_path, text)
     assert str(exc.value) == message
     code = main(["sta", str(chain10_path), "--cells", str(tmp_path / "case.cellcfg")])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err) == {"error": {"code": "cells.config", "message": message}}
+
+
+def test_a_negative_path_delay_names_the_section(tmp_path, chain10_path, capsys):
+    text = "[ff.approx.post_layout.functional]\nt_pd = -2\n"
+    message = "[ff.approx.post_layout.functional] t_pd must be a finite number >= 0, got -2.0"
+    with pytest.raises(CellConfigError) as exc:
+        _load(tmp_path, text)
+    assert str(exc.value) == message
+    argv = ["sta", str(chain10_path), "--variant", "approx", "--cells", str(tmp_path / "case.cellcfg")]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert json.loads(captured.err) == {"error": {"code": "cells.config", "message": message}}

@@ -181,11 +181,19 @@ def test_sta_report(capsys, chain10):
     assert rep["gains_vs_mux"]["time_gain_ns"] == pytest.approx(0.025, abs=0.005)
 
 
+def approx_copy(tmp_path, chain10):
+    """chain10 with every scan cell an APPROX cell."""
+    text = Path(chain10).read_text(encoding="utf-8").replace(" MUX ", " APPROX ")
+    return netlist_file(tmp_path, text, "chain10_approx.snl")
+
+
 def test_power_from_patterns_and_from_functional(capsys, chain10, chain10_patterns, tmp_path):
-    doc = run_json(capsys, "power", chain10, chain10_patterns, "--variant", "approx")
+    approx = approx_copy(tmp_path, chain10)
+    doc = run_json(capsys, "power", approx, chain10_patterns, "--variant", "approx")
     jsonschema.validate(doc, load_schema("power"))
     rep = doc["report"]["power"]
     assert rep["mode"] == "test"
+    assert rep["contention_cycles"] == 650
     # trace-level gain: shared combinational energy dilutes the FF-only figure
     mux = run_json(capsys, "power", chain10, chain10_patterns)["report"]["power"]
     assert mux["gains_vs_mux_pct"] == 0.0
@@ -198,6 +206,23 @@ def test_power_from_patterns_and_from_functional(capsys, chain10, chain10_patter
     rep = doc["report"]["power"]
     assert rep["mode"] == "functional"
     assert rep["cycles"] == 12
+
+
+def test_power_with_patterns_prices_the_chains_own_variant(
+    capsys, chain10, chain10_patterns, tmp_path
+):
+    # contention comes from the chain's cells, so a different variant is refused
+    code, out, err = run_cli(capsys, "power", chain10, chain10_patterns, "--variant", "approx")
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": {"code": "cli.command", "message": "chain uses the mux flip-flop, not approx"}
+    }
+    approx = approx_copy(tmp_path, chain10)
+    rep = run_json(capsys, "power", approx, chain10_patterns)["report"]["power"]
+    assert rep["variant"] == "approx" and rep["contention_cycles"] == 650
+    # without patterns nothing is simulated as a chain, and mux stays the default
+    rep = run_json(capsys, "power", approx, "--cycles", "4")["report"]["power"]
+    assert rep["variant"] == "mux"
 
 
 def test_switchsim_bundled_equivalence(capsys):

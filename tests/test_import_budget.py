@@ -3,11 +3,13 @@
 Each case calls ``scanforge.cli.main`` in a fresh interpreter and compares
 the ``scanforge.*`` modules then in ``sys.modules`` with the set that
 subcommand needs; ``import scanforge`` alone loads no submodule. The lazy
-package attributes must still list and resolve every public name.
+package attributes must still list and resolve every public name, and every
+public name must have a reader outside the tests.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -98,3 +100,55 @@ def test_star_import_and_unknown_names():
         scanforge.no_such_name
     with pytest.raises(ImportError):
         exec("from scanforge import no_such_name", {})
+
+
+# Public names kept without a reader outside the tests, each with its reason.
+KEEP = {
+    "weighted_transition_count": "the reference of ACCEPTANCE's shift-power check",
+}
+
+
+def _reads(tree: ast.AST, name: str) -> int:
+    """Loads, attribute reads and imports of ``name`` in one module.
+
+    Annotations do not count, nor does anything inside the definition of
+    ``name`` itself, so a name read only by its own body or in another
+    signature has no reader.
+    """
+    count = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == name:
+                continue
+        if isinstance(node, ast.Name):
+            count += node.id == name and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.Attribute):
+            count += node.attr == name and isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.alias):
+            count += node.name == name
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            children = value if isinstance(value, list) else [value]
+            stack.extend(c for c in children if isinstance(c, ast.AST))
+    return count
+
+
+def _reader_sources() -> list[Path]:
+    """The package's modules but ``__init__``, the demos, and the benchmark."""
+    root = Path(__file__).resolve().parent.parent
+    package = [p for p in (SRC / "scanforge").glob("*.py") if p.name != "__init__.py"]
+    scripts = [*(root / "demos").rglob("*.py"), *(root / "bench").rglob("*.py")]
+    return package + [p for p in scripts if "tests" not in p.relative_to(root).parts]
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in _reader_sources()]
+    unread = sorted(
+        name for name in scanforge._HOME
+        if name not in KEEP and not any(_reads(tree, name) for tree in trees)
+    )
+    assert unread == []
+    assert set(KEEP) <= set(scanforge._HOME)

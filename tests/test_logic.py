@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from scanforge.logic import X, bit_char, bit_from_char, is_known, toggled
+from scanforge.logic import X, bit_char, is_known, toggled
 
 from oracles import naive_gate
 
@@ -56,10 +56,6 @@ def test_is_known():
 def test_bit_chars_round_trip():
     for b, c in ((0, "0"), (1, "1"), (X, "x")):
         assert bit_char(b) == c
-        assert bit_from_char(c) == b
-    assert bit_from_char("X") is X
-    with pytest.raises(ValueError):
-        bit_from_char("z")
 
 
 def test_toggled_requires_two_known_values():

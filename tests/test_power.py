@@ -8,6 +8,7 @@ simulation-based oracles, and the printed gain figures against the library.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,10 +16,8 @@ from scanforge.cells import (
     CellLibrary,
     FFVariant,
     Mode,
-    ScalingFactors,
     Stage,
     resolve_library,
-    scale_params,
 )
 from scanforge.netlist import load_netlist, parse_netlist, parse_patterns
 from scanforge.power import (
@@ -74,7 +73,6 @@ def test_functional_run_with_se_high_bills_the_test_rate(chain10_path):
     n = load_netlist(str(chain10_path))
     shifting = sim_functional(n, [{"A": 0, "SI": 1, "SE": 1}], cycles=20)
     assert shifting.se == [1] * 20
-    assert shifting.si == shifting.so == [None] * 20
     rep = estimate_power(shifting, FFVariant.MUX, POST, t_clk_ns=1.0)
     assert rep.mode is Mode.TEST
     assert rep.ff_internal_energy_fj == pytest.approx(10 * 20 * 3.81, abs=1e-9)
@@ -214,9 +212,12 @@ endmodule
 def test_scaling_divides_ff_energy_exactly(chain10_path):
     n = load_netlist(str(chain10_path))
     trace, _ = run_scan_test(n, parse_patterns("1010101010\n", 10))
+    def quarter(row):
+        return replace(row, avg_power_uw=row.avg_power_uw / 4.0)
+
     scaled_lib = CellLibrary(
         ffs={
-            key: scale_params(params, ScalingFactors(power_factor=4.0))
+            key: replace(params, functional=quarter(params.functional), test=quarter(params.test))
             for key, params in LIB.ffs.items()
         },
         gates=LIB.gates,

@@ -158,12 +158,12 @@ def test_trace_structure_on_the_ten_ff_fixture(chain10_path, chain10_patterns_pa
         "capture": 1,
         "shift_out": 10,
     }
-    recs = trace.records
-    assert recs[9].phase == Phase.LAUNCH
-    assert all(r.se == 1 for r in recs[:10])
-    assert recs[10].phase == Phase.CAPTURE
-    assert recs[10].se == 0 and recs[10].si == 0
-    assert [r.si for r in recs[:10]] == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
+    si = trace.bit_string("SI")
+    assert trace.phases[9] == Phase.LAUNCH
+    assert all(se == 1 for se in trace.se[:10])
+    assert trace.phases[10] == Phase.CAPTURE
+    assert trace.se[10] == 0 and si[10] == "0"
+    assert si[:10] == "1010101010"
     assert len(responses) == 1 and len(responses[0]) == 10
 
 
@@ -184,10 +184,10 @@ def test_net_toggles_match_record_hamming_distance(chain10_path):
     patterns = parse_patterns("1010101010\n0110011001\n", 10)
     trace, _ = run_scan_test(n, patterns)
     recount: dict[str, int] = {}
-    for prev, now in zip(trace.records, trace.records[1:]):
-        for net, bit in now.values.items():
-            old = prev.values[net]
-            if old is not X and bit is not X and old != bit:
+    for net in trace.nets:
+        bits = trace.bit_string(net)
+        for old, bit in zip(bits, bits[1:]):
+            if "x" not in (old, bit) and old != bit:
                 recount[net] = recount.get(net, 0) + 1
     assert recount == {k: v for k, v in trace.net_toggles.items() if v}
     assert trace.total_net_toggles == sum(recount.values())
@@ -217,7 +217,7 @@ def test_functional_toggle_flop():
     text = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
     n = parse_netlist(text)
     trace = sim_functional(n, [{"EN": 0}], cycles=8, init={"f1": 0})
-    assert trace.output_waveform("Q") == [1, 0, 1, 0, 1, 0, 1, 0]
+    assert trace.bit_string("Q") == "10101010"
     assert trace.ff_internal_toggles["f1"] == 16
     assert trace.phase_counts == {"functional": 8}
 

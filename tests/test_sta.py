@@ -16,7 +16,6 @@ from scanforge.netlist import parse_netlist
 from scanforge.sta import (
     TimingError,
     analyze_timing,
-    path_delay_sum,
     time_gain,
     zero_cloud_netlist,
 )
@@ -24,6 +23,12 @@ from scanforge.sta import (
 from oracles import brute_force_longest, random_netlist
 
 LIB = resolve_library()
+
+
+def path_delay_sum(n, path):
+    """Sum of library gate delays along a critical path; flip-flops add 0."""
+    delays = {g.id: LIB.gate(g.gtype).delay_ns for g in n.gates}
+    return sum(delays.get(iid, 0.0) for iid in path)
 
 THREE_NAND = """
 module chain3
