@@ -23,8 +23,13 @@ compiled form, so repeated runs on one netlist do not sort it again.
 Every trace is built one way: from the lanes of the primary inputs and the
 flip-flop Qs, which fix every other net's end-of-cycle value, one width-T
 pass over all cycles gives the end-of-cycle lanes of every net.
-``CycleSim`` and ``sim_functional`` step every cycle at width 1 and keep
-only those state nets' bits per cycle. ``run_scan_test`` and
+``CycleSim`` steps every cycle at width 1, one walk of the gate program
+each, and keeps only those state nets' bits per cycle; the ``CycleRecord``
+it returns settles the other nets from those bits on its first value read.
+``sim_functional`` steps through the same width-1 step, walking only the
+gates that feed the flops, and stops at the first repeated state row once
+its last input map is held: from there the run is periodic, and each state
+lane repeats its segment to the end. ``run_scan_test`` and
 ``flush_chain`` step at width 1 only where the chain's shift cannot be
 written down: the SE=0 capture cycles, or every cycle when some flop is not
 on the SI -> Q chain. On every SE=1 cycle each chain flop loads SI, so the
@@ -161,24 +166,40 @@ def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> str:
 
 
 class _CycleValues(Mapping[str, Bit]):
-    """Read-only end-of-cycle net values of one cycle."""
+    """Read-only end-of-cycle net values of one cycle.
 
-    __slots__ = ("_index", "_v", "_k")
+    It keeps only the cycle's state row (the primary inputs and the flop Qs)
+    and settles the gate program from it on the first value read; ``len``
+    and iteration need no values and settle nothing.
+    """
 
-    def __init__(self, index: dict[str, int], v: bytes, k: bytes):
-        self._index = index
-        self._v = v
-        self._k = k
+    __slots__ = ("_cn", "_state_ids", "_row_v", "_row_k", "_settled")
+
+    def __init__(self, cn: CompiledNetlist, state_ids: Sequence[int], row_v: bytes, row_k: bytes):
+        self._cn = cn
+        self._state_ids = state_ids
+        self._row_v = row_v
+        self._row_k = row_k
+        self._settled: Optional[tuple[list[int], list[int]]] = None
 
     def __getitem__(self, net: str) -> Bit:
-        i = self._index[net]
-        return self._v[i] if self._k[i] else X
+        i = self._cn.index[net]
+        if self._settled is None:
+            v = [0] * len(self._cn.nets)
+            k = [0] * len(self._cn.nets)
+            for j, a, b in zip(self._state_ids, self._row_v, self._row_k):
+                v[j] = a
+                k[j] = b
+            evaluate(self._cn.program, v, k)
+            self._settled = v, k
+        v, k = self._settled
+        return v[i] if k[i] else X
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._index)
+        return iter(self._cn.index)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._cn.index)
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -189,7 +210,7 @@ class CycleRecord:
     index: int
     phase: Phase
     se: Bit
-    values: Mapping[str, Bit]  # end-of-cycle net values
+    values: Mapping[str, Bit]  # end-of-cycle net values, settled on first read
 
 
 @dataclass
@@ -296,10 +317,8 @@ def _lane_trace(
     trace.warnings = [
         f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x
     ]
-    phase_counts: dict[str, int] = {}
-    for phase in phases:
-        phase_counts[phase.value] = phase_counts.get(phase.value, 0) + 1
-    trace.phase_counts = phase_counts
+    firsts = sorted((phases.index(p), p) for p in Phase if p in phases)
+    trace.phase_counts = {p.value: phases.count(p) for _, p in firsts}
     return trace
 
 
@@ -346,32 +365,49 @@ class CycleSim:
 
         The map may be partial: an input left out keeps the value it was last
         given, and one never given is X. ``phase`` is a Phase or its value.
+        The record's values are settled on their first read.
         """
         try:
             phase = Phase(phase)
         except ValueError:
             raise ProtocolError(f"{phase!r} is not a phase") from None
+        row_v, row_k = self._step(pi_values, phase, self.compiled.program)
+        values = _CycleValues(self.compiled, self._state_ids, row_v, row_k)
+        return CycleRecord(len(self._phases) - 1, phase, self._se[-1], values)
+
+    def _step(
+        self,
+        pi_values: Mapping[str, Bit],
+        phase: Phase,
+        program: Sequence[tuple[int, int, int, int]],
+    ) -> tuple[bytes, bytes]:
+        """One width-1 cycle: apply inputs, settle ``program``, clock the flops.
+
+        ``program`` must cover the fan-in of every flop input and of the
+        enable; the nets outside it are left stale. Keeps and returns the
+        cycle's state row.
+        """
         cn, v, k = self.compiled, self._v, self._k
         for net, bit in pi_values.items():
             i = cn.inputs.get(net)
             if i is None:
                 raise ProtocolError(f"{net!r} is not a primary input")
             v[i], k[i] = _rail(bit, net)
-        evaluate(cn.program, v, k)
+        evaluate(program, v, k)
         s = cn.enable
         se = X if s < 0 or not k[s] else v[s]
         qv, qk = _latch(cn, v, k)
         for q, a, b in zip(cn.ff_q, qv, qk):
             v[q] = a
             k[q] = b
-        evaluate(cn.program, v, k)
 
-        self._state_v += bytes(map(v.__getitem__, self._state_ids))
-        self._state_k += bytes(map(k.__getitem__, self._state_ids))
-        index = len(self._phases)
+        row_v = bytes(map(v.__getitem__, self._state_ids))
+        row_k = bytes(map(k.__getitem__, self._state_ids))
+        self._state_v += row_v
+        self._state_k += row_k
         self._phases.append(phase)
         self._se.append(se)
-        return CycleRecord(index, phase, se, _CycleValues(cn.index, bytes(v), bytes(k)))
+        return row_v, row_k
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
         """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.
@@ -388,15 +424,42 @@ class CycleSim:
 
     def finish(self) -> ProtocolTrace:
         """The trace of every cycle so far."""
+        return self._trace(len(self._phases), len(self._phases))
+
+    def _trace(self, start: int, cycles: int) -> ProtocolTrace:
+        """The trace of the cycles so far, those from ``start`` on repeated to ``cycles``."""
         state = self._state_ids
+        stepped = len(self._phases)
+        extra = cycles - stepped
+        phases, se = list(self._phases), list(self._se)
+        if extra:
+            period = stepped - start
+            copies = -(-extra // period)
+            ones = ((1 << copies * period) - 1) // ((1 << period) - 1)  # bit i * period set
+            tail = (1 << extra) - 1
+            phases += (phases[start:] * copies)[:extra]
+            se += (se[start:] * copies)[:extra]
         v = [0] * len(self.compiled.nets)
         k = [0] * len(self.compiled.nets)
         for j, i in enumerate(state):
-            v[i] = _bits_to_lane(self._state_v[j::len(state)])
-            k[i] = _bits_to_lane(self._state_k[j::len(state)])
-        return _lane_trace(
-            self.netlist, v, k, list(self._phases), list(self._se), self._init, self.warmup_cycles
-        )
+            for lanes, rows in ((v, self._state_v), (k, self._state_k)):
+                lane = _bits_to_lane(rows[j::len(state)])
+                if extra:
+                    lane |= ((lane >> start) * ones & tail) << stepped
+                lanes[i] = lane
+        return _lane_trace(self.netlist, v, k, phases, se, self._init, self.warmup_cycles)
+
+
+def _cone(cn: CompiledNetlist) -> list[tuple[int, int, int, int]]:
+    """The program steps that feed some flop's DI, SI or SE, or the enable."""
+    need = {*cn.ff_di, *cn.ff_si, *cn.ff_se, cn.enable}
+    steps = []
+    for step in reversed(cn.program):
+        if step[1] in need:
+            steps.append(step)
+            need.add(step[2])
+            need.add(step[3])
+    return steps[::-1]
 
 
 def sim_functional(
@@ -410,6 +473,13 @@ def sim_functional(
 
     Scan-inserted netlists are fine here as long as the stimulus pins SE to 0.
     init seeds flip-flop state by instance id; unlisted FFs start at X.
+
+    Each cycle walks only the gates that feed the flops, one width-1 step.
+    Once the last map is applied the inputs no longer change, so each
+    end-of-cycle state row (inputs and Qs) fixes the next: at the first row
+    seen twice the run has become periodic, and each state lane repeats its
+    last period to the end. The trace is built as ``CycleSim.finish`` builds
+    it.
     """
     if cycles is None:
         cycles = len(stimulus)
@@ -418,9 +488,15 @@ def sim_functional(
     if not stimulus:
         raise ProtocolError("stimulus must supply at least one input map")
     sim = CycleSim(n, warmup_cycles, init)
-    for i in range(cycles):
-        pi = stimulus[i] if i < len(stimulus) else stimulus[-1]
-        sim.cycle(pi, Phase.FUNCTIONAL)
+    program = _cone(sim.compiled)
+    held = len(stimulus) - 1  # the cycle that applies the last map
+    seen: dict[bytes, int] = {}
+    for t in range(cycles):
+        row_v, row_k = sim._step(stimulus[t] if t <= held else {}, Phase.FUNCTIONAL, program)
+        if t >= held:
+            first = seen.setdefault(row_v + row_k, t)
+            if first < t:
+                return sim._trace(first + 1, cycles)
     return sim.finish()
 
 

@@ -7,6 +7,12 @@ counts toggles, contention and warnings its own way, so every figure the
 engine reports is checked here against an independent run: responses,
 per-cycle values, toggle counts in their first-toggle order, internal
 toggles, contention, phase counts and warnings.
+
+``sim_functional`` stops stepping at the first repeated state and repeats
+the periodic segment; it is checked the same way over whole runs, and the
+number of walks of the gate program is pinned for functional runs, single
+``CycleSim.cycle`` calls (whose records settle on first read) and scan
+tests.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import pytest
 from scanforge.cells import FFVariant, GateType
 from scanforge.logic import X, bit_char
 from scanforge.netlist import Dff, Gate, Netlist, ScanFF, parse_netlist, parse_patterns
+from scanforge import protocol
 from scanforge.protocol import (
     CycleSim,
     Phase,
@@ -190,3 +197,219 @@ def test_cyclesim_appends_after_finish():
     assert trace.bit_string("Q") == "10101"
     assert trace.net_toggles == {"D": 4, "Q": 4}
     assert trace.ff_internal_toggles == {"f1": 10}
+
+
+# -- functional runs -------------------------------------------------------------
+
+
+def counter_text(bits: int, extra_inputs: str = "") -> str:
+    """A ripple counter that adds EN each cycle: period 2**bits with EN at 1."""
+    lines = [f"module count{bits}", f"input EN {extra_inputs}".rstrip(), "output Q0"]
+    carry = "EN"
+    for b in range(bits):
+        lines.append(f"gate x{b} XOR2 D{b} Q{b} {carry}")
+        lines.append(f"gate c{b} AND2 C{b} Q{b} {carry}")
+        lines.append(f"dff f{b} Q{b} D{b}")
+        carry = f"C{b}"
+    return "\n".join(lines + ["endmodule"]) + "\n"
+
+
+def approx_ring_text(gated: bool = False) -> str:
+    """Three approx scan cells whose D inputs invert their own Qs.
+
+    ``gated`` drives SE from EN and a flop, so only the enable reads that gate.
+    """
+    lines = ["module ring", f"input SI {'EN' if gated else 'SE'}", "output Q2"]
+    if gated:
+        lines.append("gate ge XOR2 SE EN Q1")
+    for b in range(3):
+        si = "SI" if b == 0 else f"Q{b - 1}"
+        lines.append(f"gate i{b} INV D{b} Q{b}")
+        lines.append(f"scanff f{b} APPROX Q{b} D{b} {si} SE")
+    return "\n".join(lines + ["endmodule"]) + "\n"
+
+
+def functional_oracle(n: Netlist, stimulus, cycles: int, init=None):
+    """sim_functional spelled out: the oracle runs every cycle, the last map held.
+
+    Returns the run and, per cycle, the shared enable the rising edge saw
+    (X when the scan flops do not share one).
+    """
+    enables = {f.se for f in n.flops if isinstance(f, ScanFF)}
+    enable = enables.pop() if len(enables) == 1 else None
+    run = NaiveRun(n, init)
+    pi = dict.fromkeys(n.inputs, X)  # an input never given is X
+    se = []
+    for t in range(cycles):
+        pi.update(stimulus[min(t, len(stimulus) - 1)])
+        run.cycle(dict(pi), "functional")
+        se.append(run.sim.seen.get(enable) if enable else X)
+    return run, se
+
+
+def first_repeat(run: NaiveRun, n: Netlist, held: int) -> tuple[int, int]:
+    """(t0, period) of the first end-of-cycle state row, from cycle ``held`` on,
+    that an earlier one repeats; (len, 0) when none does."""
+    state = list(n.inputs) + [f.q for f in n.flops]
+    seen: dict = {}
+    for t, rec in enumerate(run.records):
+        if t < held:
+            continue
+        t0 = seen.setdefault(tuple(rec.get(net) for net in state), t)
+        if t0 < t:
+            return t0, t - t0
+    return len(run.records), 0
+
+
+class WalkCounter:
+    """Counts the walks of the gate program made through ``protocol.evaluate``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = protocol.evaluate
+
+        def counting(program, v, k):
+            self.calls += 1
+            real(program, v, k)
+
+        monkeypatch.setattr(protocol, "evaluate", counting)
+
+
+def check_functional(n: Netlist, stimulus, cycles: int, init, walks: WalkCounter) -> None:
+    """sim_functional against the oracle, and its walks of the gate program:
+    one per cycle up to the first repeated state, plus the trace's two."""
+    before = walks.calls
+    trace = sim_functional(n, stimulus, cycles=cycles, init=init)
+    made = walks.calls - before
+    run, se = functional_oracle(n, stimulus, cycles, init)
+    assert_same_run(trace, run)
+    assert trace.se == se
+    t0, period = first_repeat(run, n, len(stimulus) - 1)
+    assert made <= (t0 + period + 1 if period else cycles) + 2
+
+
+FUNCTIONAL_CASES = {
+    "held tail longer than the stimulus": (
+        counter_text(4), [{"EN": 0}, {"EN": 1}, {"EN": 0}, {"EN": 1}], 90, "zero",
+    ),
+    "X init": (counter_text(3), [{"EN": 1}], 30, {"f0": 0}),
+    "X init flushed by the inputs": (
+        "module sr\ninput A\noutput Q2\ndff f0 Q0 A\ndff f1 Q1 Q0\ndff f2 Q2 Q1\nendmodule\n",
+        [{"A": 1}, {"A": 0}], 25, None,
+    ),
+    "partial input maps": (
+        counter_text(3, "B"), [{"B": 0}, {"EN": 1}, {}, {"B": 1}, {"EN": 0}, {"EN": 1}], 40,
+        "zero",
+    ),
+    "cycles < len(stimulus)": (
+        counter_text(3), [{"EN": t % 2} for t in range(10)], 6, "zero",
+    ),
+    "SE held at 1 on an approx chain": (approx_ring_text(), [{"SI": 1, "SE": 1}], 30, "zero"),
+    "X enable": (approx_ring_text(), [{"SI": 1, "SE": X}], 30, "zero"),
+    "enable driven by a flop": (approx_ring_text(gated=True), [{"SI": 1, "EN": 1}], 30, "zero"),
+    "period 1": (counter_text(4), [{"EN": 0}], 50, "zero"),
+    "4-bit counter": (counter_text(4), [{"EN": 1}], 100, "zero"),
+    "no repeat within T": (counter_text(8), [{"EN": 1}], 100, "zero"),
+    "no flops": (
+        "module c\ninput A B\noutput Y\ngate g0 AND2 N A B\ngate g1 INV Y N\nendmodule\n",
+        [{"A": 1, "B": 1}, {"A": 0}, {"B": X}], 12, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FUNCTIONAL_CASES))
+def test_functional_run_matches_the_oracle(case, monkeypatch):
+    text, stimulus, cycles, init = FUNCTIONAL_CASES[case]
+    n = parse_netlist(text)
+    if init == "zero":
+        init = {f.id: 0 for f in n.flops}
+    check_functional(n, stimulus, cycles, init, WalkCounter(monkeypatch))
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_random_functional_runs_match_the_oracle(seed, monkeypatch):
+    # Partial maps, X inputs and X init, tails longer and shorter than the
+    # stimulus, scan designs with SE changing or held.
+    rng = random.Random(70_000 + seed)
+    n = random_netlist(rng, max_gates=10, max_ffs=5, scan=seed % 3 == 0)
+    if seed % 6 == 0:
+        n = approx_chain(n)
+    init = {f.id: rng.choice((0, 1, X)) for f in n.flops if rng.random() < 0.7}
+    stimulus = [
+        {net: X if rng.random() < 0.1 else rng.randint(0, 1)
+         for net in n.inputs if t == 0 or rng.random() < 0.5}
+        for t in range(rng.randint(1, 6))
+    ]
+    cycles = rng.randint(1, 40)
+    check_functional(n, stimulus, cycles, init, WalkCounter(monkeypatch))
+
+
+# -- walks of the gate program -----------------------------------------------------
+
+
+def test_functional_run_stops_stepping_at_the_first_repeat(monkeypatch):
+    # 4-bit counter: the state after cycle 16 repeats cycle 0's, so 17 width-1
+    # steps and the trace's 2 width-T passes, whatever the run length.
+    n = parse_netlist(counter_text(4))
+    walks = WalkCounter(monkeypatch)
+    for cycles in (100, 10_000):
+        before = walks.calls
+        trace = sim_functional(n, [{"EN": 1}], cycles=cycles, init={f.id: 0 for f in n.flops})
+        assert walks.calls - before == 17 + 2
+        assert trace.cycles == cycles
+        assert trace.net_toggles["Q0"] == cycles - 1
+
+
+def test_cycle_walks_once_unless_its_values_are_read(monkeypatch):
+    n = parse_netlist(counter_text(3))
+    walks = WalkCounter(monkeypatch)
+    sim = CycleSim(n, init={f.id: 0 for f in n.flops})
+    rec = sim.cycle({"EN": 1}, Phase.FUNCTIONAL)
+    assert walks.calls == 1
+    assert len(rec.values) == len(n.nets())
+    assert set(rec.values) == n.nets()
+    assert walks.calls == 1
+    assert (rec.values["Q0"], rec.values["D0"], rec.values["C0"]) == (1, 0, 1)
+    assert walks.calls == 2
+    assert rec.values["D1"] == 1 and dict(rec.values) == dict(rec.values)
+    assert walks.calls == 2
+
+
+def test_scan_test_walks_once_per_capture(monkeypatch):
+    rng = random.Random(5)
+    n = random_netlist(rng, max_gates=10, max_ffs=5, min_ffs=3, scan=True)
+    length = len(verify_chain(n).order)
+    vectors = [random_bits(rng, length) for _ in range(4)]
+    for pipelined in (False, True):
+        walks = WalkCounter(monkeypatch)
+        run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length), pipelined=pipelined)
+        assert walks.calls == len(vectors) + 2
+
+
+# -- records settled on first read ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_records_read_late_equal_the_eager_values(seed):
+    # A record keeps its own state bits: cycles after it, and a chain load
+    # through _shift, do not change what it reads.
+    rng = random.Random(40_000 + seed)
+    n = random_netlist(rng, max_gates=10, max_ffs=4, min_ffs=1, scan=True)
+    chain = protocol._shift_chain(n.compiled, verify_chain(n))
+    stimulus = [
+        {net: X if rng.random() < 0.1 else rng.randint(0, 1) for net in n.inputs}
+        for _ in range(12)
+    ]
+    eager_sim, late_sim = CycleSim(n), CycleSim(n)
+    oracle = NaiveRun(n)
+    eager, late = [], []
+    for pi in stimulus:
+        eager.append(dict(eager_sim.cycle(pi, Phase.FUNCTIONAL).values))
+        late.append(late_sim.cycle(pi, Phase.FUNCTIONAL))
+        oracle.cycle(pi, "functional")
+    late_sim._shift(chain, [1] * len(stimulus), len(stimulus) - 1, len(chain))
+    late_sim.cycle(stimulus[0], Phase.FUNCTIONAL)
+    first = [dict(rec.values) for rec in late]
+    assert first == eager == oracle.records
+    assert [dict(rec.values) for rec in late] == first
+    assert [rec.se for rec in late] == late_sim.finish().se[: len(stimulus)]
