@@ -191,6 +191,11 @@ class CompiledNetlist:
     ``b == a`` for one-input gates. Flop arrays follow ``Netlist.flops``;
     ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop. ``enable`` is
     the enable net every scan flop shares, or -1 if they do not share one.
+
+    It also keeps what its users derive once and then reuse: ``flop_cone``,
+    the program steps that cycle simulation walks, and ``walks``, the most
+    recent longest-path walk of ``sta`` (one entry, keyed by its input
+    arrival and gate-delay table, so memory stays O(nets)).
     """
 
     def __init__(self, n: Netlist):
@@ -214,6 +219,28 @@ class CompiledNetlist:
         self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
         enables = {se for se in self.ff_se if se >= 0}
         self.enable = enables.pop() if len(enables) == 1 else -1
+        self.walks: dict[str, tuple[list[float], list[int], list[int]]] = {}
+        self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
+
+    @property
+    def flop_cone(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The program steps that feed some flop's DI, SI or SE, or the enable.
+
+        Found on first use. It is kept in an attribute set in ``__init__``,
+        not by ``cached_property``: on CPython 3.11 writing through
+        ``__dict__`` slows every later attribute read of the object, and
+        the simulator reads these arrays in its loops.
+        """
+        if self._flop_cone is None:
+            need = {*self.ff_di, *self.ff_si, *self.ff_se, self.enable}
+            steps = []
+            for step in reversed(self.program):
+                if step[1] in need:
+                    steps.append(step)
+                    need.add(step[2])
+                    need.add(step[3])
+            self._flop_cone = tuple(steps[::-1])
+        return self._flop_cone
 
 
 def _topo_gates(n: Netlist) -> tuple[Gate, ...]:

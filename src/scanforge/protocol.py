@@ -23,13 +23,13 @@ compiled form, so repeated runs on one netlist do not sort it again.
 Every trace is built one way: from the lanes of the primary inputs and the
 flip-flop Qs, which fix every other net's end-of-cycle value, one width-T
 pass over all cycles gives the end-of-cycle lanes of every net.
-``CycleSim`` steps every cycle at width 1, one walk of the gate program
-each, and keeps only those state nets' bits per cycle; the ``CycleRecord``
-it returns settles the other nets from those bits on its first value read.
-``sim_functional`` steps through the same width-1 step, walking only the
-gates that feed the flops, and stops at the first repeated state row once
-its last input map is held: from there the run is periodic, and each state
-lane repeats its segment to the end. ``run_scan_test`` and
+``CycleSim`` steps every cycle at width 1, one walk each of the gates that
+feed the flops (``CompiledNetlist.flop_cone``), and keeps only those state
+nets' bits per cycle; the ``CycleRecord`` it returns settles the whole gate
+program from those bits on its first value read. ``sim_functional`` steps
+through the same width-1 step and stops at the first repeated state row
+once its last input map is held: from there the run is periodic, and each
+state lane repeats its segment to the end. ``run_scan_test`` and
 ``flush_chain`` step at width 1 only where the chain's shift cannot be
 written down: the SE=0 capture cycles, or every cycle when some flop is not
 on the SI -> Q chain. On every SE=1 cycle each chain flop loads SI, so the
@@ -371,21 +371,15 @@ class CycleSim:
             phase = Phase(phase)
         except ValueError:
             raise ProtocolError(f"{phase!r} is not a phase") from None
-        row_v, row_k = self._step(pi_values, phase, self.compiled.program)
+        row_v, row_k = self._step(pi_values, phase)
         values = _CycleValues(self.compiled, self._state_ids, row_v, row_k)
         return CycleRecord(len(self._phases) - 1, phase, self._se[-1], values)
 
-    def _step(
-        self,
-        pi_values: Mapping[str, Bit],
-        phase: Phase,
-        program: Sequence[tuple[int, int, int, int]],
-    ) -> tuple[bytes, bytes]:
-        """One width-1 cycle: apply inputs, settle ``program``, clock the flops.
+    def _step(self, pi_values: Mapping[str, Bit], phase: Phase) -> tuple[bytes, bytes]:
+        """One width-1 cycle: apply inputs, settle the flops' cone, clock the flops.
 
-        ``program`` must cover the fan-in of every flop input and of the
-        enable; the nets outside it are left stale. Keeps and returns the
-        cycle's state row.
+        Only ``CompiledNetlist.flop_cone`` is walked; the nets outside it
+        are left stale. Keeps and returns the cycle's state row.
         """
         cn, v, k = self.compiled, self._v, self._k
         for net, bit in pi_values.items():
@@ -393,7 +387,7 @@ class CycleSim:
             if i is None:
                 raise ProtocolError(f"{net!r} is not a primary input")
             v[i], k[i] = _rail(bit, net)
-        evaluate(program, v, k)
+        evaluate(cn.flop_cone, v, k)
         s = cn.enable
         se = X if s < 0 or not k[s] else v[s]
         qv, qk = _latch(cn, v, k)
@@ -450,18 +444,6 @@ class CycleSim:
         return _lane_trace(self.netlist, v, k, phases, se, self._init, self.warmup_cycles)
 
 
-def _cone(cn: CompiledNetlist) -> list[tuple[int, int, int, int]]:
-    """The program steps that feed some flop's DI, SI or SE, or the enable."""
-    need = {*cn.ff_di, *cn.ff_si, *cn.ff_se, cn.enable}
-    steps = []
-    for step in reversed(cn.program):
-        if step[1] in need:
-            steps.append(step)
-            need.add(step[2])
-            need.add(step[3])
-    return steps[::-1]
-
-
 def sim_functional(
     n: Netlist,
     stimulus: Sequence[Mapping[str, Bit]],
@@ -488,11 +470,10 @@ def sim_functional(
     if not stimulus:
         raise ProtocolError("stimulus must supply at least one input map")
     sim = CycleSim(n, warmup_cycles, init)
-    program = _cone(sim.compiled)
     held = len(stimulus) - 1  # the cycle that applies the last map
     seen: dict[bytes, int] = {}
     for t in range(cycles):
-        row_v, row_k = sim._step(stimulus[t] if t <= held else {}, Phase.FUNCTIONAL, program)
+        row_v, row_k = sim._step(stimulus[t] if t <= held else {}, Phase.FUNCTIONAL)
         if t >= held:
             first = seen.setdefault(row_v + row_k, t)
             if first < t:

@@ -5,10 +5,14 @@ largest sum of gate delays over any register-to-register, input-to-register,
 register-to-output, or input-to-output path. Scan shifting adds direct Q->SI
 hops, so test mode admits zero-gate register-to-register paths.
 
-The longest path is found in one walk over the gate program of
-``Netlist.compiled``, the topological order and net ids the simulator also
-uses, so repeated analyses of one netlist neither sort it nor key anything
-by net name again.
+The longest path is the classic single pass in topological order
+(Hitchcock, DAC 1982) over the gate program of ``Netlist.compiled``, the
+order and net ids the simulator also uses. The pass depends only on the
+gate delays and the input arrival, not on the variant, stage or mode, so
+``CompiledNetlist.walks`` keeps the latest one: every report asked of one
+netlist with one delay table and arrival shares a single walk. Each call
+then only picks its mode's endpoints (SI pins in test mode), adds the
+output required time at the outputs and traces the path back.
 
 Per-variant flip-flop path delay is tracked two ways: t_pd_ns is the library
 row's published figure and t_pd_sum_ns is t_su + t_cq recomputed from the
@@ -18,10 +22,11 @@ reports so a discrepancy between them is visible rather than silent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional, Sequence
 
-from .cells import CellLibrary, FFVariant, GateType, Mode, Stage, resolve_library
+from .cells import CellLibrary, FFVariant, Mode, Stage, resolve_library
 from .errors import ScanforgeError
 from .netlist import CompiledNetlist, Netlist, ScanFF
 
@@ -46,63 +51,75 @@ class TimingReport:
     critical_path: tuple[str, ...]  # instance ids, launch/capture FFs included
 
 
-def _longest_paths(
-    cn: CompiledNetlist,
-    mode: Mode,
-    input_arrival_ns: float,
-    output_required_ns: float,
-    gate_delay: Mapping[GateType, float],
-) -> tuple[float, tuple[str, ...]]:
-    """Longest gate-delay sum over the four path classes, with its path.
+_UNREACHED = float("-inf")
 
-    Ties go to the earliest candidate: a gate's first input, then the first
-    endpoint in flop order (DI before SI), then outputs.
+
+def _walk(
+    cn: CompiledNetlist, input_arrival_ns: float, delays: Sequence[float]
+) -> tuple[list[float], list[int], list[int]]:
+    """Latest arrival at every net from any launch point, one pass in program order.
+
+    ``delays`` holds each program step's gate delay. Returns, by net id, the
+    arrival (-inf where no launch point reaches), the input net it came
+    through and the program step that drives it (both -1 at a launch point).
+    Ties go to a gate's first input.
     """
-    # by net id: best delay from any launch point (None: unreached), the
-    # launching flop's id (None for an input), and (gate id, chosen input id)
-    dist: list[Optional[float]] = [None] * len(cn.nets)
-    origin: list[Optional[str]] = [None] * len(cn.nets)
-    pred: list[Optional[tuple[str, int]]] = [None] * len(cn.nets)
-
+    dist = [_UNREACHED] * len(cn.nets)
+    pred = [-1] * len(cn.nets)
+    via = [-1] * len(cn.nets)
     for i in cn.inputs.values():
         dist[i] = input_arrival_ns
-    for q, fid in zip(cn.ff_q, cn.ff_ids):
+    for q in cn.ff_q:
         dist[q] = 0.0
-        origin[q] = fid
-
-    for g, (_, out, a, b) in zip(cn.gates, cn.program):
+    for s, ((_, out, a, b), delay) in enumerate(zip(cn.program, delays)):
         best = dist[a]
-        if dist[b] is not None and (best is None or dist[b] > best):
+        if dist[b] > best:
             best, a = dist[b], b
-        if best is None:
-            continue
-        d = best + gate_delay[g.gtype]
-        if dist[out] is None or d > dist[out]:
+        d = best + delay
+        # skips a gate nothing reaches (-inf + delay is -inf); a net driven
+        # twice, in a netlist built without validation, keeps its latest arrival
+        if d > dist[out]:
             dist[out] = d
-            origin[out] = origin[a]
-            pred[out] = (g.id, a)
+            pred[out] = a
+            via[out] = s
+    return dist, pred, via
 
-    # endpoint candidates: (delay, net id, capturing instance id or None)
-    ends: list[tuple[float, int, Optional[str]]] = []
+
+def _critical_path(
+    cn: CompiledNetlist,
+    walk: tuple[list[float], list[int], list[int]],
+    mode: Mode,
+    output_required_ns: float,
+) -> tuple[float, tuple[str, ...]]:
+    """Latest endpoint of the mode over a walk, with the path that reaches it.
+
+    Endpoints are every flop's DI, its SI too in test mode, and the outputs
+    plus ``output_required_ns``. Ties go to the earliest: flops in order, DI
+    before SI, then outputs.
+    """
+    dist, pred, via = walk
+    t_comb, net, capture_id = _UNREACHED, -1, None
+    test = mode is Mode.TEST
     for fid, di, si in zip(cn.ff_ids, cn.ff_di, cn.ff_si):
-        if dist[di] is not None:
-            ends.append((dist[di], di, fid))
-        if mode is Mode.TEST and si >= 0 and dist[si] is not None:
-            ends.append((dist[si], si, fid))
+        if dist[di] > t_comb:
+            t_comb, net, capture_id = dist[di], di, fid
+        if test and si >= 0 and dist[si] > t_comb:
+            t_comb, net, capture_id = dist[si], si, fid
     for i in cn.outputs:
-        if dist[i] is not None:
-            ends.append((dist[i] + output_required_ns, i, None))
+        d = dist[i] + output_required_ns
+        if d > t_comb:
+            t_comb, net, capture_id = d, i, None
 
-    if not ends:
+    if net < 0:
         return 0.0, ()
-
-    t_comb, net, capture_id = max(ends, key=lambda e: e[0])
     path: list[str] = [] if capture_id is None else [capture_id]
-    while pred[net] is not None:
-        gid, net = pred[net]
-        path.append(gid)
-    if origin[net] is not None:
-        path.append(origin[net])
+    while pred[net] >= 0:
+        path.append(cn.gates[via[net]].id)
+        net = pred[net]
+    # the chain ends at a launch point: an input, or a flop's Q
+    launch_id = dict(zip(cn.ff_q, cn.ff_ids)).get(net)
+    if launch_id is not None:
+        path.append(launch_id)
     path.reverse()
     return t_comb, tuple(path)
 
@@ -121,13 +138,24 @@ def analyze_timing(
     All flip-flops are timed with the requested variant's parameters, which
     keeps cross-variant comparisons on the same netlist apples to apples.
     """
+    for name, value in (
+        ("input_arrival_ns", input_arrival_ns), ("output_required_ns", output_required_ns)
+    ):
+        if not math.isfinite(value):
+            raise TimingError(f"{name} must be a finite number, got {value}")
     lib = resolve_library(library)
     timing = lib.ff(variant, stage).mode(mode)
-    gate_delay = {t: params.delay_ns for t, params in lib.gates.items()}
 
-    t_comb, path = _longest_paths(
-        n.compiled, mode, input_arrival_ns, output_required_ns, gate_delay
-    )
+    cn = n.compiled
+    delay = {t: params.delay_ns for t, params in lib.gates.items()}
+    # repr keys tell 0.0 from -0.0 and 1 from 1.0, which can sum differently
+    key = repr([input_arrival_ns, *[(t.value, d) for t, d in delay.items()]])
+    walk = cn.walks.get(key)
+    if walk is None:
+        walk = _walk(cn, input_arrival_ns, [delay[g.gtype] for g in cn.gates])
+        cn.walks.clear()
+        cn.walks[key] = walk
+    t_comb, path = _critical_path(cn, walk, mode, output_required_ns)
     t_clk_min = timing.t_cq + t_comb + timing.t_su
     return TimingReport(
         netlist_name=n.name,

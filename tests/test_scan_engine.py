@@ -266,10 +266,12 @@ class WalkCounter:
 
     def __init__(self, monkeypatch):
         self.calls = 0
+        self.programs = []  # what each walk walked
         real = protocol.evaluate
 
         def counting(program, v, k):
             self.calls += 1
+            self.programs.append(program)
             real(program, v, k)
 
         monkeypatch.setattr(protocol, "evaluate", counting)
@@ -375,6 +377,22 @@ def test_cycle_walks_once_unless_its_values_are_read(monkeypatch):
     assert walks.calls == 2
 
 
+def test_cycle_walks_the_flop_cone_and_its_record_the_whole_program(monkeypatch):
+    # g1 feeds only the output, so the cone leaves it out.
+    n = parse_netlist(
+        "module c\ninput EN\noutput Y\ndff f0 Q0 D0\n"
+        "gate g0 XOR2 D0 Q0 EN\ngate g1 INV Y Q0\nendmodule\n"
+    )
+    cn = n.compiled
+    assert [cn.nets[step[1]] for step in cn.flop_cone] == ["D0"]
+    walks = WalkCounter(monkeypatch)
+    sim = CycleSim(n, init={"f0": 0})
+    recs = [sim.cycle({"EN": 1}, Phase.FUNCTIONAL) for _ in range(3)]
+    assert all(program is cn.flop_cone for program in walks.programs)
+    assert [(r.values["Q0"], r.values["Y"]) for r in recs] == [(1, 0), (0, 1), (1, 0)]
+    assert walks.programs[3:] == [cn.program] * 3
+
+
 def test_scan_test_walks_once_per_capture(monkeypatch):
     rng = random.Random(5)
     n = random_netlist(rng, max_gates=10, max_ffs=5, min_ffs=3, scan=True)
@@ -384,6 +402,8 @@ def test_scan_test_walks_once_per_capture(monkeypatch):
         walks = WalkCounter(monkeypatch)
         run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length), pipelined=pipelined)
         assert walks.calls == len(vectors) + 2
+        # the captures walk the flops' cone; the trace's two passes the whole program
+        assert all(program is n.compiled.flop_cone for program in walks.programs[:-2])
 
 
 # -- records settled on first read ----------------------------------------------------

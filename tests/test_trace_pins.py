@@ -14,6 +14,9 @@ the compiled one replaced. They cover every variant, stage and mode, zero
 and nonzero input arrival / output required times, and random netlists
 timed with one delay for every gate type, so equal arrivals are common and
 the tie-breaking (first input of a gate, first endpoint) is pinned too.
+The ``scantool compare`` and ``scantool sta`` stdout digests on ``chain10``
+were recorded while every report still walked the gate program itself,
+before the reports on one netlist shared one longest-path walk.
 
 The hand-driven ``CycleSim`` digests were recorded before functional runs
 kept only their input and flip-flop rows. They cover partial input maps,
@@ -36,6 +39,7 @@ from pathlib import Path
 import pytest
 
 from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
+from scanforge.cli import main
 from scanforge.logic import X
 from scanforge.netlist import ScanFF, load_netlist, load_patterns, parse_netlist
 from scanforge.power import estimate_power
@@ -185,6 +189,33 @@ def test_sta_reports_do_not_depend_on_the_hash_seed():
         ).stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0]) == [STA_SHA256[key] for key in sorted(STA_SHA256)]
+
+
+# stdout of `scantool <argv> tests/fixtures/chain10.snl` with the built-in cells
+CLI_TIMING_SHA256 = {
+    ("compare",): "de9d3056491995ac923b72ac9f3aac107ca0246d043fa4091a2a8132151a9883",
+    ("sta", "--variant", "mux", "--mode", "functional"):
+        "f9b73049643ed9b54466dceab4f43e451d48f14702cdf61ef60e4d27857f51dc",
+    ("sta", "--variant", "mux", "--mode", "test"):
+        "c840ea407800aad62ee8ba56ae5c1ffee8b445341a569871b122f23769a1a11d",
+    ("sta", "--variant", "gdi", "--mode", "functional"):
+        "eafa6c666af46d6aff7a541383bd5850cb40066b37d9a1f94e2b35bf9361b29b",
+    ("sta", "--variant", "gdi", "--mode", "test"):
+        "912bf273f109bd3876474ef4b30959cc3a4b65b11ab3d26d06dc28034e1816eb",
+    ("sta", "--variant", "approx", "--mode", "functional"):
+        "bbc8dfe5b06ac1ddf0f0294dbb78be76dd3ed66a45596094627d532eb9fb6d96",
+    ("sta", "--variant", "approx", "--mode", "test"):
+        "9a2c41ec1213009b76e1f2330670028cba380c193f39dd8ee51d24c36f619f1e",
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_TIMING_SHA256), ids=" ".join)
+def test_cli_timing_reports_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SCANFORGE_CELLS", raising=False)
+    command, *options = argv
+    assert main([command, str(FIXTURES / "chain10.snl"), *options]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_TIMING_SHA256[argv]
 
 
 # -- hand-driven CycleSim runs ---------------------------------------------------
