@@ -38,9 +38,9 @@ itself for the head), with CAP_p the bits of the stepped cycles.
 
 A trace stores those lanes as per-net columns. Its counts all come from the
 columns: net toggles are ``popcount((v ^ v>>1) & k & k>>1)``, and a second
-width-T pass (this cycle's inputs with the previous cycle's Q) gives the
-flip-flop inputs each rising edge saw. That pass yields internal toggles
-(twice the Q toggles), ``approx`` contention
+width-T pass over the flops' fan-in cone (this cycle's inputs with the
+previous cycle's Q) gives the flip-flop inputs each rising edge saw. That
+pass yields internal toggles (twice the Q toggles), ``approx`` contention
 ``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, and each flop's first X data
 input at or after warmup, the lowest set bit of the unknown rail.
 """
@@ -139,7 +139,11 @@ def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], 
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_X_DIGIT = str.maketrans("2", "x")
+# A value numeral's byte plus twice the unknown numeral's: 0x30 + 2 * 0x30
+# for a known 0, one more for a known 1, two more for X.
+_CHARS = bytes.maketrans(b"\x90\x91\x92\x93", b"01xx")
+# Characters built at once: lanes go in groups of about this many bytes
+_GROUP_BYTES = 1 << 16
 
 
 def _bits_to_lane(bits: bytes) -> int:
@@ -147,19 +151,25 @@ def _bits_to_lane(bits: bytes) -> int:
     return int(bits[::-1].translate(_DIGITS), 2) if bits else 0
 
 
-def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> str:
-    """'0', '1' or 'x' per cycle of each two-rail lane, cycle 0 first.
+def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> bytes:
+    """b'0', b'1' or b'x' per cycle of each two-rail lane, cycle 0 first.
 
-    The lanes' strings follow one another in order, ``width`` characters each.
+    The lanes' bytes follow one another in order, ``width`` bytes each. A
+    group of lanes is written as binary numerals, last lane first, whose
+    ASCII bytes add byte by byte with no carry; the little-endian bytes of
+    the sum put the group back in order, cycle 0 first.
     """
     full = (1 << width) - 1
     spec = f"0{width}b"
-    lanes = lanes[::-1]
-    values = "".join([format(v, spec) for v, _ in lanes])
-    unknown = "".join([format(full ^ k, spec) for _, k in lanes])
-    # Binary numerals read in base 16 add digit by digit with no carry.
-    digits = int(values, 16) + 2 * int(unknown, 16)
-    return format(digits, f"0{len(values)}x").translate(_X_DIGIT)[::-1]
+    step = max(_GROUP_BYTES // width, 1)
+    parts = []
+    for start in range(0, len(lanes), step):
+        group = lanes[start:start + step][::-1]
+        values = "".join([format(v, spec) for v, _ in group]).encode()
+        unknown = "".join([format(full ^ k, spec) for _, k in group]).encode()
+        digits = int.from_bytes(values, "big") + 2 * int.from_bytes(unknown, "big")
+        parts.append(digits.to_bytes(len(values), "little").translate(_CHARS))
+    return b"".join(parts)
 
 
 # -- traces --------------------------------------------------------------------
@@ -258,9 +268,13 @@ class ProtocolTrace:
 
         Net i's value in cycle t is at ``i * cycles + t``.
         """
+        return self._columns(nets).decode("ascii")
+
+    def _columns(self, nets: Sequence[str]) -> bytes:
+        """``bit_columns`` as ASCII bytes."""
         ids = [self._index[net] for net in nets]
         if not ids or not self.cycles:
-            return ""
+            return b""
         return _lane_chars([(self._v[i], self._k[i]) for i in ids], self.cycles)
 
 
@@ -291,11 +305,12 @@ def _lane_trace(
     trace.net_toggles = {cn.nets[i]: count for _, i, count in firsts}
 
     # What each rising edge saw: this cycle's inputs with the last cycle's Q.
+    # Only the flops' rails are read, so only their fan-in cone is walked.
     pv, pk = list(v), list(k)
     for q, (iv, ik) in zip(cn.ff_q, init):
         pv[q] = (v[q] << 1 | iv) & full
         pk[q] = (k[q] << 1 | ik) & full
-    evaluate(cn.program, pv, pk)
+    evaluate(cn.flop_cone, pv, pk)
 
     after_warmup = full >> max(warmup_cycles, 0) << max(warmup_cycles, 0)
     internal: dict[str, int] = {}

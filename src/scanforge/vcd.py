@@ -5,15 +5,20 @@ assigned in that order, and only value changes are emitted after the initial
 dump, so identical traces produce byte-identical files.
 
 The body is built a cycle at a time from bytes, with no Python object per
-value change. Each net has a fixed slot of ``2 + w`` bytes, where ``w`` is
-the longest id code: its value, its code padded with NUL, and a newline.
-Per cycle the values are written into the slots, the slots are ANDed (as
-one int) with a mask that is 0xFF over the slot of every net whose value
-differs from the cycle before and 0 elsewhere, and deleting every NUL
-leaves exactly the lines of the changed nets. NUL never occurs in the text itself:
-values are ``0``, ``1`` or ``x``, codes use ``!`` to ``~``, and the only
-other byte is the newline. The working memory is O(nets) per cycle on top
-of the trace's columns; ``dump_vcd`` writes each cycle as it is built.
+value change and one byte per net per column. A cycle's values (one byte
+per net, in net order) are XORed, as ints, with the cycle before, and the
+result is translated to a keep mask: 0xFF for each net whose value changed,
+0 for the rest. ANDing the values with the mask and deleting the NULs gives
+the values of the changed nets. Each column of the id codes is kept as an
+int with one byte per net, codes shorter than the longest padded with
+``\x01``, and is selected by the same mask. The value column and the code
+columns are interleaved into a newline-filled buffer with one strided slice
+assignment each, and deleting ``\x01`` leaves exactly the lines of the
+changed nets. Neither NUL nor ``\x01`` occurs in the text itself: values
+are ``0``, ``1`` or ``x``, codes use ``!`` to ``~``, and the only other
+bytes are the newline and the timestamps. The working memory is O(nets)
+per cycle on top of the trace's columns; ``dump_vcd`` writes each cycle as
+it is built.
 """
 
 from __future__ import annotations
@@ -23,19 +28,21 @@ from typing import Iterator, Union
 from .protocol import ProtocolTrace
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
-# translate table: a zero byte of a cycle's XOR stays 0, any other becomes 1
-_CHANGED = bytes([0]) + bytes([1]) * 255
+# translate table: a zero byte of a cycle's XOR stays 0, any other becomes 0xFF
+_KEEP = bytes([0]) + bytes([255]) * 255
 
 
-def _id_code(index: int) -> str:
-    base = len(_ID_CHARS)
-    out = _ID_CHARS[index % base]
-    index //= base
-    while index:
-        index -= 1
-        out = _ID_CHARS[index % base] + out
-        index //= base
-    return out
+def _id_codes(count: int) -> list[str]:
+    """The first ``count`` id codes: every one-character code, then every
+    two-character one, and so on, each length in lexicographic order."""
+    codes: list[str] = []
+    level = [""]
+    while len(codes) < count:
+        need = count - len(codes)
+        # only the first prefixes of the shorter codes lead to needed ones
+        level = [a + c for a in level[:-(-need // len(_ID_CHARS))] for c in _ID_CHARS]
+        codes += level[:need]
+    return codes
 
 
 def _chunks(trace: ProtocolTrace, module: str) -> Iterator[Union[str, bytes]]:
@@ -43,45 +50,45 @@ def _chunks(trace: ProtocolTrace, module: str) -> Iterator[Union[str, bytes]]:
     if not trace.cycles:
         raise ValueError("trace has no cycles to dump")
     nets = sorted(trace.nets)
-    width = len(_id_code(max(len(nets) - 1, 0)))
+    codes = _id_codes(len(nets))
+    width = len(codes[-1]) if codes else 1
 
     lines = [
         "$version scanforge $end",
         "$timescale 1ns $end",
         f"$scope module {module or trace.netlist_name} $end",
     ]
-    slots = []
-    for i, net in enumerate(nets):
-        code = _id_code(i)
-        lines.append(f"$var wire 1 {code} {net} $end")
-        slots.append("\0" + code.ljust(width, "\0") + "\n")
+    lines += [f"$var wire 1 {code} {net} $end" for code, net in zip(codes, nets)]
     lines += ["$upscope $end", "$enddefinitions $end", ""]
     yield "\n".join(lines)
 
-    # Net i's value in cycle t is data[i * stride + t], so cycle t's values
-    # in net order are data[t::stride]; they go to the slots' first bytes.
-    size = width + 2
-    body = bytearray("".join(slots).encode())
-    length = len(body)
-    # A 1 byte in a slot's last position, times ``spread``, fills the slot
-    # with 0xFF; slots do not overlap, so the product has no carries.
-    marks = bytearray(length)
-    spread = (1 << 8 * size) - 1
-    stride = trace.cycles
-    data = trace.bit_columns(nets).encode()
+    count = len(nets)
+    size = width + 2  # a line: value, code, newline
+    padded = "".join([code.ljust(width, "\x01") for code in codes]).encode()
+    columns = [int.from_bytes(padded[j::width], "big") for j in range(width)]
 
-    values = data[0::stride]
-    body[0::size] = values
-    yield b"#0\n$dumpvars\n" + body.translate(None, b"\0") + b"$end\n"
-    prev = int.from_bytes(values, "big")
+    def changed(head: bytes, now: int, keep: int) -> bytes:
+        """``head``, then the line of every net whose byte of ``keep`` is 0xFF."""
+        values = (now & keep).to_bytes(count, "big").translate(None, b"\0")
+        out = bytearray(head) + b"\n" * (len(values) * size)
+        start = len(head)
+        out[start::size] = values
+        for j, column in enumerate(columns, start + 1):
+            out[j::size] = (column & keep).to_bytes(count, "big").translate(None, b"\0")
+        # bytes, not the bytearray: to_vcd holds every cycle's chunk
+        return bytes(out).translate(None, b"\x01")
+
+    # Net i's value in cycle t is data[i * stride + t], so cycle t's values
+    # in net order are data[t::stride].
+    stride = trace.cycles
+    data = trace._columns(nets)
+    prev = int.from_bytes(data[0::stride], "big")
+    yield changed(b"#0\n$dumpvars\n", prev, (1 << 8 * count) - 1) + b"$end\n"
     for t in range(1, stride):
-        values = data[t::stride]
-        body[0::size] = values
-        now = int.from_bytes(values, "big")
-        marks[size - 1::size] = (now ^ prev).to_bytes(len(values), "big").translate(_CHANGED)
+        now = int.from_bytes(data[t::stride], "big")
+        keep = (now ^ prev).to_bytes(count, "big").translate(_KEEP)
         prev = now
-        kept = int.from_bytes(body, "big") & int.from_bytes(marks, "big") * spread
-        yield b"#%d\n" % t + kept.to_bytes(length, "big").translate(None, b"\0")
+        yield changed(b"#%d\n" % t, now, int.from_bytes(keep, "big"))
 
 
 def to_vcd(trace: ProtocolTrace, module: str = "") -> str:

@@ -13,6 +13,10 @@ the periodic segment; it is checked the same way over whole runs, and the
 number of walks of the gate program is pinned for functional runs, single
 ``CycleSim.cycle`` calls (whose records settle on first read) and scan
 tests.
+
+A trace's bit columns are built in groups of lanes of about 64 kB; they
+are checked bit by bit at the group edges, and their memory against the
+size of what they return.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +35,7 @@ from scanforge import protocol
 from scanforge.protocol import (
     CycleSim,
     Phase,
+    ProtocolTrace,
     evaluate,
     flush_chain,
     run_scan_test,
@@ -402,8 +408,11 @@ def test_scan_test_walks_once_per_capture(monkeypatch):
         walks = WalkCounter(monkeypatch)
         run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length), pipelined=pipelined)
         assert walks.calls == len(vectors) + 2
-        # the captures walk the flops' cone; the trace's two passes the whole program
-        assert all(program is n.compiled.flop_cone for program in walks.programs[:-2])
+        # the captures walk the flops' cone; the trace settles the whole
+        # program, then its pre-edge pass walks the cone again
+        cn = n.compiled
+        assert all(program is cn.flop_cone for program in walks.programs[:-2])
+        assert walks.programs[-2] is cn.program and walks.programs[-1] is cn.flop_cone
 
 
 # -- records settled on first read ----------------------------------------------------
@@ -433,3 +442,49 @@ def test_records_read_late_equal_the_eager_values(seed):
     assert first == eager == oracle.records
     assert [dict(rec.values) for rec in late] == first
     assert [rec.se for rec in late] == late_sim.finish().se[: len(stimulus)]
+
+
+# -- bit columns built in groups of lanes ----------------------------------------
+
+
+def random_lanes(rng: random.Random, count: int, width: int) -> ProtocolTrace:
+    """A trace of ``count`` nets over ``width`` cycles with random 0/1/X lanes."""
+    nets = tuple(f"n{i}" for i in range(count))
+    trace = ProtocolTrace("lanes", nets, phases=[Phase.FUNCTIONAL] * width)
+    for i in range(count):
+        trace._k[i] = known = rng.getrandbits(width) | rng.getrandbits(width)
+        trace._v[i] = rng.getrandbits(width) & known
+    return trace
+
+
+def per_bit(trace: ProtocolTrace) -> str:
+    return "".join(
+        bit_char((v >> t & 1) if k >> t & 1 else X)
+        for v, k in zip(trace._v, trace._k) for t in range(trace.cycles)
+    )
+
+
+@pytest.mark.parametrize("width", [1, 194, protocol._GROUP_BYTES + 7])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_bit_columns_match_the_bits_at_the_group_edges(width, extra):
+    # one lane short of a group, a full group, and one lane into the next;
+    # above 65,536 cycles a group is a single lane
+    group = max(protocol._GROUP_BYTES // width, 1)
+    trace = random_lanes(random.Random(width + extra), group + extra, width)
+    want = per_bit(trace)
+    assert trace.bit_columns(trace.nets) == want
+    if trace.nets:
+        assert trace.bit_string(trace.nets[-1]) == want[-width:]
+
+
+def test_bit_columns_stay_within_three_times_their_result():
+    # capture-deep's shape: 2,600 nets over 194 cycles
+    trace = random_lanes(random.Random(3), 2600, 194)
+    tracemalloc.start()
+    try:
+        columns = trace.bit_columns(trace.nets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns) == 2600 * 194
+    assert peak < 3 * len(columns)

@@ -1,10 +1,13 @@
 """``to_vcd`` and ``dump_vcd`` against the per-net oracle.
 
-``to_vcd`` builds each cycle from byte masks over fixed-width slots, one
-per net; ``oracles.naive_vcd`` compares every net's bit string with itself
-one cycle back. They must agree byte for byte on scan tests and functional
-runs with X, at the edges of a run, and at the net counts where the id
-codes grow a character (94/95 and 8,930/8,931).
+``to_vcd`` builds each cycle a column at a time, one byte per net: a keep
+mask from the change against the cycle before selects the values and each
+column of the id codes (shorter codes padded with ``\x01``), and strided
+slice assignments interleave them into lines. ``oracles.naive_vcd``
+compares every net's bit string with itself one cycle back. They must agree
+byte for byte on scan tests and functional runs with X, at the edges of a
+run, and at the net counts where the id codes grow a character (94/95 and
+8,930/8,931), where no padding byte may be left in the text.
 """
 
 from __future__ import annotations
@@ -103,6 +106,7 @@ def test_id_code_boundaries(nets, width, tmp_path):
     last = text.splitlines()[nets + 2]  # the last $var line
     assert last.startswith(f"$var wire 1 {vcd_codes(nets)[-1]} ")
     assert len(vcd_codes(nets)[-1]) == width
+    assert min(text) == "\n"  # no NUL or \x01 padding byte is left
     out = tmp_path / "wave.vcd"
     dump_vcd(trace, str(out))
     assert out.read_bytes() == text.encode()
