@@ -32,9 +32,14 @@ once its last input map is held: from there the run is periodic, and each
 state lane repeats its segment to the end. ``run_scan_test`` and
 ``flush_chain`` step at width 1 only where the chain's shift cannot be
 written down: the SE=0 capture cycles, or every cycle when some flop is not
-on the SI -> Q chain. On every SE=1 cycle each chain flop loads SI, so the
-Q lane of chain position p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI
-itself for the head), with CAP_p the bits of the stepped cycles.
+on the SI -> Q chain; the loop visits only those cycles, the zero bytes of
+the SE stream. On every SE=1 cycle each chain flop loads SI, so the Q lane
+of chain position p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for
+the head). CAP_p is read from the stepper's own state rows, one per stepped
+cycle: each row's Q bytes are ORed, at their cycle's bit, into lanes packed
+eight cycles to a byte, so the work follows the stepped rows plus T/8
+bytes per lane. When every cycle is stepped, a row column already is the
+lane.
 
 A trace stores those lanes as per-net columns. Its counts all come from the
 columns: net toggles are ``popcount((v ^ v>>1) & k & k>>1)``, and a second
@@ -172,6 +177,34 @@ def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> bytes:
     return b"".join(parts)
 
 
+def _zeros(bits: bytes) -> Iterator[int]:
+    """The indices of the zero bytes, in order."""
+    t = bits.find(0)
+    while t >= 0:
+        yield t
+        t = bits.find(0, t + 1)
+
+
+def _deposit(rows: bytes, stride: int, start: int, cycles: Sequence[int], width: int) -> list[int]:
+    """One lane of ``width`` cycles per row column from ``start`` on.
+
+    ``rows`` holds rows of ``stride`` 0/1 bytes, the jth for the jth of
+    ``cycles``; cycles no row names read 0. The lanes are packed
+    column-major, ``ceil(width / 8)`` bytes each: a row's column bytes,
+    read as one int and shifted by its cycle's bit, are ORed into the byte
+    that holds that cycle in every lane at once.
+    """
+    count = stride - start
+    size = (width + 7) >> 3
+    packed = bytearray(count * size)
+    for j, t in enumerate(cycles):
+        row = int.from_bytes(rows[j * stride + start:(j + 1) * stride], "big")
+        at = t >> 3
+        held = int.from_bytes(packed[at::size], "big")
+        packed[at::size] = (held | row << (t & 7)).to_bytes(count, "big")
+    return [int.from_bytes(packed[f * size:(f + 1) * size], "little") for f in range(count)]
+
+
 # -- traces --------------------------------------------------------------------
 
 
@@ -295,14 +328,18 @@ def _lane_trace(
     trace = ProtocolTrace(n.name, cn.nets, net_drivers=dict(cn.drivers), phases=phases, se=se)
     trace._v, trace._k = v, k
 
-    # Toggles in the order they first happen, ties in net order.
-    firsts = []
+    # Toggles in the order they first happen, ties in net order: one int key
+    # per toggling net, its first toggle times the net count plus its id.
+    nets = len(cn.nets)
+    keys = []
+    counts = [0] * nets
     for i, (lv, lk) in enumerate(zip(v, k)):
         flips = (lv ^ lv >> 1) & lk & lk >> 1
         if flips:
-            firsts.append(((flips & -flips).bit_length(), i, flips.bit_count()))
-    firsts.sort()
-    trace.net_toggles = {cn.nets[i]: count for _, i, count in firsts}
+            keys.append((flips & -flips).bit_length() * nets + i)
+            counts[i] = flips.bit_count()
+    keys.sort()
+    trace.net_toggles = {cn.nets[i]: counts[i] for i in [key % nets for key in keys]}
 
     # What each rising edge saw: this cycle's inputs with the last cycle's Q.
     # Only the flops' rails are read, so only their fan-in cone is walked.
@@ -344,7 +381,8 @@ class CycleSim:
     """Incremental simulator; drives one netlist cycle by cycle.
 
     Each cycle keeps the bits of the primary inputs and the flop Qs, from
-    which ``finish`` builds the trace, and the scan enable the rising edge
+    which ``finish`` builds the trace (and ``run_scan_test`` the captured
+    Q lanes), and the scan enable the rising edge
     saw when every scan flop shares one enable net (X otherwise), so
     ``estimate_power`` bills its SE=1 cycles at the test rate.
     """
@@ -542,36 +580,37 @@ def _run_schedule(
     base = {cn.index[net]: _rail(bit, net) for net, bit in base_pi.items()}
     width = len(phases)
     full = (1 << width) - 1
+    se = bytes(se_bits)
     si_lane = _bits_to_lane(bytes(si_bits))
-    se_lane = _bits_to_lane(bytes(se_bits))
+    se_lane = _bits_to_lane(se)
     chain = _shift_chain(cn, plan)
     shift = se_lane if chain is not None else 0
-    flops = len(cn.ff_q)
 
-    # Step the cycles the shift does not cover, through the one width-1
-    # stepper (its state rows go unused); their Q bits go to cap_v/cap_k,
-    # flop-major (flop f's cycle t at f * width + t).
-    cap_v = bytearray(flops * width)
-    cap_k = bytearray(flops * width)
+    # Step the cycles the shift does not cover (the SE=0 captures, or every
+    # cycle when a flop is off the chain) through the one width-1 stepper;
+    # its state rows then hold each flop's Q over those cycles.
+    stepped = range(width) if chain is None else list(_zeros(se))
     pi = dict(base_pi)
     last = -1
-    for t in range(width):
-        if chain is not None and se_bits[t]:
-            continue
+    for t in stepped:
         if t - 1 > last:
             sim._shift(chain, si_bits, t - 1, t - 1 - last)
         last = t
         pi[plan.chain_in] = si_bits[t]
         pi[plan.enable] = se_bits[t]
         sim.cycle(pi, phases[t])
-        cap_v[t::width] = bytes(sim._v[q] for q in cn.ff_q)
-        cap_k[t::width] = bytes(sim._k[q] for q in cn.ff_q)
 
     lv = [0] * len(cn.nets)
     lk = [0] * len(cn.nets)
-    for f, q in enumerate(cn.ff_q):
-        lv[q] = _bits_to_lane(cap_v[f * width:(f + 1) * width])
-        lk[q] = _bits_to_lane(cap_k[f * width:(f + 1) * width])
+    stride = len(sim._state_ids)
+    qs = stride - len(cn.ff_q)  # where the Qs start in a state row
+    for lanes, rows in ((lv, sim._state_v), (lk, sim._state_k)):
+        if chain is None:  # a row per cycle: each Q column is its lane
+            qlanes = [_bits_to_lane(rows[j::stride]) for j in range(qs, stride)]
+        else:
+            qlanes = _deposit(rows, stride, qs, stepped, width)
+        for q, lane in zip(cn.ff_q, qlanes):
+            lanes[q] = lane
     if chain is not None:
         pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
         for q in (cn.ff_q[f] for f in chain):

@@ -17,6 +17,13 @@ tests.
 A trace's bit columns are built in groups of lanes of about 64 kB; they
 are checked bit by bit at the group edges, and their memory against the
 size of what they return.
+
+The captured bits are packed into lanes eight cycles to a byte from the
+stepper's state rows; that packing is checked bit by bit, and whole runs
+against the oracle with captures at the edges of a byte, runs of 1 to 71
+cycles, every cycle stepped (a flop off the chain) and none (a flush). A
+long pipelined run on shift-wide's shape is held to four times the bytes of
+the lanes it returns.
 """
 
 from __future__ import annotations
@@ -488,3 +495,120 @@ def test_bit_columns_stay_within_three_times_their_result():
         tracemalloc.stop()
     assert len(columns) == 2600 * 194
     assert peak < 3 * len(columns)
+
+
+# -- captured bits deposited into lanes ------------------------------------------
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 65, 200])
+def test_deposit_puts_each_row_at_its_cycle_bit(width):
+    # rows at cycles 0, 7 and 8 (the first and last bit of a byte and the
+    # first of the next) when the run is that long, the last cycle, and a
+    # random rest; a column is read against its bits placed one at a time
+    rng = random.Random(width)
+    edges = {t for t in (0, 7, 8, width - 1) if t < width}
+    cycles = sorted(edges | set(rng.sample(range(width), width // 3)))
+    stride, start = 12, 3
+    rows = bytes(rng.randint(0, 1) for _ in range(stride * len(cycles)))
+    want = [
+        sum(rows[j * stride + c] << t for j, t in enumerate(cycles))
+        for c in range(start, stride)
+    ]
+    assert protocol._deposit(rows, stride, start, cycles, width) == want
+    assert protocol._deposit(b"", stride, start, [], width) == [0] * (stride - start)
+
+
+def chain_of(rng: random.Random, length: int, approx: bool) -> Netlist:
+    n = random_netlist(rng, max_gates=12, max_ffs=length, min_ffs=length, scan=True)
+    return approx_chain(n) if approx else n
+
+
+@pytest.mark.parametrize("length, vectors, pipelined", [
+    (7, 3, True),    # captures at cycles 7, 15 and 23: bit 7 of each byte
+    (8, 4, False),   # captures at 8, 25, 42 and 59: bit 0 of byte 1 on; 68 cycles
+    (8, 7, True),    # captures at 8, 17, ..., 62; 71 cycles
+    (2, 2, True),    # 8 cycles
+    (1, 4, True),    # 9 cycles, captures at 1, 3, 5 and 7
+    (3, 1, True),    # 7 cycles
+    (1, 1, False),   # 3 cycles
+])
+@pytest.mark.parametrize("partial", [False, True])
+def test_captured_lanes_match_the_oracle_at_byte_edges(length, vectors, pipelined, partial):
+    # Full scan steps only the captures; with a flop off the chain every
+    # cycle is stepped and the lanes are the rows' columns. Free inputs X.
+    for seed in range(6):
+        rng = random.Random(1_000 * length + 10 * vectors + seed)
+        n = chain_of(rng, length, approx=seed % 2 == 1)
+        if partial:
+            n = partial_scan(n, rng)
+        plan = verify_chain(n)
+        free = [net for net in n.inputs if net not in (plan.chain_in, plan.enable)]
+        pi_defaults = {net: X for net in free[: seed % 3]}
+        vecs = [random_bits(rng, length) for _ in range(vectors)]
+        trace, responses = run_scan_test(
+            n, parse_patterns("\n".join(vecs) + "\n", length),
+            pipelined=pipelined, pi_defaults=pi_defaults,
+        )
+        run, want = naive_scan_test(
+            n, length, plan.chain_in, plan.enable, plan.chain_out, vecs, pipelined, pi_defaults,
+        )
+        assert responses == want
+        assert_same_run(trace, run)
+
+
+@pytest.mark.parametrize("length", [1, 4, 5, 33])
+@pytest.mark.parametrize("partial", [False, True])
+def test_flush_lanes_match_the_oracle(length, partial):
+    # 2n - 1 cycles: 1, 7, 9 and 65; full scan steps none of them
+    rng = random.Random(70_000 + length)
+    n = chain_of(rng, length, approx=length % 2 == 1)
+    if partial:
+        n = partial_scan(n, rng)
+    plan = verify_chain(n)
+    free = {net: 0 for net in n.inputs if net not in (plan.chain_in, plan.enable)}
+    bits = random_bits(rng, length)
+    run = NaiveRun(n)
+    so = [
+        run.cycle({**free, plan.chain_in: si, plan.enable: 1}, "shift")[plan.chain_out]
+        for si in [int(c) for c in bits] + [0] * (length - 1)
+    ]
+    assert flush_chain(n, bits) == "".join(bit_char(b) for b in so[length - 1:])
+
+
+def wide_chain(rng: random.Random, ffs: int, gates: int, inputs: int) -> Netlist:
+    """shift-wide's shape: an approx chain over a two-level cloud."""
+    pis = [f"I{k}" for k in range(inputs)]
+    qs = [f"Q{k}" for k in range(ffs)]
+    instances: list = []
+    prev = pool = pis + qs
+    for level in range(2):
+        outs = [f"N{level}_{k}" for k in range(gates // 2)]
+        for out in outs:
+            gtype = rng.choice(list(GateType))
+            ins = (rng.choice(prev), rng.choice(pool))[: gtype.num_inputs]
+            instances.append(Gate(f"g{out}", gtype, out, ins))
+        pool = pool + outs
+        prev = outs
+    for k, q in enumerate(qs):
+        si = "SCAN_IN" if k == 0 else qs[k - 1]
+        instances.append(ScanFF(f"f{k}", FFVariant.APPROX, q, rng.choice(prev), si, "SCAN_EN"))
+    return Netlist("wide", tuple(pis + ["SCAN_IN", "SCAN_EN"]), (qs[-1],), tuple(instances))
+
+
+def test_scan_test_stays_within_four_times_its_lanes():
+    # shift-wide's shape (128 flops, 144 gates in two levels, 8 inputs) over
+    # 40 pipelined vectors: 5,288 cycles, 40 of them captures
+    rng = random.Random(16)
+    n = wide_chain(rng, ffs=128, gates=144, inputs=8)
+    plan = verify_chain(n)
+    patterns = parse_patterns("".join(random_bits(rng, 128) + "\n" for _ in range(40)), 128)
+    n.compiled  # built once per netlist, not part of the run
+    tracemalloc.start()
+    try:
+        trace, _ = run_scan_test(n, patterns, pipelined=True, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lane_bytes = sum((lane.bit_length() + 7) // 8 for lane in trace._v + trace._k)
+    assert trace.cycles == 128 + 40 * 129
+    assert peak < 4 * lane_bytes
