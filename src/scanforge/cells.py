@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
 from .errors import ScanforgeError
@@ -225,7 +226,13 @@ class CellLibrary:
 
     @staticmethod
     def builtin() -> "CellLibrary":
-        return CellLibrary(ffs=dict(_BUILTIN_FFS), gates=dict(_BUILTIN_GATES))
+        """The built-in library: one object, built at import, with read-only tables."""
+        return _BUILTIN
+
+
+_BUILTIN = CellLibrary(
+    ffs=MappingProxyType(_BUILTIN_FFS), gates=MappingProxyType(_BUILTIN_GATES)
+)
 
 
 _GATE_KEYS = ("delay_ns", "energy_per_toggle_fj")

@@ -194,8 +194,8 @@ class CompiledNetlist:
 
     It also keeps what its users derive once and then reuse: ``flop_cone``,
     the program steps that cycle simulation walks, and ``walks``, the most
-    recent longest-path walk of ``sta`` (one entry, keyed by its input
-    arrival and gate-delay table, so memory stays O(nets)).
+    recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
+    table, so memory stays O(nets)).
     """
 
     def __init__(self, n: Netlist):
@@ -219,7 +219,7 @@ class CompiledNetlist:
         self.ff_approx = tuple(bool(s) and s.variant is FFVariant.APPROX for s in scan)
         enables = {se for se in self.ff_se if se >= 0}
         self.enable = enables.pop() if len(enables) == 1 else -1
-        self.walks: dict[str, tuple[list[float], list[int], list[int]]] = {}
+        self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
 
     @property

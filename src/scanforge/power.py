@@ -114,22 +114,16 @@ def power_gain(reference_uw: float, candidate_uw: float) -> float:
     return 100.0 * (reference_uw - candidate_uw) / reference_uw
 
 
-def weighted_transition_count(vector: str, chain_length: Optional[int] = None) -> int:
+def weighted_transition_count(vector: str) -> int:
     """Shift-power proxy: adjacent transitions weighted by remaining distance.
 
     Each transition between bits i and i+1 of the inbound vector toggles
-    L - i flip-flops on its way down a length-L chain, so the count is
-    sum over i of (L - i) * [bit_i != bit_i+1].
+    L - i flip-flops on its way down a chain as long as the vector, so the
+    count is sum over i of (L - i) * [bit_i != bit_i+1].
     """
-    if chain_length is None:
-        chain_length = len(vector)
-    if len(vector) != chain_length:
-        raise PowerModelError(
-            f"vector is width {len(vector)}, chain length is {chain_length}"
-        )
     if any(c not in "01" for c in vector):
         raise PowerModelError("vector must be bits")
-    length = chain_length
+    length = len(vector)
     total = 0
     for i in range(1, length):
         if vector[i - 1] != vector[i]:

@@ -47,7 +47,8 @@ width-T pass over the flops' fan-in cone (this cycle's inputs with the
 previous cycle's Q) gives the flip-flop inputs each rising edge saw. That
 pass yields internal toggles (twice the Q toggles), ``approx`` contention
 ``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, and each flop's first X data
-input at or after warmup, the lowest set bit of the unknown rail.
+input from cycle ``WARMUP_CYCLES`` on, the lowest set bit of the unknown
+rail.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ from .logic import X, Bit
 from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
 from .netlist import PatternSyntaxError, PatternWidthError
 from .scan import ScanChainPlan, verify_chain
+
+
+# X data inputs before this cycle raise no warning
+WARMUP_CYCLES = 4
 
 
 class ProtocolError(ScanforgeError):
@@ -313,7 +318,7 @@ class ProtocolTrace:
 
 def _lane_trace(
     n: Netlist, v: list[int], k: list[int], phases: list[Phase], se: list[Bit],
-    init: Sequence[tuple[int, int]], warmup_cycles: int,
+    init: Sequence[tuple[int, int]],
 ) -> ProtocolTrace:
     """The trace of a run, from its state lanes and the flops' power-up rails.
 
@@ -349,7 +354,7 @@ def _lane_trace(
         pk[q] = (k[q] << 1 | ik) & full
     evaluate(cn.flop_cone, pv, pk)
 
-    after_warmup = full >> max(warmup_cycles, 0) << max(warmup_cycles, 0)
+    after_warmup = full >> WARMUP_CYCLES << WARMUP_CYCLES
     internal: dict[str, int] = {}
     contention: dict[str, int] = {}
     first_x = []
@@ -387,14 +392,8 @@ class CycleSim:
     ``estimate_power`` bills its SE=1 cycles at the test rate.
     """
 
-    def __init__(
-        self,
-        n: Netlist,
-        warmup_cycles: int = 4,
-        init: Optional[Mapping[str, Bit]] = None,
-    ):
+    def __init__(self, n: Netlist, init: Optional[Mapping[str, Bit]] = None):
         self.netlist = n
-        self.warmup_cycles = warmup_cycles
         cn = self.compiled = n.compiled
         if init:
             ids = set(cn.ff_ids)
@@ -456,18 +455,16 @@ class CycleSim:
         self._se.append(se)
         return row_v, row_k
 
-    def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int, gap: int) -> None:
-        """Load what `gap` SE=1 cycles ending at cycle `end` leave in the chain.
+    def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int) -> None:
+        """Load what the SE=1 cycles ending at cycle ``end`` leave in the chain.
 
-        Chain position p then holds the SI bit of cycle end - p, or what
-        position p - gap held before.
+        At least ``len(chain)`` of them run, so chain position p holds the SI
+        bit of cycle end - p.
         """
         v, k, ff_q = self._v, self._k, self.compiled.ff_q
-        head = [(si_bits[end - p], 1) for p in range(min(gap, len(chain)))]
-        held = [(v[ff_q[f]], k[ff_q[f]]) for f in chain[: max(len(chain) - gap, 0)]]
-        for f, (a, b) in zip(chain, head + held):
-            v[ff_q[f]] = a
-            k[ff_q[f]] = b
+        for p, f in enumerate(chain):
+            v[ff_q[f]] = si_bits[end - p]
+            k[ff_q[f]] = 1
 
     def finish(self) -> ProtocolTrace:
         """The trace of every cycle so far."""
@@ -494,14 +491,13 @@ class CycleSim:
                 if extra:
                     lane |= ((lane >> start) * ones & tail) << stepped
                 lanes[i] = lane
-        return _lane_trace(self.netlist, v, k, phases, se, self._init, self.warmup_cycles)
+        return _lane_trace(self.netlist, v, k, phases, se, self._init)
 
 
 def sim_functional(
     n: Netlist,
     stimulus: Sequence[Mapping[str, Bit]],
     cycles: Optional[int] = None,
-    warmup_cycles: int = 4,
     init: Optional[Mapping[str, Bit]] = None,
 ) -> ProtocolTrace:
     """Run normal operation; per-cycle input maps, last map held if short.
@@ -522,7 +518,7 @@ def sim_functional(
         raise ProtocolError("cycles must be >= 1")
     if not stimulus:
         raise ProtocolError("stimulus must supply at least one input map")
-    sim = CycleSim(n, warmup_cycles, init)
+    sim = CycleSim(n, init)
     held = len(stimulus) - 1  # the cycle that applies the last map
     seen: dict[bytes, int] = {}
     for t in range(cycles):
@@ -588,14 +584,14 @@ def _run_schedule(
 
     # Step the cycles the shift does not cover (the SE=0 captures, or every
     # cycle when a flop is off the chain) through the one width-1 stepper;
-    # its state rows then hold each flop's Q over those cycles.
+    # its state rows then hold each flop's Q over those cycles. Each capture
+    # follows at least one chain length of shift cycles, which leave only
+    # SI bits in the chain.
     stepped = range(width) if chain is None else list(_zeros(se))
     pi = dict(base_pi)
-    last = -1
     for t in stepped:
-        if t - 1 > last:
-            sim._shift(chain, si_bits, t - 1, t - 1 - last)
-        last = t
+        if chain is not None:
+            sim._shift(chain, si_bits, t - 1)
         pi[plan.chain_in] = si_bits[t]
         pi[plan.enable] = se_bits[t]
         sim.cycle(pi, phases[t])
@@ -621,7 +617,7 @@ def _run_schedule(
         lv[i], lk[i] = full * a, full * b
     lv[cn.index[plan.chain_in]], lk[cn.index[plan.chain_in]] = si_lane, full
     lv[cn.index[plan.enable]], lk[cn.index[plan.enable]] = se_lane, full
-    return _lane_trace(n, lv, lk, phases, list(se_bits), sim._init, sim.warmup_cycles)
+    return _lane_trace(n, lv, lk, phases, list(se_bits), sim._init)
 
 
 def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:
@@ -694,15 +690,14 @@ def run_scan_test(
     return trace, [so[c:c + length] for c in captures]
 
 
-def flush_chain(n: Netlist, bits: str, plan: Optional[ScanChainPlan] = None) -> str:
+def flush_chain(n: Netlist, bits: str) -> str:
     """Shift the bits through the whole chain with no capture; return what SO saw.
 
     With an n-FF chain the first bit appears at SO at the end of shift cycle
     n, so 2n-1 shift cycles run and the last n end-of-cycle SO values are the
     flushed word.
     """
-    if plan is None:
-        plan = verify_chain(n)
+    plan = verify_chain(n)
     length = len(plan.order)
     if len(bits) != length:
         raise PatternWidthError(

@@ -8,11 +8,11 @@ hops, so test mode admits zero-gate register-to-register paths.
 The longest path is the classic single pass in topological order
 (Hitchcock, DAC 1982) over the gate program of ``Netlist.compiled``, the
 order and net ids the simulator also uses. The pass depends only on the
-gate delays and the input arrival, not on the variant, stage or mode, so
-``CompiledNetlist.walks`` keeps the latest one: every report asked of one
-netlist with one delay table and arrival shares a single walk. Each call
-then only picks its mode's endpoints (SI pins in test mode), adds the
-output required time at the outputs and traces the path back.
+gate delays, not on the variant, stage or mode, so ``CompiledNetlist.walks``
+keeps the latest one: every report asked of one netlist with one delay
+table shares a single walk. Each call then only picks its mode's endpoints
+(SI pins in test mode) and traces the path back. Primary inputs launch at
+time 0, as flop Qs do, and outputs are required at time 0.
 
 Per-variant flip-flop path delay is tracked two ways: t_pd_ns is the library
 row's published figure and t_pd_sum_ns is t_su + t_cq recomputed from the
@@ -22,7 +22,6 @@ reports so a discrepancy between them is visible rather than silent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -55,7 +54,7 @@ _UNREACHED = float("-inf")
 
 
 def _walk(
-    cn: CompiledNetlist, input_arrival_ns: float, delays: Sequence[float]
+    cn: CompiledNetlist, delays: Sequence[float]
 ) -> tuple[list[float], list[int], list[int]]:
     """Latest arrival at every net from any launch point, one pass in program order.
 
@@ -67,10 +66,8 @@ def _walk(
     dist = [_UNREACHED] * len(cn.nets)
     pred = [-1] * len(cn.nets)
     via = [-1] * len(cn.nets)
-    for i in cn.inputs.values():
-        dist[i] = input_arrival_ns
-    for q in cn.ff_q:
-        dist[q] = 0.0
+    for i in (*cn.inputs.values(), *cn.ff_q):
+        dist[i] = 0.0
     for s, ((_, out, a, b), delay) in enumerate(zip(cn.program, delays)):
         best = dist[a]
         if dist[b] > best:
@@ -89,13 +86,11 @@ def _critical_path(
     cn: CompiledNetlist,
     walk: tuple[list[float], list[int], list[int]],
     mode: Mode,
-    output_required_ns: float,
 ) -> tuple[float, tuple[str, ...]]:
     """Latest endpoint of the mode over a walk, with the path that reaches it.
 
-    Endpoints are every flop's DI, its SI too in test mode, and the outputs
-    plus ``output_required_ns``. Ties go to the earliest: flops in order, DI
-    before SI, then outputs.
+    Endpoints are every flop's DI, its SI too in test mode, and the outputs.
+    Ties go to the earliest: flops in order, DI before SI, then outputs.
     """
     dist, pred, via = walk
     t_comb, net, capture_id = _UNREACHED, -1, None
@@ -106,9 +101,8 @@ def _critical_path(
         if test and si >= 0 and dist[si] > t_comb:
             t_comb, net, capture_id = dist[si], si, fid
     for i in cn.outputs:
-        d = dist[i] + output_required_ns
-        if d > t_comb:
-            t_comb, net, capture_id = d, i, None
+        if dist[i] > t_comb:
+            t_comb, net, capture_id = dist[i], i, None
 
     if net < 0:
         return 0.0, ()
@@ -130,32 +124,25 @@ def analyze_timing(
     stage: Stage,
     mode: Mode,
     library: Optional[CellLibrary] = None,
-    input_arrival_ns: float = 0.0,
-    output_required_ns: float = 0.0,
 ) -> TimingReport:
     """Longest-path analysis of one netlist under one FF variant and mode.
 
     All flip-flops are timed with the requested variant's parameters, which
     keeps cross-variant comparisons on the same netlist apples to apples.
     """
-    for name, value in (
-        ("input_arrival_ns", input_arrival_ns), ("output_required_ns", output_required_ns)
-    ):
-        if not math.isfinite(value):
-            raise TimingError(f"{name} must be a finite number, got {value}")
     lib = resolve_library(library)
     timing = lib.ff(variant, stage).mode(mode)
 
     cn = n.compiled
     delay = {t: params.delay_ns for t, params in lib.gates.items()}
-    # repr keys tell 0.0 from -0.0 and 1 from 1.0, which can sum differently
-    key = repr([input_arrival_ns, *[(t.value, d) for t, d in delay.items()]])
+    # equal tables walk alike: every sum starts from a launch time of +0.0
+    key = tuple(delay.items())
     walk = cn.walks.get(key)
     if walk is None:
-        walk = _walk(cn, input_arrival_ns, [delay[g.gtype] for g in cn.gates])
+        walk = _walk(cn, [delay[g.gtype] for g in cn.gates])
         cn.walks.clear()
         cn.walks[key] = walk
-    t_comb, path = _critical_path(cn, walk, mode, output_required_ns)
+    t_comb, path = _critical_path(cn, walk, mode)
     t_clk_min = timing.t_cq + t_comb + timing.t_su
     return TimingReport(
         netlist_name=n.name,
@@ -193,15 +180,15 @@ def time_gain(reference: TimingReport, candidate: TimingReport) -> float:
     return reference.t_pd_ns - candidate.t_pd_ns
 
 
-def zero_cloud_netlist(variant: FFVariant = FFVariant.MUX) -> Netlist:
-    """Two scan FFs wired Q to DI with no gates between: t_comb is zero."""
+def zero_cloud_netlist() -> Netlist:
+    """Two mux scan FFs wired Q to DI with no gates between: t_comb is zero."""
     return Netlist(
         name="zero_cloud",
         inputs=("SI", "SE"),
         outputs=("Q2",),
         instances=(
-            ScanFF("f1", variant, "Q1", "Q2", "SI", "SE"),
-            ScanFF("f2", variant, "Q2", "Q1", "Q1", "SE"),
+            ScanFF("f1", FFVariant.MUX, "Q1", "Q2", "SI", "SE"),
+            ScanFF("f2", FFVariant.MUX, "Q2", "Q1", "Q1", "SE"),
         ),
     )
 

@@ -48,7 +48,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .cells import FFVariant
 from .errors import ScanforgeError
-from .ffmodel import FFState, ff_cycle
+from .ffmodel import ff_selected_input
 from .logic import Bit, X
 
 RANK_FLOATING = 0.0
@@ -354,17 +354,19 @@ def check_behavioral(
     """Check a network against the ``ffmodel`` cycle model; (sequences, mismatches).
 
     The stimulus is every length-4 sequence of (DI, SI, SE) bits, 4,096 of
-    them, plus ``vectors`` random length-8 ones, each started from X: X charge
-    on every storage node and an X model state. A mismatch is a cycle where
-    the model's Q is known and the network's Q after the falling phase is not
-    the same; the count is over all cycles of all sequences.
+    them, plus ``vectors`` random length-8 ones, each started from X charge
+    on every storage node. A mismatch is a cycle where
+    the network's Q after the falling phase differs from the model's Q (known
+    in every cycle, since every pin is a bit); the count is over all cycles
+    of all sequences.
 
-    Sequences are not replayed one by one. A state of the product machine is
-    (storage charge, model Q), and ``step`` memoises one switch-level clock
-    cycle plus one ``ff_cycle`` per (state, pins). The exhaustive part counts
-    the prefixes that reach each state, so a mismatch at depth d stands for
-    ``count * 8**(3 - d)`` sequences; the random part steps the memo with the
-    draws a replay would make, in the same order.
+    Sequences are not replayed one by one. After one cycle the model's Q is
+    ``ff_selected_input`` of that cycle's pins, whatever it held before, so a
+    state of the product machine is the storage charge alone, and ``step``
+    memoises one switch-level clock cycle per (charge, pins). The exhaustive
+    part counts the prefixes that reach each state, so a mismatch at depth d
+    stands for ``count * 8**(3 - d)`` sequences; the random part steps the
+    memo with the draws a replay would make, in the same order.
     """
     ff = SwitchFF(net)
     memo: dict = {}
@@ -372,17 +374,13 @@ def check_behavioral(
     def step(state: tuple, pins: tuple[int, int, int]) -> tuple[tuple, bool]:
         hit = memo.get((state, pins))
         if hit is None:
-            charge, model_q = state
-            ff.state = charge
+            ff.state = state
             q = ff.cycle(*pins)
-            # after a cycle the model's master and slave both hold its Q
-            model_q = ff_cycle(FFState(variant, model_q, model_q), *pins).q
-            hit = memo[(state, pins)] = (
-                (ff.state, model_q), model_q is not X and q != model_q
-            )
+            model_q = ff_selected_input(variant, *pins)
+            hit = memo[(state, pins)] = (ff.state, q != model_q)
         return hit
 
-    start = (ff.state, X)
+    start = ff.state
     mismatches = 0
     level = {start: 1}
     all_pins = list(itertools.product((0, 1), repeat=3))

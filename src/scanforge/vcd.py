@@ -45,7 +45,7 @@ def _id_codes(count: int) -> list[str]:
     return codes
 
 
-def _chunks(trace: ProtocolTrace, module: str) -> Iterator[Union[str, bytes]]:
+def _chunks(trace: ProtocolTrace) -> Iterator[Union[str, bytes]]:
     """The header as one str, then the body as bytes, a cycle at a time."""
     if not trace.cycles:
         raise ValueError("trace has no cycles to dump")
@@ -56,7 +56,7 @@ def _chunks(trace: ProtocolTrace, module: str) -> Iterator[Union[str, bytes]]:
     lines = [
         "$version scanforge $end",
         "$timescale 1ns $end",
-        f"$scope module {module or trace.netlist_name} $end",
+        f"$scope module {trace.netlist_name} $end",
     ]
     lines += [f"$var wire 1 {code} {net} $end" for code, net in zip(codes, nets)]
     lines += ["$upscope $end", "$enddefinitions $end", ""]
@@ -91,14 +91,14 @@ def _chunks(trace: ProtocolTrace, module: str) -> Iterator[Union[str, bytes]]:
         yield changed(b"#%d\n" % t, now, int.from_bytes(keep, "big"))
 
 
-def to_vcd(trace: ProtocolTrace, module: str = "") -> str:
-    chunks = _chunks(trace, module)
+def to_vcd(trace: ProtocolTrace) -> str:
+    chunks = _chunks(trace)
     header = next(chunks)
     return header + b"".join(chunks).decode("ascii")
 
 
-def dump_vcd(trace: ProtocolTrace, path: str, module: str = "") -> None:
-    chunks = _chunks(trace, module)
+def dump_vcd(trace: ProtocolTrace, path: str) -> None:
+    chunks = _chunks(trace)
     header = next(chunks)  # an empty trace raises before the file is opened
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))

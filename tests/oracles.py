@@ -261,7 +261,7 @@ def vcd_codes(count: int) -> list[str]:
     return ["".join(c) for c in itertools.islice(itertools.chain.from_iterable(by_length), count)]
 
 
-def naive_vcd(trace, module: str = "") -> str:
+def naive_vcd(trace) -> str:
     """A trace's VCD text built one net at a time from its bit strings.
 
     Nets are sorted by name and numbered in that order. ``#0`` dumps every
@@ -274,7 +274,7 @@ def naive_vcd(trace, module: str = "") -> str:
     lines = [
         "$version scanforge $end",
         "$timescale 1ns $end",
-        f"$scope module {module or trace.netlist_name} $end",
+        f"$scope module {trace.netlist_name} $end",
     ]
     lines += [f"$var wire 1 {codes[net]} {net} $end" for net in nets]
     lines += ["$upscope $end", "$enddefinitions $end", "#0", "$dumpvars"]

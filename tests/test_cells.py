@@ -133,6 +133,17 @@ def test_gate_params_present_for_all_types():
         assert gp.energy_per_toggle_fj > 0
 
 
+def test_the_builtin_library_is_one_read_only_object(monkeypatch):
+    monkeypatch.delenv("SCANFORGE_CELLS", raising=False)
+    lib = CellLibrary.builtin()
+    assert lib is CellLibrary.builtin() is resolve_library()
+    with pytest.raises(TypeError):
+        lib.gates[GateType.INV] = GateParams(0.99, 0.5)
+    with pytest.raises(TypeError):
+        lib.ffs[(FFVariant.MUX, Stage.POST_LAYOUT)] = lib.ff(FFVariant.APPROX, Stage.POST_LAYOUT)
+    assert lib.gate(GateType.INV).delay_ns != 0.99
+
+
 def test_load_library_overrides(tmp_path):
     cfg = tmp_path / "custom.cellcfg"
     cfg.write_text(

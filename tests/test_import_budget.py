@@ -3,8 +3,9 @@
 Each case calls ``scanforge.cli.main`` in a fresh interpreter and compares
 the ``scanforge.*`` modules then in ``sys.modules`` with the set that
 subcommand needs; ``import scanforge`` alone loads no submodule. The lazy
-package attributes must still list and resolve every public name, and every
-public name must have a reader outside the tests.
+package attributes must still list and resolve every public name, every
+public name must have a reader outside the tests, and every optional
+parameter of the public API a caller outside the tests that passes it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -152,3 +154,125 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     )
     assert unread == []
     assert set(KEEP) <= set(scanforge._HOME)
+
+
+# Optional parameters kept without a caller outside the tests that passes
+# them, by "function.parameter", each with its reason.
+KEEP_PARAMETERS: dict[str, str] = {}
+
+
+def _owner(cls: str, name: str) -> str:
+    """How a parameter key names the ``def`` named ``name`` in class ``cls``
+    ("" at module level): the function, the class for ``__init__``, else
+    class.method."""
+    if not cls:
+        return name
+    return cls if name == "__init__" else f"{cls}.{name}"
+
+
+def _optional_parameters() -> dict[str, tuple[str, int]]:
+    """Every optional parameter of the public API, by "owner.parameter".
+
+    Each maps to the name a call spells (the function's, the class's for a
+    hand-written ``__init__``, the method's) and the parameter's position
+    among the call's arguments, or -1 when it is keyword-only. Covered are
+    the exported functions and each exported class's hand-written
+    ``__init__`` and public methods; a dataclass's generated ``__init__``
+    has no ``def`` to find.
+    """
+    found: dict[str, tuple[str, int]] = {}
+
+    def collect(owner: str, called: str, fn: ast.FunctionDef, bound: bool) -> None:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args][bound:]
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            found[f"{owner}.{arg.arg}"] = (called, index)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[f"{owner}.{arg.arg}"] = (called, -1)
+
+    for module in set(scanforge._HOME.values()):
+        tree = ast.parse((SRC / "scanforge" / f"{module}.py").read_text(encoding="utf-8"))
+        for node in tree.body:
+            if scanforge._HOME.get(getattr(node, "name", None)) != module:
+                continue
+            if isinstance(node, ast.FunctionDef):
+                collect(node.name, node.name, node, False)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list
+                    )
+                    if fn.name == "__init__":
+                        collect(node.name, node.name, fn, True)
+                    elif not fn.name.startswith("_"):
+                        collect(_owner(node.name, fn.name), fn.name, fn, not static)
+    return found
+
+
+def _calls() -> dict[str, list[tuple[ast.Call, str]]]:
+    """Every call in the reader sources, by the name it spells, with the
+    owner (as ``_optional_parameters`` names it) of the ``def`` it is in,
+    or "" outside every ``def``."""
+    calls: dict[str, list[tuple[ast.Call, str]]] = {}
+
+    def visit(node: ast.AST, owner: str, cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner, inner_cls = owner, ""
+            if isinstance(child, ast.ClassDef):
+                inner_cls = child.name
+            elif isinstance(child, ast.FunctionDef) and not owner:
+                inner = _owner(cls, child.name)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append((child, owner))
+            visit(child, inner, inner_cls)
+
+    for path in _reader_sources():
+        visit(ast.parse(path.read_text(encoding="utf-8")), "", "")
+    return calls
+
+
+def _passed(call: ast.Call, owner: str, parameter: str, index: int) -> Optional[str]:
+    """What a call gives the parameter: None when it leaves it out, the key
+    of the caller's own parameter when it hands that on by name, else ""."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return ""
+    value = next((k.value for k in call.keywords if k.arg == parameter), None)
+    if value is None and 0 <= index < len(call.args):
+        value = call.args[index]
+    if value is None:
+        return None
+    return f"{owner}.{value.id}" if owner and isinstance(value, ast.Name) else ""
+
+
+def test_every_optional_parameter_has_a_caller_outside_the_tests():
+    # A parameter handed on unchanged from another optional parameter is
+    # passed only when that one is.
+    parameters = _optional_parameters()
+    calls = _calls()
+    passed: set[str] = set()
+    while True:
+        more = {
+            key for key, (called, index) in parameters.items()
+            if key not in passed and any(
+                given is not None and (given not in parameters or given in passed)
+                for given in (
+                    _passed(call, owner, key.rpartition(".")[2], index)
+                    for call, owner in calls.get(called, [])
+                )
+            )
+        }
+        if not more:
+            break
+        passed |= more
+    unpassed = sorted(set(parameters) - passed - set(KEEP_PARAMETERS))
+    assert unpassed == []
+    assert set(KEEP_PARAMETERS) <= set(parameters)

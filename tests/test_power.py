@@ -249,9 +249,7 @@ def test_wtc_closed_form_examples():
     assert weighted_transition_count("0000000000") == 0
     assert weighted_transition_count("10") == 1
     assert weighted_transition_count("1010101010") == 45
-    assert weighted_transition_count("1111", chain_length=4) == 0
-    with pytest.raises(PowerModelError):
-        weighted_transition_count("101", chain_length=4)
+    assert weighted_transition_count("1111") == 0
     with pytest.raises(PowerModelError):
         weighted_transition_count("10z1")
 

@@ -120,10 +120,11 @@ def test_flush_rejects_non_bits():
 def test_plan_ports_must_be_distinct_primary_inputs():
     n = parse_netlist(shift_chain_text(2))
     plan = verify_chain(n)
+    patterns = parse_patterns("10\n", 2)
     with pytest.raises(ProtocolError):
-        flush_chain(n, "10", plan=dataclasses.replace(plan, chain_in="SE"))
+        run_scan_test(n, patterns, plan=dataclasses.replace(plan, chain_in="SE"))
     with pytest.raises(ProtocolError):
-        flush_chain(n, "10", plan=dataclasses.replace(plan, enable="Q0"))
+        run_scan_test(n, patterns, plan=dataclasses.replace(plan, enable="Q0"))
 
 
 def test_capture_matches_the_fixpoint_oracle():
@@ -203,13 +204,14 @@ def test_unknown_data_input_warns_once_per_flop(chain10_path):
 
 
 def test_warmup_suppresses_early_unknowns():
+    # an X from cycle 0 is silent through cycle 3 and warned at cycle 4
     text = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
     n = parse_netlist(text)
-    silent = sim_functional(n, [{"EN": 0}], cycles=3)
+    silent = sim_functional(n, [{"EN": 0}], cycles=4)
     assert not silent.warnings
-    noisy = sim_functional(n, [{"EN": 0}], cycles=3, warmup_cycles=0)
-    assert noisy.warnings and "f1" in noisy.warnings[0]
-    seeded = sim_functional(n, [{"EN": 0}], cycles=8, warmup_cycles=0, init={"f1": 0})
+    noisy = sim_functional(n, [{"EN": 0}], cycles=5)
+    assert noisy.warnings == ["flip-flop f1 data input is X at cycle 4"]
+    seeded = sim_functional(n, [{"EN": 0}], cycles=8, init={"f1": 0})
     assert not seeded.warnings
 
 

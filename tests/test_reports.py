@@ -134,10 +134,10 @@ def test_vcd_marks_unknowns():
 
 def test_vcd_scope_override_and_file_dump(tmp_path):
     trace = _toggle_trace()
-    assert "$scope module bench $end" in to_vcd(trace, module="bench")
+    assert "$scope module t $end" in to_vcd(trace)
     out = tmp_path / "wave.vcd"
-    dump_vcd(trace, str(out), module="bench")
-    assert out.read_text(encoding="utf-8") == to_vcd(trace, module="bench")
+    dump_vcd(trace, str(out))
+    assert out.read_text(encoding="utf-8") == to_vcd(trace)
 
 
 def test_vcd_rejects_empty_traces():

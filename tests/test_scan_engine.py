@@ -443,7 +443,7 @@ def test_records_read_late_equal_the_eager_values(seed):
         eager.append(dict(eager_sim.cycle(pi, Phase.FUNCTIONAL).values))
         late.append(late_sim.cycle(pi, Phase.FUNCTIONAL))
         oracle.cycle(pi, "functional")
-    late_sim._shift(chain, [1] * len(stimulus), len(stimulus) - 1, len(chain))
+    late_sim._shift(chain, [1] * len(stimulus), len(stimulus) - 1)
     late_sim.cycle(stimulus[0], Phase.FUNCTIONAL)
     first = [dict(rec.values) for rec in late]
     assert first == eager == oracle.records

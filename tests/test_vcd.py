@@ -90,14 +90,6 @@ def test_an_all_x_run_has_no_changes_after_the_initial_dump():
     assert set(trace.bit_columns(sorted(trace.nets))) == {"x"}
 
 
-def test_module_override_names_the_scope():
-    trace = line_trace(12, 6)
-    text = to_vcd(trace, module="top")
-    assert text == naive_vcd(trace, "top")
-    assert "$scope module top $end\n" in text
-    assert to_vcd(trace) == naive_vcd(trace, "line")
-
-
 @pytest.mark.parametrize("nets, width", [(94, 1), (95, 2), (8930, 2), (8931, 3)])
 def test_id_code_boundaries(nets, width, tmp_path):
     trace = line_trace(nets, 5)
