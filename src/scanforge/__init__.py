@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "logic": ("Bit", "X"),
     "errors": ("ScanforgeError",),
+    "kinds": ("FFVariant", "Stage", "Mode", "GateType"),
     "cells": (
-        "FFVariant", "Stage", "Mode", "GateType", "ModeTiming", "FFVariantParams",
-        "GateParams", "CellLibrary", "CellConfigError", "ComparisonRow",
-        "comparison_table", "load_library", "resolve_library",
+        "ModeTiming", "FFVariantParams", "GateParams", "CellLibrary", "CellConfigError",
+        "ComparisonRow", "comparison_table", "load_library", "resolve_library",
     ),
     "netlist": (
         "Netlist", "Gate", "Dff", "ScanFF", "PatternSet", "NetlistSyntaxError",

@@ -1,9 +1,11 @@
-"""Flip-flop and gate characterization data.
+"""Flip-flop and gate characterization data, and nothing else.
 
 Holds per-variant scan flip-flop timing/power/area parameters for the two
 design stages (schematic-level and layout-extracted), default combinational
 gate delay/energy numbers, and the published comparison rows used by the
-`compare` report.
+`compare` report. The enums that name variants, stages, modes and gate
+types live in ``kinds``; the ones this module imports from there, and so
+re-exports, are the same objects.
 
 The flip-flop numbers are stored exactly as characterized. Some rows print a
 propagation delay t_pd that differs from t_su + t_cq by more than rounding;
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
 from .errors import ScanforgeError
+from .kinds import FFVariant, GateType, Mode, Stage
 
 ENV_CELLS = "SCANFORGE_CELLS"
 
@@ -52,48 +54,6 @@ def _check(name: str, value: float, low: Optional[float] = None, strict: bool = 
         return
     bound = "" if low is None else f" {'>' if strict else '>='} {low:g}"
     raise CellConfigError(f"{name} must be a finite number{bound}, got {value}")
-
-
-class FFVariant(str, Enum):
-    MUX = "mux"
-    GDI = "gdi"
-    APPROX = "approx"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class Stage(str, Enum):
-    PRE_LAYOUT = "pre_layout"
-    POST_LAYOUT = "post_layout"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class Mode(str, Enum):
-    FUNCTIONAL = "functional"
-    TEST = "test"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-class GateType(str, Enum):
-    INV = "INV"
-    BUF = "BUF"
-    NAND2 = "NAND2"
-    NOR2 = "NOR2"
-    AND2 = "AND2"
-    OR2 = "OR2"
-    XOR2 = "XOR2"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @property
-    def num_inputs(self) -> int:
-        return 1 if self in (GateType.INV, GateType.BUF) else 2
 
 
 @dataclass(frozen=True)
@@ -316,16 +276,35 @@ def load_library(path: str | Path) -> CellLibrary:
         else:
             raise CellConfigError(f"unrecognized section [{section}]")
 
-    return CellLibrary(ffs=ffs, gates=gates)
+    return CellLibrary(ffs=MappingProxyType(ffs), gates=MappingProxyType(gates))
+
+
+# The last library loaded from each resolved path, with the (st_mtime_ns,
+# st_size) it was read at.
+_LOADED: dict[Path, tuple[tuple[int, int], CellLibrary]] = {}
 
 
 def resolve_library(
     explicit: "CellLibrary | str | Path | None" = None,
 ) -> CellLibrary:
-    """Pick the cell library: explicit object or path, else $SCANFORGE_CELLS, else builtin."""
+    """Pick the cell library: explicit object or path, else $SCANFORGE_CELLS, else builtin.
+
+    A path is parsed once per version of its file: while the resolved path's
+    modification time and size stay the same, every call returns the same
+    library object.
+    """
     if isinstance(explicit, CellLibrary):
         return explicit
     path = explicit or os.environ.get(ENV_CELLS)
-    if path:
-        return load_library(path)
-    return CellLibrary.builtin()
+    if not path:
+        return CellLibrary.builtin()
+    try:
+        resolved = Path(path).resolve()
+        st = resolved.stat()
+    except OSError:
+        return load_library(path)  # raises CellConfigError naming the path
+    stamp = (st.st_mtime_ns, st.st_size)
+    hit = _LOADED.get(resolved)
+    if hit is None or hit[0] != stamp:
+        hit = _LOADED[resolved] = (stamp, load_library(path))
+    return hit[1]

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .cells import FFVariant, Mode, Stage, resolve_library
 from .errors import ScanforgeError
+from .kinds import FFVariant, Mode, Stage
 from .reports import FORMATS, envelope, format_report
 
 
@@ -195,6 +195,7 @@ def _timing_payload(report, gain_ns: float) -> dict[str, Any]:
 
 
 def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
+    from .cells import resolve_library
     from .netlist import load_netlist
     from .sta import analyze_timing, time_gain
 
@@ -213,6 +214,7 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
+    from .cells import resolve_library
     from .netlist import load_netlist, load_patterns
     from .power import estimate_power, power_gain
     from .protocol import run_scan_test, sim_functional
@@ -307,7 +309,7 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
-    from .cells import comparison_table
+    from .cells import comparison_table, resolve_library
     from .netlist import load_netlist
     from .power import power_gain
     from .sta import analyze_timing, time_gain, zero_cloud_netlist

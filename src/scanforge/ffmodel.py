@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .cells import FFVariant
+from .kinds import FFVariant
 from .logic import Bit, X, toggled
 
 

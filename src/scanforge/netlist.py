@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
-from .cells import FFVariant, GateType
 from .errors import ScanforgeError
+from .kinds import FFVariant, GateType
 
 CLK_NET = "CLK"
 

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .cells import CellLibrary, FFVariant, Mode, Stage, resolve_library
+from .cells import CellLibrary, resolve_library
 from .errors import ScanforgeError
+from .kinds import FFVariant, Mode, Stage
 
 if TYPE_CHECKING:
     from .protocol import ProtocolTrace

@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .cells import GateType
 from .errors import ScanforgeError
+from .kinds import GateType
 from .logic import X, Bit
 from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
 from .netlist import PatternSyntaxError, PatternWidthError

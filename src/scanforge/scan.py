@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import FFVariant
 from .errors import ScanforgeError
+from .kinds import FFVariant
 from .netlist import (
     CLK_NET,
     Dff,

@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cells import CellLibrary, FFVariant, Mode, Stage, resolve_library
+from .cells import CellLibrary, resolve_library
 from .errors import ScanforgeError
+from .kinds import FFVariant, Mode, Stage
 from .netlist import CompiledNetlist, Netlist, ScanFF
 
 

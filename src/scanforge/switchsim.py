@@ -16,23 +16,30 @@ width-1 driver in a ratioed fight. A charged source side charge-shares at
 rank 1; a floating side contributes nothing. Pass degradation (an NMOS
 passing 1 or a PMOS passing 0) halves the effective width, lowering the rank
 but keeping it above charge strength. External input pins drive their node
-at width-1.0 rank. Each node resolves to its strongest contribution;
-equal-rank disagreement resolves to X.
+at width-1.0 rank. A node's contributions fold into its value with one
+join, associative and commutative, so their order never matters: the higher
+rank wins, and at equal rank the node keeps a logic value only if all agree
+and none is X.
 
 Evaluation nests two fixed-point loops. The outer loop freezes every
 transistor's conduction state (on / off / maybe) from the current node
-values. The inner loop then solves the channel network by synchronous
-message passing over channel edges (parallel transistors joining the same
-node pair, e.g. a transmission gate, form one edge): the message an edge
-sends into a node is computed from the far node's value EXCLUDING that same
-edge's reverse message, so a value never reflects back through the device
-that delivered it. Supplies are pinned and never relay. On the
-tree-structured channel graphs of CMOS latches this converges exactly and
-independently of transistor list order; a network where either loop is still
-moving after ``MAX_ITERS`` rounds (e.g. a ring oscillator) raises
-OscillationError with the unsettled nodes. A network is compiled on first use
-into node indices, channel edges with their ranks and a memo of settled
-phases (``TransistorNetwork.compiled``), kept on the network object only.
+values. The inner loop then solves the channel network, starting from no
+messages, by synchronous message passing over channel edges (parallel
+transistors joining the same node pair, e.g. a transmission gate, form one
+edge): the message an edge sends into a node is computed from the far
+node's value EXCLUDING that same edge's reverse message, so a value never
+reflects back through the device that delivered it. Supplies are pinned and never relay. The rounds are
+change-driven (selective trace): a message is a pure function of the other
+messages into its source, so the first round computes every message and
+each later round recomputes only the messages that read one changed in the
+round before, which gives the same rounds and the same fixed point as
+recomputing all of them. On the tree-structured channel graphs of CMOS
+latches this converges exactly and independently of transistor list order;
+a network where either loop is still moving after ``MAX_ITERS`` rounds
+(e.g. a ring oscillator) raises OscillationError with the unsettled nodes.
+A network is compiled on first use into node indices, channel messages with
+their ranks and readers and a memo of settled phases
+(``TransistorNetwork.compiled``), kept on the network object only.
 """
 
 from __future__ import annotations
@@ -46,9 +53,9 @@ from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cells import FFVariant
 from .errors import ScanforgeError
 from .ffmodel import ff_selected_input
+from .kinds import FFVariant
 from .logic import Bit, X
 
 RANK_FLOATING = 0.0
@@ -146,15 +153,20 @@ class CompiledNetwork:
 
     Built once per network object by ``TransistorNetwork.compiled``; ``settle``
     and ``SwitchFF`` read it. ``gates[t]`` is transistor t's (on level, gate
-    node): 1 for an NMOS, 0 for a PMOS. An edge (a, b, devices) joins one
-    unordered node pair; parallel transistors on the same pair (e.g. a
-    transmission gate) share it. A device is (transistor index, on level,
-    driven rank, driven rank at the degraded width); a device passes its own
-    on level degraded. Edge ei's message into its node a sits in slot 2*ei,
-    into b in 2*ei+1, and ``into[n]`` lists node n's (edge, slot) pairs.
-    ``pinned[n]`` is a supply's fixed value, else None. ``storage`` is the
-    storage nodes in sorted order, the order of ``SwitchFF.state``, and
-    ``phases`` maps (input bits, charge) to (settled values, new charge).
+    node): 1 for an NMOS, 0 for a PMOS. Parallel transistors on one unordered
+    node pair (e.g. a transmission gate) form one channel edge, and edge e
+    carries two messages: 2*e into its first node in name order, 2*e+1 into
+    the other. ``messages[m]`` is message m's (target, source, devices,
+    others, readers): a device is (transistor index, on level, driven rank,
+    driven rank at the degraded width), and passes its own on level
+    degraded; ``others`` are the messages into the source over its other
+    edges, which with the source's own drive give the value m carries;
+    ``readers`` are the messages out of the target over its other edges,
+    the ones that read m. ``into[n]`` lists the messages node n joins into
+    its value, none for a supply. ``pinned[n]`` is a supply's fixed value,
+    else None. ``storage`` is the storage nodes in sorted order, the order of
+    ``SwitchFF.state``, and ``phases`` maps (input bits, charge) to (settled
+    values, new charge).
     """
 
     def __init__(self, net: TransistorNetwork):
@@ -166,38 +178,42 @@ class CompiledNetwork:
 
         on = [1 if t.ttype == TransistorType.NMOS else 0 for t in net.transistors]
         self.gates = tuple((on[ti], index[t.gate]) for ti, t in enumerate(net.transistors))
+        self.pinned: list[Optional[tuple[Bit, float]]] = [None] * len(net.nodes)
+        self.pinned[index[VDD]] = (1, RANK_SUPPLY)
+        self.pinned[index[GND]] = (0, RANK_SUPPLY)
         groups: dict[frozenset, list[tuple]] = {}
         for ti, t in enumerate(net.transistors):
             groups.setdefault(frozenset((t.src, t.drn)), []).append(
                 (ti, on[ti], rank(t.width), rank(t.width * DEGRADED_WIDTH_FACTOR))
             )
-        edges = []
-        self.into: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
-        for ei, (key, devices) in enumerate(groups.items()):
+        ends: list[tuple[int, int, tuple]] = []  # per message: target, source, devices
+        into: list[list[int]] = [[] for _ in net.nodes]
+        for key, devices in groups.items():
             a, b = (index[n] for n in sorted(key))
-            edges.append((a, b, tuple(devices)))
-            self.into[a].append((ei, 2 * ei))
-            self.into[b].append((ei, 2 * ei + 1))
-        self.edges = tuple(edges)
-        self.pinned: list[Optional[tuple[Bit, float]]] = [None] * len(net.nodes)
-        self.pinned[index[VDD]] = (1, RANK_SUPPLY)
-        self.pinned[index[GND]] = (0, RANK_SUPPLY)
+            for target, source in ((a, b), (b, a)):
+                if self.pinned[target] is None:
+                    into[target].append(len(ends))
+                ends.append((target, source, tuple(devices)))
+        self.into = tuple(tuple(ms) for ms in into)
+        self.messages = tuple(
+            (
+                target, source, devices,
+                tuple(u for u in self.into[source] if u != m ^ 1),
+                tuple(u ^ 1 for u in self.into[target] if u != m),
+            )
+            for m, (target, source, devices) in enumerate(ends)
+        )
         self.input_rank = rank(INPUT_DRIVE_WIDTH)
         self.storage = tuple(sorted(net.storage))
         self.phases: dict = {}
 
 
-def _resolve(contribs: list[tuple[Bit, float]]) -> tuple[Bit, float]:
-    """The strongest contribution; X if any of the strongest is X or they disagree."""
-    top, logic, clash = -1.0, X, True
-    for cl, rank in contribs:
-        if rank > top:
-            top, logic, clash = rank, cl, cl is None
-        elif rank == top and cl != logic:
-            clash = True
-    if top < RANK_FLOATING:
-        return (X, RANK_FLOATING)
-    return (X if clash else logic, top)
+def _join(a: tuple[Bit, float], b: tuple[Bit, float]) -> tuple[Bit, float]:
+    """Two contributions to one node as one: the higher rank wins; at equal
+    rank the logic stays only if both agree and it is not X."""
+    if a[1] != b[1]:
+        return a if a[1] > b[1] else b
+    return a if a[0] == b[0] else (X, a[1])
 
 
 def _bit(bit: object, node: str) -> Bit:
@@ -232,59 +248,65 @@ def settle(
             raise StimulusError(f"{name!r} is not a storage node")
 
     c = net.compiled
-    nodes, edges, into, pinned = net.nodes, c.edges, c.into, c.pinned
-    base: list[list[tuple[Bit, float]]] = [[] for _ in nodes]
-    for name in net.inputs:
-        base[c.index[name]].append((_bit(inputs[name], name), c.input_rank))
-    for name in c.storage:
-        base[c.index[name]].append((_bit(charge.get(name, X), name), RANK_CHARGED))
+    nodes, messages, into = net.nodes, c.messages, c.into
+    # each node's own drive: a supply's pinned value, else the join of its
+    # input pin and its charge (None for neither)
+    own = list(c.pinned)
+    drives = [(n, _bit(inputs[n], n), c.input_rank) for n in net.inputs]
+    drives += [(n, _bit(charge.get(n, X), n), RANK_CHARGED) for n in c.storage]
+    for name, bit, rank in drives:
+        i = c.index[name]
+        own[i] = (bit, rank) if own[i] is None else _join(own[i], (bit, rank))
 
-    def node_value(n: int, msgs: list, exclude: int) -> tuple[Bit, float]:
-        fixed = pinned[n]
-        if fixed is not None:
-            return fixed
-        return _resolve(base[n] + [
-            msgs[slot] for ej, slot in into[n] if ej != exclude and msgs[slot] is not None
-        ])
+    def joined(n: int, heard: Iterable[int], msgs: list) -> Optional[tuple[Bit, float]]:
+        value = own[n]
+        for u in heard:
+            got = msgs[u]
+            if got is not None:
+                value = got if value is None else _join(value, got)
+        return value
 
     def solve_edges(conduction: list[int]) -> list[tuple[Bit, float]]:
-        msgs: list[Optional[tuple[Bit, float]]] = [None] * (2 * len(edges))
+        msgs: list[Optional[tuple[Bit, float]]] = [None] * len(messages)
+        pending: Iterable[int] = range(len(messages))
         for _ in range(MAX_ITERS):
-            new_msgs = list(msgs)
-            for ei, (a, b, devs) in enumerate(edges):
-                for src, slot in ((a, 2 * ei + 1), (b, 2 * ei)):
-                    logic, rank = node_value(src, msgs, ei)
-                    contribs: list[tuple[Bit, float]] = []
-                    for ti, on, full, degraded in devs:
+            changed = []
+            for m in pending:
+                _, source, devices, others, _ = messages[m]
+                value = joined(source, others, msgs)
+                sent = None
+                if value is not None:  # else the source floats and passes nothing
+                    logic, rank = value
+                    for ti, on, full, degraded in devices:
                         state = conduction[ti]
                         if state == _OFF:
                             continue
                         if rank >= RANK_DRIVEN_BASE:
                             if state == _ON:
-                                contribs.append((logic, degraded if logic == on else full))
+                                got = (logic, degraded if logic == on else full)
                             else:
-                                contribs.append((X, full))
-                        elif rank == RANK_CHARGED:
-                            contribs.append(
-                                (X if state == _MAYBE else logic, RANK_CHARGED)
-                            )
-                    new_msgs[slot] = _resolve(contribs) if contribs else None
-            if new_msgs == msgs:
+                                got = (X, full)
+                        else:  # a charged source shares its charge
+                            got = (X if state == _MAYBE else logic, RANK_CHARGED)
+                        sent = got if sent is None else _join(sent, got)
+                if sent != msgs[m]:
+                    changed.append((m, sent))
+            if not changed:
                 break
-            msgs, last = new_msgs, msgs
+            pending = set()
+            for m, sent in changed:
+                msgs[m] = sent
+                pending.update(messages[m][4])
         else:
-            moving = (
-                edges[slot // 2][slot % 2]
-                for slot, (m, old) in enumerate(zip(msgs, last))
-                if m != old
+            raise OscillationError(
+                nodes[messages[m][0]] for m, _ in changed if c.pinned[messages[m][0]] is None
             )
-            raise OscillationError(nodes[n] for n in moving if pinned[n] is None)
-        return [node_value(n, msgs, -1) for n in range(len(nodes))]
+        return [
+            (X, RANK_FLOATING) if v is None else v
+            for v in (joined(n, heard, msgs) for n, heard in enumerate(into))
+        ]
 
-    values = [
-        _resolve(contribs) if fixed is None else fixed
-        for fixed, contribs in zip(pinned, base)
-    ]
+    values = [(X, RANK_FLOATING) if v is None else v for v in own]
     prev = values
     for _ in range(MAX_ITERS):
         conduction = []
@@ -366,8 +388,11 @@ def check_behavioral(
     memoises one switch-level clock cycle per (charge, pins). The exhaustive
     part counts the prefixes that reach each state, so a mismatch at depth d
     stands for ``count * 8**(3 - d)`` sequences; the random part steps the
-    memo with the draws a replay would make, in the same order.
+    memo with the draws a replay would make, in the same order. A negative
+    ``vectors`` raises StimulusError before any phase is settled.
     """
+    if vectors < 0:
+        raise StimulusError(f"vectors must be >= 0, got {vectors}")
     ff = SwitchFF(net)
     memo: dict = {}
 

@@ -3,9 +3,10 @@
 Everything here is deliberately written differently from the library code:
 gate evaluation uses truth tables and fixpoint relaxation instead of
 topological ordering, flip-flop next-state is a one-line mux, longest
-paths come from exhaustive DFS enumeration, and a VCD dump compares each
-net's bit string with itself one cycle back. Slow and obvious beats fast and
-clever for an oracle.
+paths come from exhaustive DFS enumeration, a VCD dump compares each
+net's bit string with itself one cycle back, and a switch-level phase is
+settled by name with every channel message recomputed every round. Slow and
+obvious beats fast and clever for an oracle.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import random
 import re
 from typing import Optional
 
-from scanforge.cells import FFVariant, GateType
+from scanforge.kinds import FFVariant, GateType
 from scanforge.netlist import Dff, Gate, Netlist, ScanFF
+from scanforge.switchsim import OscillationError, TransistorNetwork, TransistorType
 
 Bit = Optional[int]
 
@@ -362,3 +364,90 @@ def regex_tokenize(text: str) -> list[list[tuple[str, int, int]]]:
         if row:
             rows.append(row)
     return rows
+
+
+def _strongest(contribs: list[tuple[Bit, float]]) -> tuple[Bit, float]:
+    """The top rank, with the logic every contribution at that rank agrees on
+    (X if any of them is X or two differ); (X, 0.0) with no contribution."""
+    if not contribs:
+        return (None, 0.0)
+    top = max(rank for _, rank in contribs)
+    logics = {logic for logic, rank in contribs if rank == top}
+    return (logics.pop() if logics in ({0}, {1}) else None, top)
+
+
+def naive_settle(
+    net: TransistorNetwork, inputs: dict, charge: Optional[dict] = None
+) -> dict[str, tuple[Bit, float]]:
+    """Each node's settled (logic, rank) by the full synchronous sweep.
+
+    Works by node name, from the transistor list alone. The outer loop
+    freezes every device's conduction from the node values; the inner loop
+    starts from no messages and recomputes the message across every channel
+    pair (parallel devices on one node pair together) into each of its ends,
+    every round, from the far end's value without the message that came back
+    across the same pair, until a round changes none. Either loop still
+    moving after 100 rounds raises ``OscillationError`` with the unpinned
+    nodes whose value (outer) or incoming message (inner) changed in the
+    last round.
+    """
+    widest = max((t.width for t in net.transistors), default=1.0)
+
+    def rank(width: float) -> float:
+        return 2.0 + 0.5 * (width / widest)
+
+    pinned = {"VDD": (1, 3.0), "GND": (0, 3.0)}
+    base: dict[str, list] = {n: [] for n in net.nodes}
+    for n in net.inputs:
+        base[n].append((inputs[n], rank(1.0)))
+    for n in net.storage:
+        base[n].append(((charge or {}).get(n), 1.0))
+    pairs: dict[frozenset, list] = {}
+    for t in net.transistors:
+        pairs.setdefault(frozenset((t.src, t.drn)), []).append(t)
+
+    def value(node: str, msgs: dict, skip: Optional[frozenset]) -> tuple[Bit, float]:
+        if node in pinned:
+            return pinned[node]
+        came = [m for (pair, to), m in msgs.items() if to == node and pair != skip]
+        return _strongest(base[node] + came)
+
+    def sweep(state: dict) -> dict:
+        msgs: dict = {}
+        for _ in range(100):
+            new = {}
+            for pair, devices in pairs.items():
+                for src, dst in itertools.permutations(pair):
+                    logic, r = value(src, msgs, pair)
+                    contribs = []
+                    for t in devices:
+                        on = 1 if t.ttype is TransistorType.NMOS else 0
+                        if state[t.id] == "off":
+                            continue
+                        if r >= 2.0 and state[t.id] == "on":
+                            full = logic != on
+                            contribs.append((logic, rank(t.width if full else t.width * 0.5)))
+                        elif r >= 2.0:
+                            contribs.append((None, rank(t.width)))
+                        elif r == 1.0:
+                            contribs.append((logic if state[t.id] == "on" else None, 1.0))
+                    if contribs:
+                        new[(pair, dst)] = _strongest(contribs)
+            if new == msgs:
+                return {n: value(n, msgs, None) for n in net.nodes}
+            msgs, last = new, msgs
+        moving = {to for pair, to in {**msgs, **last} if msgs.get((pair, to)) != last.get((pair, to))}
+        raise OscillationError(moving - set(pinned))
+
+    values = {n: pinned.get(n) or _strongest(base[n]) for n in net.nodes}
+    for _ in range(100):
+        state = {}
+        for t in net.transistors:
+            g = values[t.gate][0]
+            on = 1 if t.ttype is TransistorType.NMOS else 0
+            state[t.id] = "maybe" if g is None else "on" if g == on else "off"
+        new_values = sweep(state)
+        if new_values == values:
+            return values
+        values, last_values = new_values, values
+    raise OscillationError(n for n in net.nodes if values[n] != last_values[n])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from scanforge import cells
 from scanforge.cells import (
     CellConfigError,
     CellLibrary,
@@ -20,6 +24,7 @@ from scanforge.cells import (
     resolve_library,
 )
 from scanforge.cli import main
+from scanforge.power import estimate_power
 
 # published characterization rows: (t_su, t_cq, t_pd, avg_power_uw)
 TABLE = {
@@ -190,6 +195,62 @@ def test_resolve_library_precedence(tmp_path, monkeypatch):
     assert resolve_library().gate(GateType.INV).delay_ns == 0.99
     # explicit object wins over the environment
     assert resolve_library(CellLibrary.builtin()).gate(GateType.INV).delay_ns != 0.99
+
+
+@pytest.fixture()
+def load_calls(monkeypatch):
+    """Counts the ``load_library`` calls that ``resolve_library`` makes."""
+    calls = []
+    real = cells.load_library
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cells, "load_library", counting)
+    return calls
+
+
+def test_resolve_library_parses_a_file_once_per_version(tmp_path, monkeypatch, load_calls):
+    cfg = tmp_path / "env.cellcfg"
+    cfg.write_text("[gate.INV]\ndelay_ns = 0.99\n")
+    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
+    lib = resolve_library()
+    assert resolve_library() is lib
+    assert resolve_library(cfg) is lib is resolve_library(str(tmp_path / "." / cfg.name))
+    assert len(load_calls) == 1
+    with pytest.raises(TypeError):
+        lib.gates[GateType.INV] = GateParams(0.5, 0.5)
+    with pytest.raises(TypeError):
+        lib.ffs[(FFVariant.MUX, Stage.POST_LAYOUT)] = lib.ff(FFVariant.APPROX, Stage.POST_LAYOUT)
+    assert resolve_library().gate(GateType.INV).delay_ns == 0.99
+
+    # a new version of the file (another size and time) is parsed again
+    cfg.write_text("[gate.INV]\ndelay_ns = 0.125\n")
+    os.utime(cfg, ns=(cfg.stat().st_atime_ns, cfg.stat().st_mtime_ns + 1_000_000_000))
+    fresh = resolve_library()
+    assert fresh is not lib and fresh.gate(GateType.INV).delay_ns == 0.125
+    assert resolve_library() is fresh
+    assert len(load_calls) == 2
+
+
+def test_reports_without_a_library_parse_the_env_file_once(monkeypatch, load_calls):
+    from scanforge.netlist import load_netlist
+    from scanforge.protocol import sim_functional
+    from scanforge.sta import analyze_timing
+
+    cfg = Path(cells.__file__).parent / "data" / "default.cellcfg"
+    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
+    n = load_netlist(str(Path(__file__).parent / "fixtures" / "chain10.snl"))
+    trace = sim_functional(n, [{net: 0 for net in n.inputs}], cycles=8)
+    points = list(itertools.product(FFVariant, Stage, Mode))
+    priced = list(itertools.product(FFVariant, Stage))
+    timing = [repr(analyze_timing(n, *point)) for point in points]
+    power = [repr(estimate_power(trace, v, s, 1.0)) for v, s in priced]
+    assert len(load_calls) == 1
+    lib = load_library(cfg)
+    assert timing == [repr(analyze_timing(n, *point, lib)) for point in points]
+    assert power == [repr(estimate_power(trace, v, s, 1.0, lib)) for v, s in priced]
 
 
 def test_bundled_example_config_loads():

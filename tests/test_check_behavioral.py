@@ -21,11 +21,11 @@ from pathlib import Path
 import pytest
 
 import scanforge
-from scanforge.cells import FFVariant
 from scanforge.cli import main
 from scanforge.ffmodel import FFState, ff_cycle
+from scanforge.kinds import FFVariant
 from scanforge.logic import X
-from scanforge.switchsim import bundled_network, check_behavioral, run_cycles
+from scanforge.switchsim import StimulusError, bundled_network, check_behavioral, run_cycles
 
 MODELS = [FFVariant.MUX, FFVariant.GDI, FFVariant.APPROX, None]
 SEEDS = [1, 42, 99]
@@ -104,6 +104,14 @@ def test_plain_dff_model_mismatches_the_scan_cells():
     # The plain D flip-flop ignores SE, so it disagrees with every scan cell.
     net = bundled_network(FFVariant.MUX)
     assert check_behavioral(net, None, random.Random(42), 256) == (4352, 4595)
+
+
+@pytest.mark.parametrize("vectors", [-1, -5])
+def test_negative_vector_count_raises_before_any_phase_settles(vectors):
+    net = bundled_network(FFVariant.MUX)
+    with pytest.raises(StimulusError, match=f"vectors must be >= 0, got {vectors}"):
+        check_behavioral(net, FFVariant.MUX, random.Random(1), vectors)
+    assert net.compiled.phases == {}
 
 
 def run_cli(capsys, *argv):

@@ -29,19 +29,21 @@ CHAIN10 = str(FIXTURES / "chain10.snl")
 PATTERNS = str(FIXTURES / "chain10.pat")
 PLAIN = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 
-FRONT = {"cli", "cells", "errors", "reports"}
+# Every subcommand names variants and stages through ``kinds``; only the
+# ones that price cells (sta, power, compare) load the data in ``cells``.
+FRONT = {"cli", "kinds", "errors", "reports"}
 SIM = {"netlist", "scan", "protocol", "logic"}
 
 BUDGETS = [
     ("insert", ["insert", "{plain}"], FRONT | {"netlist", "scan"}),
-    ("sta", ["sta", CHAIN10], FRONT | {"netlist", "sta"}),
-    ("compare", ["compare", CHAIN10], FRONT | {"netlist", "sta", "power"}),
-    ("compare-fixture", ["compare"], FRONT | {"netlist", "sta", "power"}),
+    ("sta", ["sta", CHAIN10], FRONT | {"cells", "netlist", "sta"}),
+    ("compare", ["compare", CHAIN10], FRONT | {"cells", "netlist", "sta", "power"}),
+    ("compare-fixture", ["compare"], FRONT | {"cells", "netlist", "sta", "power"}),
     ("sim", ["sim", CHAIN10], FRONT | SIM),
     ("sim-vcd", ["sim", CHAIN10, "--vcd", "{tmp}/sim.vcd"], FRONT | SIM | {"vcd"}),
     ("scan-test", ["scan-test", CHAIN10, PATTERNS], FRONT | SIM),
-    ("power", ["power", CHAIN10], FRONT | SIM | {"power"}),
-    ("power-patterns", ["power", CHAIN10, PATTERNS], FRONT | SIM | {"power"}),
+    ("power", ["power", CHAIN10], FRONT | SIM | {"cells", "power"}),
+    ("power-patterns", ["power", CHAIN10, PATTERNS], FRONT | SIM | {"cells", "power"}),
     ("switchsim", ["switchsim", "approx_sff.tnl", "--check-behavioral", "--vectors", "4"],
      FRONT | {"switchsim", "ffmodel", "logic"}),
 ]
@@ -82,6 +84,13 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, budget):
 
 def test_import_scanforge_loads_no_submodule():
     assert loaded_after([]) == (None, set())
+
+
+def test_cells_re_exports_the_enums_of_kinds():
+    cells = importlib.import_module("scanforge.cells")
+    kinds = importlib.import_module("scanforge.kinds")
+    for name in ("FFVariant", "Stage", "Mode", "GateType"):
+        assert getattr(cells, name) is getattr(kinds, name) is getattr(scanforge, name)
 
 
 def test_every_public_name_resolves_to_its_home_object():

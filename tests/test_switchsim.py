@@ -2,7 +2,9 @@
 
 Strength resolution is pinned down on hand-built two-to-six transistor
 networks where every rank can be computed by inspection, then the bundled
-flip-flop networks are checked against the behavioral model.
+flip-flop networks are checked against the behavioral model, and ``settle``
+against the full synchronous sweep of ``oracles.naive_settle`` on random
+small networks.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import naive_settle
 
 import scanforge
 from scanforge import switchsim
-from scanforge.cells import FFVariant
 from scanforge.ffmodel import FFState, ff_cycle
+from scanforge.kinds import FFVariant
 from scanforge.logic import X
 from scanforge.switchsim import (
     RANK_CHARGED,
@@ -487,3 +492,89 @@ def test_phases_are_memoised_on_the_network(settle_calls):
 def test_check_behavioral_settles_48_phases_on_a_fresh_network(variant, settle_calls):
     check_behavioral(bundled_network(variant), variant, random.Random(1), 256)
     assert len(settle_calls) == 48
+
+
+def _outcome(settle_fn, net, inputs, charge):
+    """Every node's (logic, rank), or the nodes an OscillationError names."""
+    try:
+        settled = settle_fn(net, inputs, charge)
+    except OscillationError as exc:
+        return ("oscillates", exc.nodes)
+    return ("settles", {
+        n: (v.logic, v.rank) if isinstance(v, NodeValue) else v for n, v in settled.items()
+    })
+
+
+@st.composite
+def small_networks(draw):
+    """A random network of up to five nodes besides the supplies and up to
+    nine devices, with 0/1/X on every input and charge on some of the
+    storage nodes.
+
+    Channels join any two nodes, so they form loops and parallel devices,
+    and widths repeat, so equal-rank fights happen.
+    """
+    inner = [f"N{k}" for k in range(draw(st.integers(1, 5)))]
+    names = [*inner, "VDD", "GND"]
+    storage = draw(st.lists(st.sampled_from(inner), unique=True))
+    inputs = draw(st.lists(st.sampled_from(inner), unique=True))
+    lines = [f"node {n}{' storage' if n in storage else ''}" for n in inner]
+    lines += ["supply VDD", "supply GND", *(f"io in {n}" for n in inputs)]
+    for k in range(draw(st.integers(1, 9))):
+        src, drn = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        gate = draw(st.sampled_from([n for n in names if n not in (src, drn)]))
+        kind = draw(st.sampled_from("NP"))
+        width = draw(st.sampled_from([0.5, 1, 2]))
+        lines.append(f"t t{k} {kind} {gate} {src} {drn} {width}")
+    bit = st.sampled_from([0, 1, X])
+    pins = {n: draw(bit) for n in inputs}
+    charge = {n: draw(bit) for n in storage if draw(st.booleans())}
+    return "\n".join(lines), pins, charge
+
+
+# a ring of three inverters: the outer (conduction) loop never settles
+_RING_CASE = (RING, {}, {"A": 0, "B": 0, "C": 0})
+# frozen conduction whose channel messages never settle
+_CHANNEL_CASE = ("""
+supply VDD
+supply GND
+node N0 storage
+node N1
+node N2
+node N3
+io in N3
+io in N1
+io in N2
+t t0 N N2 N0 GND 2
+t t1 N N3 N1 N2 1.5
+t t2 P N2 N0 N1 1
+t t3 N N3 N2 N0 0.5
+""", {"N1": 0, "N2": 1, "N3": 1}, {"N0": 0})
+# a channel loop D-B-C-D whose B-C edge has two parallel devices, charge on
+# one of its two storage nodes
+_LOOP = """
+node G
+node D
+node B storage
+node C storage
+supply VDD
+supply GND
+io in G
+io in D
+t db N VDD D B 1
+t bc N G B C 2
+t cd N VDD C D 1
+t bc2 P G B C 1
+"""
+
+
+@settings(max_examples=300)
+@example(_RING_CASE)
+@example(_CHANNEL_CASE)
+@example((_LOOP, {"G": 1, "D": 1}, {"C": 0}))
+@example((_LOOP, {"G": X, "D": 0}, {"C": 1}))
+@given(small_networks())
+def test_settle_matches_the_full_synchronous_sweep(case):
+    text, inputs, charge = case
+    net = load_network(text)
+    assert _outcome(settle, net, inputs, charge) == _outcome(naive_settle, net, inputs, charge)
