@@ -279,32 +279,13 @@ def load_library(path: str | Path) -> CellLibrary:
     return CellLibrary(ffs=MappingProxyType(ffs), gates=MappingProxyType(gates))
 
 
-# The last library loaded from each resolved path, with the (st_mtime_ns,
-# st_size) it was read at.
-_LOADED: dict[Path, tuple[tuple[int, int], CellLibrary]] = {}
-
-
 def resolve_library(
     explicit: "CellLibrary | str | Path | None" = None,
 ) -> CellLibrary:
-    """Pick the cell library: explicit object or path, else $SCANFORGE_CELLS, else builtin.
-
-    A path is parsed once per version of its file: while the resolved path's
-    modification time and size stay the same, every call returns the same
-    library object.
-    """
+    """Pick the cell library: explicit object or path, else $SCANFORGE_CELLS, else builtin."""
     if isinstance(explicit, CellLibrary):
         return explicit
     path = explicit or os.environ.get(ENV_CELLS)
-    if not path:
-        return CellLibrary.builtin()
-    try:
-        resolved = Path(path).resolve()
-        st = resolved.stat()
-    except OSError:
-        return load_library(path)  # raises CellConfigError naming the path
-    stamp = (st.st_mtime_ns, st.st_size)
-    hit = _LOADED.get(resolved)
-    if hit is None or hit[0] != stamp:
-        hit = _LOADED[resolved] = (stamp, load_library(path))
-    return hit[1]
+    if path:
+        return load_library(path)
+    return CellLibrary.builtin()

@@ -197,44 +197,32 @@ def test_resolve_library_precedence(tmp_path, monkeypatch):
     assert resolve_library(CellLibrary.builtin()).gate(GateType.INV).delay_ns != 0.99
 
 
-@pytest.fixture()
-def load_calls(monkeypatch):
-    """Counts the ``load_library`` calls that ``resolve_library`` makes."""
-    calls = []
-    real = cells.load_library
-
-    def counting(path):
-        calls.append(path)
-        return real(path)
-
-    monkeypatch.setattr(cells, "load_library", counting)
-    return calls
-
-
-def test_resolve_library_parses_a_file_once_per_version(tmp_path, monkeypatch, load_calls):
+def test_load_library_returns_read_only_tables(tmp_path):
     cfg = tmp_path / "env.cellcfg"
     cfg.write_text("[gate.INV]\ndelay_ns = 0.99\n")
-    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
-    lib = resolve_library()
-    assert resolve_library() is lib
-    assert resolve_library(cfg) is lib is resolve_library(str(tmp_path / "." / cfg.name))
-    assert len(load_calls) == 1
+    lib = load_library(cfg)
     with pytest.raises(TypeError):
         lib.gates[GateType.INV] = GateParams(0.5, 0.5)
     with pytest.raises(TypeError):
         lib.ffs[(FFVariant.MUX, Stage.POST_LAYOUT)] = lib.ff(FFVariant.APPROX, Stage.POST_LAYOUT)
-    assert resolve_library().gate(GateType.INV).delay_ns == 0.99
-
-    # a new version of the file (another size and time) is parsed again
-    cfg.write_text("[gate.INV]\ndelay_ns = 0.125\n")
-    os.utime(cfg, ns=(cfg.stat().st_atime_ns, cfg.stat().st_mtime_ns + 1_000_000_000))
-    fresh = resolve_library()
-    assert fresh is not lib and fresh.gate(GateType.INV).delay_ns == 0.125
-    assert resolve_library() is fresh
-    assert len(load_calls) == 2
+    assert lib.gate(GateType.INV).delay_ns == 0.99
 
 
-def test_reports_without_a_library_parse_the_env_file_once(monkeypatch, load_calls):
+def test_resolve_library_reads_a_file_rewritten_with_the_same_size_and_time(
+    tmp_path, monkeypatch
+):
+    cfg = tmp_path / "env.cellcfg"
+    cfg.write_text("[gate.INV]\ndelay_ns = 0.11\n")
+    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
+    assert resolve_library().gate(GateType.INV).delay_ns == 0.11
+    stamp = cfg.stat()
+    cfg.write_text("[gate.INV]\ndelay_ns = 0.12\n")
+    os.utime(cfg, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+    assert (cfg.stat().st_size, cfg.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+    assert resolve_library().gate(GateType.INV).delay_ns == 0.12
+
+
+def test_reports_from_the_env_file_match_an_explicit_library(monkeypatch):
     from scanforge.netlist import load_netlist
     from scanforge.protocol import sim_functional
     from scanforge.sta import analyze_timing
@@ -247,7 +235,6 @@ def test_reports_without_a_library_parse_the_env_file_once(monkeypatch, load_cal
     priced = list(itertools.product(FFVariant, Stage))
     timing = [repr(analyze_timing(n, *point)) for point in points]
     power = [repr(estimate_power(trace, v, s, 1.0)) for v, s in priced]
-    assert len(load_calls) == 1
     lib = load_library(cfg)
     assert timing == [repr(analyze_timing(n, *point, lib)) for point in points]
     assert power == [repr(estimate_power(trace, v, s, 1.0, lib)) for v, s in priced]
