@@ -15,18 +15,18 @@ downstream consumers can decide which figure to trust.
 Libraries load from `.cellcfg` files (INI syntax, sections like
 ``[gate.NAND2]`` and ``[ff.APPROX.post_layout.functional]``); any key present
 in the file overrides the builtin value. Every value, from a file or from
-code, passes the range check of the dataclass that holds it, and NaN and
-infinities are out of every range.
+code, passes the range check of the record that holds it when the record
+is built or copied (``_replace`` included), and NaN and infinities are out
+of every range.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, Optional
+from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ScanforgeError
 from .kinds import FFVariant, GateType, Mode, Stage
@@ -56,21 +56,33 @@ def _check(name: str, value: float, low: Optional[float] = None, strict: bool = 
     raise CellConfigError(f"{name} must be a finite number{bound}, got {value}")
 
 
-@dataclass(frozen=True)
-class ModeTiming:
-    """One characterized row: a (variant, stage, mode) operating point."""
+def _remake(cls: type, fields: Iterable[Any]) -> Any:
+    """``_make`` of a checked record: through ``__new__``, so that ``_replace``
+    checks the fields as construction does."""
+    return cls(*fields)
 
+
+class _ModeTimingFields(NamedTuple):
     t_su: float  # setup time, ns
     t_cq: float  # clock-to-Q delay, ns
     t_pd: float  # printed path delay, ns (nominally t_su + t_cq)
     avg_power_uw: float  # average power at F_REF_HZ, microwatts
 
-    def __post_init__(self) -> None:
-        _check("t_su", self.t_su, 0)
-        _check("t_cq", self.t_cq, 0, strict=True)
-        _check("t_pd", self.t_pd, 0)
-        _check("avg_power_uw", self.avg_power_uw, 0, strict=True)
-        _check("t_su + t_cq", self.t_pd_sum)
+
+class ModeTiming(_ModeTimingFields):
+    """One characterized row: a (variant, stage, mode) operating point."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_su: float, t_cq: float, t_pd: float, avg_power_uw: float) -> ModeTiming:
+        _check("t_su", t_su, 0)
+        _check("t_cq", t_cq, 0, strict=True)
+        _check("t_pd", t_pd, 0)
+        _check("avg_power_uw", avg_power_uw, 0, strict=True)
+        _check("t_su + t_cq", t_su + t_cq)
+        return super().__new__(cls, t_su, t_cq, t_pd, avg_power_uw)
+
+    _make = classmethod(_remake)
 
     @property
     def t_pd_sum(self) -> float:
@@ -83,16 +95,25 @@ class ModeTiming:
         return abs(self.t_pd - self.t_pd_sum) > CONSISTENCY_TOL_NS + _TOL_EPS
 
 
-@dataclass(frozen=True)
-class FFVariantParams:
+class _FFVariantParamsFields(NamedTuple):
     variant: FFVariant
     stage: Stage
     functional: ModeTiming
     test: ModeTiming
     area: float  # transistor-count units
 
-    def __post_init__(self) -> None:
-        _check("area", self.area, 0, strict=True)
+
+class FFVariantParams(_FFVariantParamsFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, variant: FFVariant, stage: Stage, functional: ModeTiming, test: ModeTiming,
+        area: float,
+    ) -> FFVariantParams:
+        _check("area", area, 0, strict=True)
+        return super().__new__(cls, variant, stage, functional, test, area)
+
+    _make = classmethod(_remake)
 
     def mode(self, mode: Mode) -> ModeTiming:
         return self.functional if mode == Mode.FUNCTIONAL else self.test
@@ -107,14 +128,20 @@ class FFVariantParams:
         return self.mode(mode).avg_power_uw * 1e9 / F_REF_HZ
 
 
-@dataclass(frozen=True)
-class GateParams:
+class _GateParamsFields(NamedTuple):
     delay_ns: float
     energy_per_toggle_fj: float
 
-    def __post_init__(self) -> None:
-        _check("delay_ns", self.delay_ns, 0, strict=True)
-        _check("energy_per_toggle_fj", self.energy_per_toggle_fj, 0)
+
+class GateParams(_GateParamsFields):
+    __slots__ = ()
+
+    def __new__(cls, delay_ns: float, energy_per_toggle_fj: float) -> GateParams:
+        _check("delay_ns", delay_ns, 0, strict=True)
+        _check("energy_per_toggle_fj", energy_per_toggle_fj, 0)
+        return super().__new__(cls, delay_ns, energy_per_toggle_fj)
+
+    _make = classmethod(_remake)
 
 
 # Characterized flip-flop rows, stored verbatim (known t_pd inconsistencies
@@ -146,8 +173,7 @@ _BUILTIN_GATES: dict[GateType, GateParams] = {
 }
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One row of the published design-comparison table."""
 
     label: str
@@ -171,8 +197,7 @@ def comparison_table() -> tuple[ComparisonRow, ...]:
     return _COMPARISON_ROWS
 
 
-@dataclass(frozen=True)
-class CellLibrary:
+class CellLibrary(NamedTuple):
     """Immutable lookup table of FF params and gate params."""
 
     ffs: Mapping[tuple[FFVariant, Stage], FFVariantParams]
@@ -213,7 +238,7 @@ def _override(section: str, base: Any, values: Mapping[str, str], allowed: tuple
         except ValueError:
             raise CellConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
     try:
-        return replace(base, **changes)
+        return base._replace(**changes)
     except CellConfigError as exc:
         raise CellConfigError(f"[{section}] {exc}") from None
 
@@ -271,7 +296,7 @@ def load_library(path: str | Path) -> CellLibrary:
                 except ValueError:
                     raise CellConfigError(f"unknown mode in [{section}]") from None
                 row = _override(section, params.mode(mode), values, _MODE_KEYS)
-                params = replace(params, **{mode.value: row})
+                params = params._replace(**{mode.value: row})
             ffs[(variant, stage)] = params
         else:
             raise CellConfigError(f"unrecognized section [{section}]")

@@ -42,8 +42,12 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_cells(sub: argparse.ArgumentParser) -> None:
+    """``--cells``, for the subcommands that price cells (sta, power, compare)."""
     sub.add_argument("--cells", metavar="PATH", help="cell config overriding builtins")
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=42, help="seed for randomized stimulus")
     sub.add_argument("-o", "--output", metavar="PATH", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=FORMATS, default="json", help="report format")
@@ -58,17 +62,14 @@ def _emit(args: argparse.Namespace, doc: dict[str, Any]) -> None:
 
 
 def cmd_insert(args: argparse.Namespace) -> dict[str, Any]:
-    from dataclasses import replace
-
     from .netlist import load_netlist, serialize_netlist
     from .scan import default_plan, insert_scan, verify_chain
 
     n = load_netlist(args.netlist)
     variant = FFVariant(args.variant)
     ports = {"chain_in": args.chain_in, "chain_out": args.chain_out, "enable": args.enable}
-    plan = replace(
-        default_plan(n, variant),
-        **{name: net for name, net in ports.items() if net is not None},
+    plan = default_plan(n, variant)._replace(
+        **{name: net for name, net in ports.items() if net is not None}
     )
     inserted = insert_scan(n, plan)
     recovered = verify_chain(inserted)
@@ -401,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=_VARIANTS, default="mux")
     p.add_argument("--stage", choices=_STAGES, default="post_layout")
     p.add_argument("--mode", choices=_MODES, default="functional")
+    _add_cells(p)
     _add_common(p)
     p.set_defaults(handler=cmd_sta)
 
@@ -415,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tclk", type=float, default=1.0, help="clock period in ns")
     p.add_argument("--cycles", type=int, default=100, help="functional cycles when no patterns given")
     p.add_argument("--contention-penalty-fj", type=float, default=0.0)
+    _add_cells(p)
     _add_common(p)
     p.set_defaults(handler=cmd_power)
 
@@ -432,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="cross-variant gain table")
     p.add_argument("netlist", nargs="?", help="defaults to the zero-cloud fixture")
     p.add_argument("--stage", choices=_STAGES, default="post_layout")
+    _add_cells(p)
     _add_common(p)
     p.set_defaults(handler=cmd_compare)
 

@@ -15,15 +15,13 @@ switch-level check compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kinds import FFVariant
 from .logic import Bit, X, toggled
 
 
-@dataclass(frozen=True)
-class FFState:
+class FFState(NamedTuple):
     """Master/slave bits plus activity counters.
 
     ``variant`` None means a plain D flip-flop (no scan input). Counters only
@@ -82,8 +80,7 @@ def ff_cycle(state: FFState, di: Bit, si: Bit = X, se: Bit = X) -> FFState:
         + toggled(state.master, selected)
         + toggled(state.slave, selected)
     )
-    return replace(
-        state,
+    return state._replace(
         master=selected,
         slave=selected,
         contention_count=contention,

@@ -29,9 +29,8 @@ first, with an optional ``-> <expected>`` response suffix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import ScanforgeError
 from .kinds import FFVariant, GateType
@@ -78,8 +77,7 @@ class PatternWidthError(ScanforgeError):
     code = "patterns.width"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     id: str
     gtype: GateType
     out: str
@@ -94,8 +92,7 @@ class Gate:
         return self.ins
 
 
-@dataclass(frozen=True)
-class Dff:
+class Dff(NamedTuple):
     id: str
     q: str
     di: str
@@ -109,8 +106,7 @@ class Dff:
         return (self.di,)
 
 
-@dataclass(frozen=True)
-class ScanFF:
+class ScanFF(NamedTuple):
     id: str
     variant: FFVariant
     q: str
@@ -131,12 +127,49 @@ Instance = Union[Gate, Dff, ScanFF]
 Flop = Union[Dff, ScanFF]
 
 
-@dataclass(frozen=True)
 class Netlist:
-    name: str
-    inputs: tuple[str, ...] = ()
-    outputs: tuple[str, ...] = ()
-    instances: tuple[Instance, ...] = ()
+    """A module's name, ports and instances, each in declaration order.
+
+    Its fields cannot be assigned, so the compiled form built on first use
+    stays the netlist's own; a changed netlist is a new ``Netlist`` built
+    from the fields.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        inputs: tuple[str, ...] = (),
+        outputs: tuple[str, ...] = (),
+        instances: tuple[Instance, ...] = (),
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "inputs", inputs)
+        set_field(self, "outputs", outputs)
+        set_field(self, "instances", instances)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.name, self.inputs, self.outputs, self.instances)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Netlist(name={self.name!r}, inputs={self.inputs!r}, "
+            f"outputs={self.outputs!r}, instances={self.instances!r})"
+        )
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -481,15 +514,30 @@ def serialize_netlist(n: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class _PatternSetFields(NamedTuple):
     chain_length: int
     vectors: tuple[str, ...]
-    expected: tuple[Optional[str], ...] = field(default=())
+    expected: tuple[Optional[str], ...]
 
-    def __post_init__(self) -> None:
-        if not self.expected:
-            object.__setattr__(self, "expected", (None,) * len(self.vectors))
+
+class PatternSet(_PatternSetFields):
+    """Scan vectors of one width and each one's expected response or None.
+
+    An empty ``expected`` expects no response of any vector.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, chain_length: int, vectors: tuple[str, ...],
+        expected: tuple[Optional[str], ...] = (),
+    ) -> PatternSet:
+        return super().__new__(cls, chain_length, vectors, expected or (None,) * len(vectors))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> PatternSet:
+        """Through ``__new__``, so that ``_replace`` fills in ``expected`` too."""
+        return cls(*fields)
 
 
 _BITS_RE = re.compile(r"[01]+\Z")

@@ -13,8 +13,7 @@ because no credible per-event figure exists to bake in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .cells import CellLibrary, resolve_library
 from .errors import ScanforgeError
@@ -28,8 +27,7 @@ class PowerModelError(ScanforgeError):
     code = "power.model"
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     netlist_name: str
     variant: FFVariant
     stage: Stage

@@ -53,9 +53,8 @@ rail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
 from .kinds import GateType
@@ -253,37 +252,56 @@ class _CycleValues(Mapping[str, Bit]):
         return repr(dict(self))
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     index: int
     phase: Phase
     se: Bit
     values: Mapping[str, Bit]  # end-of-cycle net values, settled on first read
 
 
-@dataclass
 class ProtocolTrace:
     """End-of-cycle lanes of every net, per-cycle phase and SE, and the counts.
 
     ``nets`` lists the net names in column order; ``_lane_trace`` fills the
-    columns and the counts.
+    columns and the counts, which start empty.
     """
 
-    netlist_name: str
-    nets: tuple[str, ...] = ()
-    net_toggles: dict[str, int] = field(default_factory=dict)
-    net_drivers: dict[str, GateType] = field(default_factory=dict)
-    ff_internal_toggles: dict[str, int] = field(default_factory=dict)
-    ff_contentions: dict[str, int] = field(default_factory=dict)
-    phase_counts: dict[str, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    phases: list[Phase] = field(default_factory=list)
-    se: list[Bit] = field(default_factory=list)
+    _FIELDS = (
+        "netlist_name", "nets", "net_toggles", "net_drivers", "ff_internal_toggles",
+        "ff_contentions", "phase_counts", "warnings", "phases", "se",
+    )
 
-    def __post_init__(self) -> None:
-        self._index = {net: i for i, net in enumerate(self.nets)}
-        self._v = [0] * len(self.nets)
-        self._k = [0] * len(self.nets)
+    def __init__(
+        self,
+        netlist_name: str,
+        nets: tuple[str, ...] = (),
+        *,
+        net_drivers: Optional[dict[str, GateType]] = None,
+        phases: Optional[list[Phase]] = None,
+        se: Optional[list[Bit]] = None,
+    ) -> None:
+        self.netlist_name = netlist_name
+        self.nets = nets
+        self.net_toggles: dict[str, int] = {}
+        self.net_drivers: dict[str, GateType] = {} if net_drivers is None else net_drivers
+        self.ff_internal_toggles: dict[str, int] = {}
+        self.ff_contentions: dict[str, int] = {}
+        self.phase_counts: dict[str, int] = {}
+        self.warnings: list[str] = []
+        self.phases: list[Phase] = [] if phases is None else phases
+        self.se: list[Bit] = [] if se is None else se
+        self._index = {net: i for i, net in enumerate(nets)}
+        self._v = [0] * len(nets)
+        self._k = [0] * len(nets)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"ProtocolTrace({fields})"
 
     @property
     def cycles(self) -> int:

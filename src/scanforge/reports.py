@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from importlib import resources
+from pathlib import Path
 from typing import Any, Optional
 
 from . import __version__
@@ -102,6 +102,6 @@ def format_report(doc: dict[str, Any], fmt: str) -> str:
 
 def load_schema(command: str) -> dict[str, Any]:
     text = (
-        resources.files(__package__) / "data" / "schemas" / f"{command}.json"
+        Path(__file__).parent / "data" / "schemas" / f"{command}.json"
     ).read_text(encoding="utf-8")
     return json.loads(text)

@@ -13,7 +13,7 @@ flip-flops, and round-trips the plan produced by ``insert_scan``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ScanforgeError
 from .kinds import FFVariant
@@ -51,8 +51,7 @@ class MixedVariantError(ScanforgeError):
     code = "scan.mixed_variant"
 
 
-@dataclass(frozen=True)
-class ScanChainPlan:
+class ScanChainPlan(NamedTuple):
     variant: FFVariant
     order: tuple[str, ...]  # flip-flop instance ids, SI side first
     chain_in: str = "SI"

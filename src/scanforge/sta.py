@@ -22,8 +22,7 @@ reports so a discrepancy between them is visible rather than silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cells import CellLibrary, resolve_library
 from .errors import ScanforgeError
@@ -35,8 +34,7 @@ class TimingError(ScanforgeError):
     code = "sta.analysis"
 
 
-@dataclass(frozen=True)
-class TimingReport:
+class TimingReport(NamedTuple):
     netlist_name: str
     variant: FFVariant
     stage: Stage

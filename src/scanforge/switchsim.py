@@ -47,11 +47,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
 from .ffmodel import ff_selected_input
@@ -118,8 +117,7 @@ class TransistorType(str, Enum):
     PMOS = "P"
 
 
-@dataclass(frozen=True)
-class Transistor:
+class Transistor(NamedTuple):
     id: str
     ttype: TransistorType
     gate: str
@@ -128,19 +126,56 @@ class Transistor:
     width: float
 
 
-@dataclass(frozen=True)
-class NodeValue:
+class NodeValue(NamedTuple):
     logic: Bit
     rank: float
 
 
-@dataclass(frozen=True)
 class TransistorNetwork:
-    nodes: tuple[str, ...]  # includes VDD/GND
-    storage: frozenset[str]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    transistors: tuple[Transistor, ...]
+    """A cell's nodes (VDD and GND included), ports and transistors.
+
+    Its fields cannot be assigned, so the compiled form built on first use
+    stays the network's own.
+    """
+
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        storage: frozenset[str],
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        transistors: tuple[Transistor, ...],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "nodes", nodes)
+        set_field(self, "storage", storage)
+        set_field(self, "inputs", inputs)
+        set_field(self, "outputs", outputs)
+        set_field(self, "transistors", transistors)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.nodes, self.storage, self.inputs, self.outputs, self.transistors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"TransistorNetwork(nodes={self.nodes!r}, storage={self.storage!r}, "
+            f"inputs={self.inputs!r}, outputs={self.outputs!r}, "
+            f"transistors={self.transistors!r})"
+        )
 
     @cached_property
     def compiled(self) -> "CompiledNetwork":
@@ -547,5 +582,5 @@ def load_network_file(path: str) -> TransistorNetwork:
 def bundled_network(variant: FFVariant) -> TransistorNetwork:
     """The shipped transistor-level encoding of one scan flip-flop variant."""
     name = next(name for name, v in BUNDLED.items() if v is variant)
-    text = (resources.files(__package__) / "data" / name).read_text("utf-8")
+    text = (Path(__file__).parent / "data" / name).read_text("utf-8")
     return load_network(text)

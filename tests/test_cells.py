@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,9 +104,9 @@ def test_every_check_rejects_non_finite_values(value):
     row = BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT).test
     for key in ("t_su", "t_cq", "t_pd", "avg_power_uw"):
         with pytest.raises(CellConfigError, match=key):
-            replace(row, **{key: value})
+            row._replace(**{key: value})
     with pytest.raises(CellConfigError, match="area"):
-        replace(BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT), area=value)
+        BUILTIN.ff(FFVariant.MUX, Stage.POST_LAYOUT)._replace(area=value)
     with pytest.raises(CellConfigError, match="delay_ns"):
         GateParams(value, 0.5)
     with pytest.raises(CellConfigError, match="energy_per_toggle_fj"):
@@ -117,7 +116,7 @@ def test_every_check_rejects_non_finite_values(value):
 @pytest.mark.parametrize("area", [0, -1])
 def test_area_must_be_positive(area):
     with pytest.raises(CellConfigError, match="area"):
-        replace(BUILTIN.ff(FFVariant.GDI, Stage.PRE_LAYOUT), area=area)
+        BUILTIN.ff(FFVariant.GDI, Stage.PRE_LAYOUT)._replace(area=area)
 
 
 def test_comparison_table_rows():

@@ -406,3 +406,21 @@ def test_usage_errors_exit_two(capsys):
 def test_seed_is_echoed(capsys):
     doc = run_json(capsys, "switchsim", "mux_sff.tnl", "--seed", "7")
     assert doc["seed"] == 7
+
+
+def test_only_sta_power_and_compare_take_cells(capsys, tmp_path, chain10, chain10_patterns):
+    missing = str(tmp_path / "no_such_file.cellcfg")
+    for argv in (
+        ["insert", netlist_file(tmp_path, TFF)],
+        ["sim", chain10],
+        ["scan-test", chain10, chain10_patterns],
+        ["switchsim", "mux_sff.tnl"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cells", missing])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cells" in capsys.readouterr().err
+    for argv in (["sta", chain10], ["power", chain10], ["compare"]):
+        code, out, err = run_cli(capsys, *argv, "--cells", missing)
+        assert code == 1 and not out
+        assert strict_json(err)["error"]["code"] == "cells.config"

@@ -2,7 +2,8 @@
 
 Each case calls ``scanforge.cli.main`` in a fresh interpreter and compares
 the ``scanforge.*`` modules then in ``sys.modules`` with the set that
-subcommand needs; ``import scanforge`` alone loads no submodule. The lazy
+subcommand needs, and checks that it loaded neither ``dataclasses`` nor
+``inspect``; ``import scanforge`` alone loads no submodule. The lazy
 package attributes must still list and resolve every public name, every
 public name must have a reader outside the tests, and every optional
 parameter of the public API a caller outside the tests that passes it.
@@ -48,28 +49,37 @@ BUDGETS = [
      FRONT | {"switchsim", "ffmodel", "logic"}),
 ]
 
-# prints [exit code or null, the scanforge submodules loaded]
-_PROBE = """
-import json, sys
+# Standard modules no subcommand needs: ``dataclasses`` imports ``inspect``,
+# and ``inspect`` imports ``ast``, ``dis`` and ``tokenize``, all compiled
+# again at every start-up.
+HEAVY = ("dataclasses", "inspect")
+
+# prints [exit code or null, the scanforge submodules loaded, the HEAVY
+# modules loaded after interpreter start-up]
+_PROBE = f"""
+import sys
+heavy = [m for m in {HEAVY!r} if m not in sys.modules]
+import json
 import scanforge
 code = None
 if sys.argv[1:]:
     from scanforge import cli
     code = cli.main(sys.argv[1:])
 loaded = [m.partition(".")[2] for m in sys.modules if m.startswith("scanforge.")]
-print(json.dumps([code, sorted(loaded)]))
+print(json.dumps([code, sorted(loaded), [m for m in heavy if m in sys.modules]]))
 """
 
 
-def loaded_after(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code of ``main(argv)`` in a fresh interpreter, and the modules it loaded."""
+def loaded_after(argv: list[str]) -> tuple[int, set[str], list[str]]:
+    """Exit code of ``main(argv)`` in a fresh interpreter, the scanforge
+    modules it loaded, and the ``HEAVY`` ones it loaded."""
     res = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
         timeout=60, check=True,
     )
-    code, modules = json.loads(res.stdout.splitlines()[-1])
-    return code, set(modules)
+    code, modules, heavy = json.loads(res.stdout.splitlines()[-1])
+    return code, set(modules), heavy
 
 
 @pytest.mark.parametrize("argv,budget", [b[1:] for b in BUDGETS], ids=[b[0] for b in BUDGETS])
@@ -77,13 +87,26 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, budget):
     plain = tmp_path / "plain.snl"
     plain.write_text(PLAIN, encoding="utf-8")
     argv = [a.format(plain=plain, tmp=tmp_path) for a in argv]
-    code, loaded = loaded_after([*argv, "-o", str(tmp_path / "report.json")])
+    code, loaded, heavy = loaded_after([*argv, "-o", str(tmp_path / "report.json")])
     assert code == 0
     assert loaded == budget
+    assert heavy == []
 
 
 def test_import_scanforge_loads_no_submodule():
-    assert loaded_after([]) == (None, set())
+    assert loaded_after([]) == (None, set(), [])
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "scanforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] in HEAVY for n in names), (path.name, names)
 
 
 def test_cells_re_exports_the_enums_of_kinds():
@@ -186,7 +209,7 @@ def _optional_parameters() -> dict[str, tuple[str, int]]:
     hand-written ``__init__``, the method's) and the parameter's position
     among the call's arguments, or -1 when it is keyword-only. Covered are
     the exported functions and each exported class's hand-written
-    ``__init__`` and public methods; a dataclass's generated ``__init__``
+    ``__init__`` and public methods; a named tuple's generated ``__new__``
     has no ``def`` to find.
     """
     found: dict[str, tuple[str, int]] = {}

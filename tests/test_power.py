@@ -8,7 +8,6 @@ simulation-based oracles, and the printed gain figures against the library.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -213,11 +212,11 @@ def test_scaling_divides_ff_energy_exactly(chain10_path):
     n = load_netlist(str(chain10_path))
     trace, _ = run_scan_test(n, parse_patterns("1010101010\n", 10))
     def quarter(row):
-        return replace(row, avg_power_uw=row.avg_power_uw / 4.0)
+        return row._replace(avg_power_uw=row.avg_power_uw / 4.0)
 
     scaled_lib = CellLibrary(
         ffs={
-            key: replace(params, functional=quarter(params.functional), test=quarter(params.test))
+            key: params._replace(functional=quarter(params.functional), test=quarter(params.test))
             for key, params in LIB.ffs.items()
         },
         gates=LIB.gates,

@@ -7,7 +7,6 @@ none of the shift machinery under test is reused by the expected values.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -122,9 +121,9 @@ def test_plan_ports_must_be_distinct_primary_inputs():
     plan = verify_chain(n)
     patterns = parse_patterns("10\n", 2)
     with pytest.raises(ProtocolError):
-        run_scan_test(n, patterns, plan=dataclasses.replace(plan, chain_in="SE"))
+        run_scan_test(n, patterns, plan=plan._replace(chain_in="SE"))
     with pytest.raises(ProtocolError):
-        run_scan_test(n, patterns, plan=dataclasses.replace(plan, enable="Q0"))
+        run_scan_test(n, patterns, plan=plan._replace(enable="Q0"))
 
 
 def test_capture_matches_the_fixpoint_oracle():

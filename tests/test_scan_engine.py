@@ -28,7 +28,6 @@ the lanes it returns.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -87,10 +86,10 @@ def test_two_rail_evaluator_matches_the_scalar_gates(gtype):
 
 def approx_chain(n: Netlist) -> Netlist:
     instances = tuple(
-        dataclasses.replace(i, variant=FFVariant.APPROX) if isinstance(i, ScanFF) else i
+        i._replace(variant=FFVariant.APPROX) if isinstance(i, ScanFF) else i
         for i in n.instances
     )
-    return dataclasses.replace(n, instances=instances)
+    return Netlist(n.name, n.inputs, n.outputs, instances)
 
 
 def partial_scan(n: Netlist, rng: random.Random) -> Netlist:
@@ -100,8 +99,8 @@ def partial_scan(n: Netlist, rng: random.Random) -> Netlist:
     instances.append(Dff("p0", "P0", rng.choice(nets)))
     instances.append(Gate("gp", GateType.XOR2, "NP", ("P0", rng.choice(nets))))
     first = next(k for k, i in enumerate(instances) if isinstance(i, ScanFF))
-    instances[first] = dataclasses.replace(instances[first], di="NP")
-    return dataclasses.replace(n, outputs=n.outputs + ("NP",), instances=tuple(instances))
+    instances[first] = instances[first]._replace(di="NP")
+    return Netlist(n.name, n.inputs, n.outputs + ("NP",), tuple(instances))
 
 
 def random_bits(rng: random.Random, width: int) -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,7 @@ from scanforge import sta
 from scanforge.cells import (
     CellLibrary, FFVariant, GateParams, GateType, Mode, Stage, resolve_library,
 )
-from scanforge.netlist import parse_netlist
+from scanforge.netlist import Netlist, parse_netlist
 from scanforge.sta import (
     TimingError,
     analyze_timing,
@@ -214,7 +213,7 @@ endmodule
     assert test.critical_path == ("f1", "gi", "f2")
 
 
-EQUAL_DELAYS = replace(CellLibrary.builtin(), gates={t: GateParams(0.1, 0.5) for t in GateType})
+EQUAL_DELAYS = CellLibrary.builtin()._replace(gates={t: GateParams(0.1, 0.5) for t in GateType})
 
 
 @pytest.fixture
@@ -271,7 +270,7 @@ def test_alternating_tables_and_arrivals_match_fresh_netlists(walks):
         for _ in range(2):
             for lib in settings:
                 got = report_rows(n, lib)
-                assert got == report_rows(replace(n), lib)
+                assert got == report_rows(Netlist(n.name, n.inputs, n.outputs, n.instances), lib)
                 assert len(n.compiled.walks) == 1
     # one walk per table change on the reused netlist, one per fresh copy
     assert len(walks) == 8 * 2 * len(settings) * 2

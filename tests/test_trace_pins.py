@@ -34,7 +34,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,7 +41,7 @@ import pytest
 from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
 from scanforge.cli import main
 from scanforge.logic import X
-from scanforge.netlist import ScanFF, load_netlist, load_patterns, parse_netlist
+from scanforge.netlist import Netlist, ScanFF, load_netlist, load_patterns, parse_netlist
 from scanforge.power import estimate_power
 from scanforge.protocol import CycleSim, Phase, run_scan_test, sim_functional
 from scanforge.sta import analyze_timing
@@ -117,8 +116,8 @@ def test_power_figures_are_pinned(traces, key):
     assert rep.contention_cycles == 0
 
 
-EQUAL_DELAYS = replace(
-    CellLibrary.builtin(), gates={t: GateParams(0.05, 0.5) for t in GateType}
+EQUAL_DELAYS = CellLibrary.builtin()._replace(
+    gates={t: GateParams(0.05, 0.5) for t in GateType}
 )
 # random_netlist seeds with 13 or more gates; even seeds build a scan chain
 STA_SEEDS = (1, 3, 6, 12, 14, 17)
@@ -219,10 +218,10 @@ def _chain10(approx: bool = False):
     if not approx:
         return n
     instances = tuple(
-        replace(i, variant=FFVariant.APPROX) if isinstance(i, ScanFF) else i
+        i._replace(variant=FFVariant.APPROX) if isinstance(i, ScanFF) else i
         for i in n.instances
     )
-    return replace(n, instances=instances)
+    return Netlist(n.name, n.inputs, n.outputs, instances)
 
 
 # SI is never given and stays X; an input left out of a map keeps the value
