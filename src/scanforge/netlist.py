@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ScanforgeError
 from .kinds import FFVariant, GateType
@@ -514,30 +514,12 @@ def serialize_netlist(n: Netlist) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _PatternSetFields(NamedTuple):
+class PatternSet(NamedTuple):
+    """Scan vectors of one width and each one's expected response or None."""
+
     chain_length: int
     vectors: tuple[str, ...]
     expected: tuple[Optional[str], ...]
-
-
-class PatternSet(_PatternSetFields):
-    """Scan vectors of one width and each one's expected response or None.
-
-    An empty ``expected`` expects no response of any vector.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, chain_length: int, vectors: tuple[str, ...],
-        expected: tuple[Optional[str], ...] = (),
-    ) -> PatternSet:
-        return super().__new__(cls, chain_length, vectors, expected or (None,) * len(vectors))
-
-    @classmethod
-    def _make(cls, fields: Iterable) -> PatternSet:
-        """Through ``__new__``, so that ``_replace`` fills in ``expected`` too."""
-        return cls(*fields)
 
 
 _BITS_RE = re.compile(r"[01]+\Z")

@@ -87,8 +87,9 @@ def estimate_power(
     ff_energy = sum(per_ff.values())
 
     comb_energy = 0.0
+    drivers = trace.net_drivers
     for net, toggles in trace.net_toggles.items():
-        gtype = trace.net_drivers.get(net)
+        gtype = drivers.get(net)
         if gtype is not None:
             comb_energy += toggles * lib.gate(gtype).energy_per_toggle_fj
 

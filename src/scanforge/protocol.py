@@ -41,11 +41,13 @@ eight cycles to a byte, so the work follows the stepped rows plus T/8
 bytes per lane. When every cycle is stepped, a row column already is the
 lane.
 
-A trace stores those lanes as per-net columns. Its counts all come from the
-columns: net toggles are ``popcount((v ^ v>>1) & k & k>>1)``, and a second
-width-T pass over the flops' fan-in cone (this cycle's inputs with the
-previous cycle's Q) gives the flip-flop inputs each rising edge saw. That
-pass yields internal toggles (twice the Q toggles), ``approx`` contention
+A trace keeps those lanes by net id, with the netlist they came from,
+whose compiled form gives the net names, column order and drivers. Its
+counts all come from the lanes: net toggles are
+``popcount((v ^ v>>1) & k & k>>1)``, and a second width-T pass over the
+flops' fan-in cone (this cycle's inputs with the previous cycle's Q) gives
+the flip-flop inputs each rising edge saw. That pass yields internal
+toggles (twice the Q toggles), ``approx`` contention
 ``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, and each flop's first X data
 input from cycle ``WARMUP_CYCLES`` on, the lowest set bit of the unknown
 rail.
@@ -259,49 +261,50 @@ class CycleRecord(NamedTuple):
     values: Mapping[str, Bit]  # end-of-cycle net values, settled on first read
 
 
-class ProtocolTrace:
-    """End-of-cycle lanes of every net, per-cycle phase and SE, and the counts.
+class ProtocolTrace(NamedTuple):
+    """What one run produced: the netlist, every net's end-of-cycle lanes,
+    per-cycle phase and SE, and the counts.
 
-    ``nets`` lists the net names in column order; ``_lane_trace`` fills the
-    columns and the counts, which start empty.
+    ``value_lanes`` and ``known_lanes`` are indexed by the compiled net ids
+    of ``netlist``; net names, their column order and the gates that drive
+    them are read from ``netlist.compiled``. Traces compare equal when their
+    netlists, lanes, phases, SE and counts are equal.
     """
 
-    _FIELDS = (
+    netlist: Netlist
+    value_lanes: list[int]
+    known_lanes: list[int]
+    phases: list[Phase]
+    se: list[Bit]
+    net_toggles: dict[str, int]
+    ff_internal_toggles: dict[str, int]
+    ff_contentions: dict[str, int]
+    phase_counts: dict[str, int]
+    warnings: list[str]
+
+    # the repr names the netlist and its nets, not the netlist and the lanes
+    _SHOWN = (
         "netlist_name", "nets", "net_toggles", "net_drivers", "ff_internal_toggles",
         "ff_contentions", "phase_counts", "warnings", "phases", "se",
     )
 
-    def __init__(
-        self,
-        netlist_name: str,
-        nets: tuple[str, ...] = (),
-        *,
-        net_drivers: Optional[dict[str, GateType]] = None,
-        phases: Optional[list[Phase]] = None,
-        se: Optional[list[Bit]] = None,
-    ) -> None:
-        self.netlist_name = netlist_name
-        self.nets = nets
-        self.net_toggles: dict[str, int] = {}
-        self.net_drivers: dict[str, GateType] = {} if net_drivers is None else net_drivers
-        self.ff_internal_toggles: dict[str, int] = {}
-        self.ff_contentions: dict[str, int] = {}
-        self.phase_counts: dict[str, int] = {}
-        self.warnings: list[str] = []
-        self.phases: list[Phase] = [] if phases is None else phases
-        self.se: list[Bit] = [] if se is None else se
-        self._index = {net: i for i, net in enumerate(nets)}
-        self._v = [0] * len(nets)
-        self._k = [0] * len(nets)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
-
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._SHOWN)
         return f"ProtocolTrace({fields})"
+
+    @property
+    def netlist_name(self) -> str:
+        return self.netlist.name
+
+    @property
+    def nets(self) -> tuple[str, ...]:
+        """The net names in lane order."""
+        return self.netlist.compiled.nets
+
+    @property
+    def net_drivers(self) -> dict[str, GateType]:
+        """The gate type that drives each gate output net."""
+        return self.netlist.compiled.drivers
 
     @property
     def cycles(self) -> int:
@@ -328,10 +331,12 @@ class ProtocolTrace:
 
     def _columns(self, nets: Sequence[str]) -> bytes:
         """``bit_columns`` as ASCII bytes."""
-        ids = [self._index[net] for net in nets]
+        index = self.netlist.compiled.index
+        ids = [index[net] for net in nets]
         if not ids or not self.cycles:
             return b""
-        return _lane_chars([(self._v[i], self._k[i]) for i in ids], self.cycles)
+        v, k = self.value_lanes, self.known_lanes
+        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles)
 
 
 def _lane_trace(
@@ -348,8 +353,6 @@ def _lane_trace(
     width = len(phases)
     full = (1 << width) - 1
     evaluate(cn.program, v, k)
-    trace = ProtocolTrace(n.name, cn.nets, net_drivers=dict(cn.drivers), phases=phases, se=se)
-    trace._v, trace._k = v, k
 
     # Toggles in the order they first happen, ties in net order: one int key
     # per toggling net, its first toggle times the net count plus its id.
@@ -362,7 +365,7 @@ def _lane_trace(
             keys.append((flips & -flips).bit_length() * nets + i)
             counts[i] = flips.bit_count()
     keys.sort()
-    trace.net_toggles = {cn.nets[i]: counts[i] for i in [key % nets for key in keys]}
+    net_toggles = {cn.nets[i]: counts[i] for i in [key % nets for key in keys]}
 
     # What each rising edge saw: this cycle's inputs with the last cycle's Q.
     # Only the flops' rails are read, so only their fan-in cone is walked.
@@ -377,24 +380,22 @@ def _lane_trace(
     contention: dict[str, int] = {}
     first_x = []
     for f, fid in enumerate(cn.ff_ids):
-        q, di, si, se = cn.ff_q[f], cn.ff_di[f], cn.ff_si[f], cn.ff_se[f]
+        q, di, si, en = cn.ff_q[f], cn.ff_di[f], cn.ff_si[f], cn.ff_se[f]
         # master and slave each flip once per Q flip
         internal[fid] = 2 * ((pv[q] ^ v[q]) & pk[q] & k[q]).bit_count()
-        if se >= 0:
-            fights = pv[se] & pk[se] & pk[di] & pk[si] & (pv[di] ^ pv[si])
+        if en >= 0:
+            fights = pv[en] & pk[en] & pk[di] & pk[si] & (pv[di] ^ pv[si])
             contention[fid] = fights.bit_count() if cn.ff_approx[f] else 0
         unknown = after_warmup & ~pk[di]
         if unknown:
             first_x.append(((unknown & -unknown).bit_length() - 1, f))
     first_x.sort()
-    trace.ff_internal_toggles = internal
-    trace.ff_contentions = contention
-    trace.warnings = [
-        f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x
-    ]
+    warnings = [f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x]
     firsts = sorted((phases.index(p), p) for p in Phase if p in phases)
-    trace.phase_counts = {p.value: phases.count(p) for _, p in firsts}
-    return trace
+    phase_counts = {p.value: phases.count(p) for _, p in firsts}
+    return ProtocolTrace(
+        n, v, k, phases, se, net_toggles, internal, contention, phase_counts, warnings
+    )
 
 
 # -- stepping one cycle at a time ------------------------------------------------

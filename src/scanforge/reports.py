@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
 from typing import Any, Optional
 
 from . import __version__
@@ -98,10 +97,3 @@ def format_report(doc: dict[str, Any], fmt: str) -> str:
     if fmt == "text":
         return to_text(doc)
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def load_schema(command: str) -> dict[str, Any]:
-    text = (
-        Path(__file__).parent / "data" / "schemas" / f"{command}.json"
-    ).read_text(encoding="utf-8")
-    return json.loads(text)

@@ -16,7 +16,8 @@ import pytest
 import scanforge
 from scanforge.cli import main
 from scanforge.netlist import parse_netlist
-from scanforge.reports import load_schema
+
+from test_reports import load_schema
 
 TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 

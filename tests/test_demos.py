@@ -1,4 +1,8 @@
-"""Every script under ``demos/`` runs to completion against the library."""
+"""Every script under ``demos/`` runs to completion against the library.
+
+Each runs with ``-W error``, as the tests run under ``filterwarnings =
+["error"]``, so a demo that triggers a warning fails as a test would.
+"""
 
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ def test_demo_exits_zero(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(Path("demos") / name)],
+        [sys.executable, "-W", "error", str(Path("demos") / name)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -232,10 +232,11 @@ def test_scaling_divides_ff_energy_exactly(chain10_path):
 def test_estimate_validation(chain10_path):
     n = load_netlist(str(chain10_path))
     trace, _ = run_scan_test(n, parse_patterns("1010101010\n", 10))
-    from scanforge.protocol import ProtocolTrace
+    from scanforge.netlist import Netlist
+    from scanforge.protocol import CycleSim
 
     with pytest.raises(PowerModelError):
-        estimate_power(ProtocolTrace("empty"), FFVariant.MUX, POST, t_clk_ns=1.0)
+        estimate_power(CycleSim(Netlist("empty")).finish(), FFVariant.MUX, POST, t_clk_ns=1.0)
     for t_clk_ns in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(PowerModelError):
             estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=t_clk_ns)

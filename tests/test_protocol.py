@@ -329,3 +329,39 @@ def test_cyclesim_cycle_takes_a_phase_value():
     assert by_value.cycle({"EN": 0}, "capture").phase is Phase.CAPTURE
     by_member.cycle({"EN": 0}, Phase.CAPTURE)
     assert by_value.finish().phase_counts == by_member.finish().phase_counts == {"capture": 1}
+
+
+# -- trace equality ----------------------------------------------------------------
+
+BUF_FLOP = "module t\ninput A\ngate g BUF Y A\ndff f Q Y\nendmodule\n"
+
+
+def test_traces_with_different_waveforms_compare_unequal():
+    n = parse_netlist(BUF_FLOP)
+    low = sim_functional(n, [{"A": 0}], cycles=3, init={"f": 0})
+    high = sim_functional(n, [{"A": 1}], cycles=3, init={"f": 1})
+    assert (low.bit_string("Y"), high.bit_string("Y")) == ("000", "111")
+    # the same phases, SE and counts; only the lanes differ
+    assert low._replace(value_lanes=high.value_lanes) == high
+    assert low != high and not low == high
+
+
+@pytest.mark.parametrize("rail", ["value_lanes", "known_lanes"])
+def test_flipping_one_lane_bit_makes_traces_unequal(chain10_path, rail):
+    trace, _ = run_scan_test(load_netlist(str(chain10_path)), parse_patterns("1010101010\n", 10))
+    lanes = list(getattr(trace, rail))
+    i = trace.netlist.compiled.index["SI"]
+    lanes[i] ^= 1 << 5
+    flipped = trace._replace(**{rail: lanes})
+    assert flipped != trace and not flipped == trace
+    lanes[i] ^= 1 << 5
+    assert trace._replace(**{rail: lanes}) == trace
+
+
+def test_runs_on_equal_distinct_netlists_compare_equal(chain10_path):
+    a, b = load_netlist(str(chain10_path)), load_netlist(str(chain10_path))
+    assert a is not b and a == b
+    patterns = parse_patterns("1010101010\n0110011001\n", 10)
+    assert run_scan_test(a, patterns) == run_scan_test(b, patterns)
+    stimulus = [{"SI": 0, "SE": 0}]
+    assert sim_functional(a, stimulus, cycles=6) == sim_functional(b, stimulus, cycles=6)

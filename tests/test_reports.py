@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +18,17 @@ from scanforge.reports import (
     ReportValueError,
     envelope,
     format_report,
-    load_schema,
     to_csv,
     to_json,
     to_text,
 )
 from scanforge.vcd import dump_vcd, to_vcd
+
+
+def load_schema(command: str) -> dict:
+    """The JSON schema shipped for a subcommand's report."""
+    path = Path(scanforge.__file__).parent / "data" / "schemas" / f"{command}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 DOC = envelope(
     "sta",
@@ -141,7 +147,8 @@ def test_vcd_scope_override_and_file_dump(tmp_path):
 
 
 def test_vcd_rejects_empty_traces():
-    from scanforge.protocol import ProtocolTrace
+    from scanforge.netlist import Netlist
+    from scanforge.protocol import CycleSim
 
     with pytest.raises(ValueError):
-        to_vcd(ProtocolTrace("empty"))
+        to_vcd(CycleSim(Netlist("empty")).finish())

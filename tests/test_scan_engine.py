@@ -455,18 +455,18 @@ def test_records_read_late_equal_the_eager_values(seed):
 
 def random_lanes(rng: random.Random, count: int, width: int) -> ProtocolTrace:
     """A trace of ``count`` nets over ``width`` cycles with random 0/1/X lanes."""
-    nets = tuple(f"n{i}" for i in range(count))
-    trace = ProtocolTrace("lanes", nets, phases=[Phase.FUNCTIONAL] * width)
-    for i in range(count):
-        trace._k[i] = known = rng.getrandbits(width) | rng.getrandbits(width)
-        trace._v[i] = rng.getrandbits(width) & known
-    return trace
+    n = Netlist("lanes", tuple(f"n{i}" for i in range(count)))
+    v, k = [], []
+    for _ in n.compiled.nets:
+        k.append(rng.getrandbits(width) | rng.getrandbits(width))
+        v.append(rng.getrandbits(width) & k[-1])
+    return ProtocolTrace(n, v, k, [Phase.FUNCTIONAL] * width, [0] * width, {}, {}, {}, {}, [])
 
 
 def per_bit(trace: ProtocolTrace) -> str:
     return "".join(
         bit_char((v >> t & 1) if k >> t & 1 else X)
-        for v, k in zip(trace._v, trace._k) for t in range(trace.cycles)
+        for v, k in zip(trace.value_lanes, trace.known_lanes) for t in range(trace.cycles)
     )
 
 
@@ -608,6 +608,6 @@ def test_scan_test_stays_within_four_times_its_lanes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    lane_bytes = sum((lane.bit_length() + 7) // 8 for lane in trace._v + trace._k)
+    lane_bytes = sum((lane.bit_length() + 7) // 8 for lane in trace.value_lanes + trace.known_lanes)
     assert trace.cycles == 128 + 40 * 129
     assert peak < 4 * lane_bytes

@@ -18,8 +18,8 @@ import tracemalloc
 import pytest
 
 from scanforge.logic import X
-from scanforge.netlist import parse_netlist, parse_patterns
-from scanforge.protocol import ProtocolTrace, run_scan_test, sim_functional
+from scanforge.netlist import Netlist, parse_netlist, parse_patterns
+from scanforge.protocol import CycleSim, run_scan_test, sim_functional
 from scanforge.scan import verify_chain
 from scanforge.vcd import dump_vcd, to_vcd
 
@@ -126,5 +126,5 @@ def test_dump_vcd_writes_as_it_goes(tmp_path):
 def test_an_empty_trace_writes_no_file(tmp_path):
     out = tmp_path / "wave.vcd"
     with pytest.raises(ValueError, match="no cycles"):
-        dump_vcd(ProtocolTrace("empty"), str(out))
+        dump_vcd(CycleSim(Netlist("empty")).finish(), str(out))
     assert not out.exists()
