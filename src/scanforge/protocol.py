@@ -327,16 +327,12 @@ class ProtocolTrace(NamedTuple):
 
         Net i's value in cycle t is at ``i * cycles + t``.
         """
-        return self._columns(nets).decode("ascii")
-
-    def _columns(self, nets: Sequence[str]) -> bytes:
-        """``bit_columns`` as ASCII bytes."""
         index = self.netlist.compiled.index
         ids = [index[net] for net in nets]
         if not ids or not self.cycles:
-            return b""
+            return ""
         v, k = self.value_lanes, self.known_lanes
-        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles)
+        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles).decode("ascii")
 
 
 def _lane_trace(

@@ -1,13 +1,16 @@
 """``to_vcd`` and ``dump_vcd`` against the per-net oracle.
 
-``to_vcd`` builds each cycle a column at a time, one byte per net: a keep
-mask from the change against the cycle before selects the values and each
+``to_vcd`` reads the trace's two-rail lanes packed eight cycles to a byte
+and builds each cycle a column at a time, one byte per net: each net's
+state (0, 1 or 2 for X) comes from one bit of its packed rails, a keep mask
+from the change against the cycle before selects the values and each
 column of the id codes (shorter codes padded with ``\x01``), and strided
 slice assignments interleave them into lines. ``oracles.naive_vcd``
 compares every net's bit string with itself one cycle back. They must agree
 byte for byte on scan tests and functional runs with X, at the edges of a
-run, and at the net counts where the id codes grow a character (94/95 and
-8,930/8,931), where no padding byte may be left in the text.
+run and of the packed bytes, on a value rail set under an unknown, and at
+the net counts where the id codes grow a character (94/95 and 8,930/8,931),
+where no padding byte may be left in the text.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import pytest
 
 from scanforge.logic import X
 from scanforge.netlist import Netlist, parse_netlist, parse_patterns
-from scanforge.protocol import CycleSim, run_scan_test, sim_functional
+from scanforge.protocol import (
+    CycleSim, Phase, ProtocolTrace, run_scan_test, sim_functional,
+)
 from scanforge.scan import verify_chain
 from scanforge.vcd import dump_vcd, to_vcd
 
@@ -104,9 +109,51 @@ def test_id_code_boundaries(nets, width, tmp_path):
     assert out.read_bytes() == text.encode()
 
 
+@pytest.mark.parametrize("nets", [94, 95])
+@pytest.mark.parametrize("cycles", [1, 7, 8, 9, 15, 16, 17])
+def test_packed_byte_edges(nets, cycles):
+    # the lanes are read eight cycles to a byte: the last cycle of a byte,
+    # the first of the next and a partial last byte
+    trace = line_trace(nets, cycles)
+    assert to_vcd(trace) == naive_vcd(trace)
+
+
+def test_a_value_rail_under_an_unknown_is_x():
+    # D's value rail moves while it is unknown, Q's reads 1 under known 0:
+    # both read x whatever the value rail holds, as bit_string reads them
+    n = parse_netlist(TFF)
+    lanes = {"EN": (0b0010, 0b1111), "D": (0b0110, 0b0000), "Q": (0b1111, 0b0101)}
+    index = n.compiled.index
+    v, k = [0] * len(index), [0] * len(index)
+    for net, (value, known) in lanes.items():
+        v[index[net]], k[index[net]] = value, known
+    trace = ProtocolTrace(n, v, k, [Phase.FUNCTIONAL] * 4, [0] * 4, {}, {}, {}, {}, [])
+    assert [trace.bit_string(net) for net in ("D", "EN", "Q")] == ["xxxx", "0100", "1x1x"]
+    text = to_vcd(trace)
+    assert text == naive_vcd(trace)
+    assert text.endswith(
+        "#0\n$dumpvars\nx!\n0\"\n1#\n$end\n#1\n1\"\nx#\n#2\n0\"\n1#\n#3\nx#\n"
+    )
+
+
+def test_dump_vcd_stays_below_a_character_per_net_and_cycle(tmp_path):
+    # 300 nets over 4,000 cycles: 1,171 kB as one character per net and
+    # cycle; the packed rails take a quarter of that
+    trace = line_trace(300, 4000)
+    out = tmp_path / "wave.vcd"
+    tracemalloc.start()
+    try:
+        dump_vcd(trace, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(trace.nets) * trace.cycles
+    assert out.read_bytes() == naive_vcd(trace).encode()
+
+
 def test_dump_vcd_writes_as_it_goes(tmp_path):
     # 4,000 toggling cycles, 47 kB of text. to_vcd holds every cycle's
-    # chunk, their join and its decoding; dump_vcd holds the trace's columns
+    # chunk, their join and its decoding; dump_vcd holds the packed rails
     # and one cycle, so its peak stays below to_vcd's by more than the text.
     trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=4000, init={"f1": 0})
     out = tmp_path / "wave.vcd"
