@@ -57,7 +57,7 @@ def ff_selected_input(
     return di if di == si else X
 
 
-def ff_cycle(state: FFState, di: Bit, si: Bit = X, se: Bit = X) -> FFState:
+def ff_cycle(state: FFState, di: Bit, si: Bit, se: Bit) -> FFState:
     """One full clock cycle: rising edge then falling edge.
 
     The master latches the selected input on the rising edge and the slave

@@ -138,9 +138,9 @@ class Netlist:
     def __init__(
         self,
         name: str,
-        inputs: tuple[str, ...] = (),
-        outputs: tuple[str, ...] = (),
-        instances: tuple[Instance, ...] = (),
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        instances: tuple[Instance, ...],
     ) -> None:
         set_field = object.__setattr__
         set_field(self, "name", name)
@@ -213,17 +213,23 @@ _OPCODE = {
 
 
 class CompiledNetlist:
-    """A netlist as integer net ids, a flat gate program and flop index arrays.
+    """A checked netlist as integer net ids, a flat gate program and flop index arrays.
 
-    Built once per netlist object by ``Netlist.compiled``. Net ids follow
-    ``Netlist.nets()`` iteration order, which the string hash seed changes.
-    ``estimate_power`` adds float energies in id order, so the last bits of
-    its figures do depend on the seed; the benchmark pins ``PYTHONHASHSEED``
-    (see "Deterministic by construction" in ROADMAP.md). Program step i is
-    ``(op, out, a, b)`` for ``gates[i]`` in topological order, with
-    ``b == a`` for one-input gates. Flop arrays follow ``Netlist.flops``;
-    ``ff_si`` and ``ff_se`` are -1 for a plain D flip-flop. ``enable`` is
-    the enable net every scan flop shares, or -1 if they do not share one.
+    Built once per netlist object by ``Netlist.compiled``, and building it is
+    the one structural check. It raises, in this order, on a duplicate
+    instance id, an input declared twice, a net with a second driver, a read
+    net with no driver (the first in instance order), an output with no
+    driver, and a combinational cycle; so every compiled net has one driver.
+
+    Net ids follow ``Netlist.nets()`` iteration order, which the string hash
+    seed changes. ``estimate_power`` adds float energies in id order, so the
+    last bits of its figures do depend on the seed; the benchmark pins
+    ``PYTHONHASHSEED`` (see "Deterministic by construction" in ROADMAP.md).
+    Program step i is ``(op, out, a, b)`` for ``gates[i]``, sorted by Kahn's
+    algorithm from declaration order, with ``b == a`` for one-input gates.
+    Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
+    a plain D flip-flop. ``enable`` is the enable net every scan flop
+    shares, or -1 if they do not share one.
 
     It also keeps what its users derive once and then reuse: ``flop_cone``,
     the program steps that cycle simulation walks, and ``walks``, the most
@@ -232,17 +238,74 @@ class CompiledNetlist:
     """
 
     def __init__(self, n: Netlist):
+        instances = n.instances
+        ids: set[str] = set()
+        for inst in instances:
+            if inst.id in ids:
+                raise DuplicateInstanceError(f"duplicate instance id {inst.id!r}")
+            ids.add(inst.id)
+
+        # each driven net's driver: -1 for an input or a flop Q, else the
+        # gate's index in declaration order
+        driver: dict[str, int] = {}
+        for net in n.inputs:
+            if net in driver:
+                raise MultiplyDrivenNetError(f"net {net!r} declared input twice")
+            driver[net] = -1
+        gates: list[Gate] = []
+        flops: list[Flop] = []
+        for inst in instances:
+            out = inst.output_net
+            if out in driver:
+                raise MultiplyDrivenNetError(
+                    f"net {out!r} has more than one driver (instance {inst.id!r})"
+                )
+            if isinstance(inst, Gate):
+                driver[out] = len(gates)
+                gates.append(inst)
+            else:
+                driver[out] = -1
+                flops.append(inst)
+
+        # Kahn's sort: a gate waits for each of its inputs that a gate drives
+        indegree = [0] * len(gates)
+        readers: list[list[int]] = [[] for _ in gates]
+        for inst in instances:
+            reader = driver[inst.output_net]  # its own index; -1 for a flop
+            for net in inst.input_nets:
+                src = driver.get(net)
+                if src is None:
+                    raise UndrivenNetError(
+                        f"net {net!r} read by instance {inst.id!r} has no driver"
+                    )
+                if src >= 0 and reader >= 0:
+                    indegree[reader] += 1
+                    readers[src].append(reader)
+        for net in n.outputs:
+            if net not in driver:
+                raise UndrivenNetError(f"output net {net!r} has no driver")
+        ready = [i for i, waits in enumerate(indegree) if not waits]
+        for i in ready:  # grows as the loop runs
+            for succ in readers[i]:
+                indegree[succ] -= 1
+                if not indegree[succ]:
+                    ready.append(succ)
+        if len(ready) < len(gates):
+            stuck = sorted(gates[i].id for i, waits in enumerate(indegree) if waits)
+            raise CombinationalCycleError(
+                f"combinational cycle through gates: {', '.join(stuck)}"
+            )
+
         self.nets: tuple[str, ...] = tuple(n.nets())
         self.index = index = {net: i for i, net in enumerate(self.nets)}
         self.inputs = {net: index[net] for net in n.inputs}
         self.outputs = tuple(index[net] for net in n.outputs)
-        self.gates = _topo_gates(n)
+        self.gates = tuple(gates[i] for i in ready)
         self.program = tuple(
             (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
             for g in self.gates
         )
         self.drivers = {g.out: g.gtype for g in self.gates}
-        flops = n.flops
         scan = [f if isinstance(f, ScanFF) else None for f in flops]
         self.ff_ids = tuple(f.id for f in flops)
         self.ff_q = tuple(index[f.q] for f in flops)
@@ -274,72 +337,6 @@ class CompiledNetlist:
                     need.add(step[3])
             self._flop_cone = tuple(steps[::-1])
         return self._flop_cone
-
-
-def _topo_gates(n: Netlist) -> tuple[Gate, ...]:
-    gates = n.gates
-    produced_by = {g.out: idx for idx, g in enumerate(gates)}
-    indegree = [0] * len(gates)
-    readers: list[list[int]] = [[] for _ in gates]
-    for idx, g in enumerate(gates):
-        for net in g.ins:
-            src = produced_by.get(net)
-            if src is not None:
-                indegree[idx] += 1
-                readers[src].append(idx)
-    ready = [i for i in range(len(gates)) if indegree[i] == 0]
-    order: list[Gate] = []
-    head = 0
-    while head < len(ready):
-        idx = ready[head]
-        head += 1
-        order.append(gates[idx])
-        for succ in readers[idx]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(gates):
-        stuck = sorted(gates[i].id for i in range(len(gates)) if indegree[i] > 0)
-        raise CombinationalCycleError(
-            f"combinational cycle through gates: {', '.join(stuck)}"
-        )
-    return tuple(order)
-
-
-def validate_netlist(n: Netlist) -> None:
-    """Enforce the structural invariants; raises the specific error kind."""
-    seen_ids: set[str] = set()
-    for inst in n.instances:
-        if inst.id in seen_ids:
-            raise DuplicateInstanceError(f"duplicate instance id {inst.id!r}")
-        seen_ids.add(inst.id)
-
-    driven: set[str] = set()
-    for net in n.inputs:
-        if net in driven:
-            raise MultiplyDrivenNetError(f"net {net!r} declared input twice")
-        driven.add(net)
-    for inst in n.instances:
-        out = inst.output_net
-        if out in driven:
-            raise MultiplyDrivenNetError(
-                f"net {out!r} has more than one driver (instance {inst.id!r})"
-            )
-        driven.add(out)
-
-    for inst in n.instances:
-        for net in inst.input_nets:
-            if net not in driven:
-                raise UndrivenNetError(
-                    f"net {net!r} read by instance {inst.id!r} has no driver"
-                )
-    for net in n.outputs:
-        if net not in driven:
-            raise UndrivenNetError(f"output net {net!r} has no driver")
-
-    # compiling sorts the gates and raises on a cycle; the netlist keeps the
-    # compiled form, so timing and simulation do not sort again
-    n.compiled
 
 
 def _strip_comment(line: str) -> str:
@@ -488,7 +485,7 @@ def parse_netlist(text: str) -> Netlist:
         outputs=tuple(outputs),
         instances=tuple(instances),
     )
-    validate_netlist(n)
+    n.compiled  # compiling checks the structure
     return n
 
 

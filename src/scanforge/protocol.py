@@ -150,11 +150,9 @@ def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], 
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-# A value numeral's byte plus twice the unknown numeral's: 0x30 + 2 * 0x30
-# for a known 0, one more for a known 1, two more for X.
-_CHARS = bytes.maketrans(b"\x90\x91\x92\x93", b"01xx")
-# Characters built at once: lanes go in groups of about this many bytes
-_GROUP_BYTES = 1 << 16
+# A cycle's hex digit in a lane's value numeral plus twice its unknown
+# numeral: 0 or 1 known, 2 or 3 unknown
+_CHARS = str.maketrans("0123", "01xx")
 
 
 def _bits_to_lane(bits: bytes) -> int:
@@ -162,25 +160,19 @@ def _bits_to_lane(bits: bytes) -> int:
     return int(bits[::-1].translate(_DIGITS), 2) if bits else 0
 
 
-def _lane_chars(lanes: Sequence[tuple[int, int]], width: int) -> bytes:
-    """b'0', b'1' or b'x' per cycle of each two-rail lane, cycle 0 first.
+def _lane_chars(value: int, known: int, width: int) -> str:
+    """'0', '1' or 'x' per cycle of a two-rail lane of ``width`` >= 1 cycles,
+    cycle 0 first.
 
-    The lanes' bytes follow one another in order, ``width`` bytes each. A
-    group of lanes is written as binary numerals, last lane first, whose
-    ASCII bytes add byte by byte with no carry; the little-endian bytes of
-    the sum put the group back in order, cycle 0 first.
+    The value and unknown rails are written as binary numerals and read
+    back as hexadecimal, so each cycle has a digit of its own: the value
+    plus twice the unknown adds with no carry, and its hex digits, last
+    cycle first, are reversed and mapped to characters.
     """
-    full = (1 << width) - 1
     spec = f"0{width}b"
-    step = max(_GROUP_BYTES // width, 1)
-    parts = []
-    for start in range(0, len(lanes), step):
-        group = lanes[start:start + step][::-1]
-        values = "".join([format(v, spec) for v, _ in group]).encode()
-        unknown = "".join([format(full ^ k, spec) for _, k in group]).encode()
-        digits = int.from_bytes(values, "big") + 2 * int.from_bytes(unknown, "big")
-        parts.append(digits.to_bytes(len(values), "little").translate(_CHARS))
-    return b"".join(parts)
+    unknown = ((1 << width) - 1) ^ known
+    digits = int(format(value, spec), 16) + 2 * int(format(unknown, spec), 16)
+    return format(digits, f"0{width}x")[::-1].translate(_CHARS)
 
 
 def _zeros(bits: bytes) -> Iterator[int]:
@@ -320,19 +312,10 @@ class ProtocolTrace(NamedTuple):
 
     def bit_string(self, net: str) -> str:
         """The net's end-of-cycle values, one '0', '1' or 'x' per cycle."""
-        return self.bit_columns([net])
-
-    def bit_columns(self, nets: Sequence[str]) -> str:
-        """The nets' bit strings, one after another.
-
-        Net i's value in cycle t is at ``i * cycles + t``.
-        """
-        index = self.netlist.compiled.index
-        ids = [index[net] for net in nets]
-        if not ids or not self.cycles:
+        i = self.netlist.compiled.index[net]
+        if not self.cycles:
             return ""
-        v, k = self.value_lanes, self.known_lanes
-        return _lane_chars([(v[i], k[i]) for i in ids], self.cycles).decode("ascii")
+        return _lane_chars(self.value_lanes[i], self.known_lanes[i], self.cycles)
 
 
 def _lane_trace(
@@ -512,13 +495,14 @@ class CycleSim:
 def sim_functional(
     n: Netlist,
     stimulus: Sequence[Mapping[str, Bit]],
-    cycles: Optional[int] = None,
-    init: Optional[Mapping[str, Bit]] = None,
+    cycles: int,
+    init: Optional[Mapping[str, Bit]],
 ) -> ProtocolTrace:
     """Run normal operation; per-cycle input maps, last map held if short.
 
     Scan-inserted netlists are fine here as long as the stimulus pins SE to 0.
-    init seeds flip-flop state by instance id; unlisted FFs start at X.
+    init seeds flip-flop state by instance id; unlisted FFs, and every FF
+    when init is None, start at X.
 
     Each cycle walks only the gates that feed the flops, one width-1 step.
     Once the last map is applied the inputs no longer change, so each
@@ -527,8 +511,6 @@ def sim_functional(
     last period to the end. The trace is built as ``CycleSim.finish`` builds
     it.
     """
-    if cycles is None:
-        cycles = len(stimulus)
     if cycles < 1:
         raise ProtocolError("cycles must be >= 1")
     if not stimulus:

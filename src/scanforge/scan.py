@@ -13,7 +13,7 @@ flip-flops, and round-trips the plan produced by ``insert_scan``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from .errors import ScanforgeError
 from .kinds import FFVariant
@@ -25,7 +25,6 @@ from .netlist import (
     Instance,
     Netlist,
     ScanFF,
-    validate_netlist,
 )
 
 
@@ -59,7 +58,7 @@ class ScanChainPlan(NamedTuple):
     enable: str = "SE"
 
 
-def _fresh_name(wanted: str, taken: set[str]) -> str:
+def _fresh_name(wanted: str, taken: Container[str]) -> str:
     if wanted not in taken:
         return wanted
     k = 1
@@ -70,7 +69,7 @@ def _fresh_name(wanted: str, taken: set[str]) -> str:
 
 def default_plan(n: Netlist, variant: FFVariant) -> ScanChainPlan:
     """Declaration-order plan with port names bumped past any collisions."""
-    nets = n.nets()
+    nets = n.compiled.index
     return ScanChainPlan(
         variant=variant,
         order=tuple(f.id for f in n.flops),
@@ -95,7 +94,7 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
             "plan order does not cover exactly the netlist's flip-flops"
         )
 
-    nets = n.nets()
+    nets = n.compiled.index
     for name in (plan.chain_in, plan.chain_out, plan.enable):
         if name in nets:
             raise NameCollisionError(f"net name {name!r} already exists")
@@ -135,7 +134,7 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
         outputs=n.outputs + (plan.chain_out,),
         instances=tuple(instances),
     )
-    validate_netlist(out)
+    out.compiled  # compiling checks the structure
     return out
 
 

@@ -72,8 +72,7 @@ def _walk(
         if dist[b] > best:
             best, a = dist[b], b
         d = best + delay
-        # skips a gate nothing reaches (-inf + delay is -inf); a net driven
-        # twice, in a netlist built without validation, keeps its latest arrival
+        # skips a gate nothing reaches (-inf + delay is -inf)
         if d > dist[out]:
             dist[out] = d
             pred[out] = a

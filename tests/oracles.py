@@ -17,7 +17,16 @@ import re
 from typing import Optional
 
 from scanforge.kinds import FFVariant, GateType
-from scanforge.netlist import Dff, Gate, Netlist, ScanFF
+from scanforge.netlist import (
+    CombinationalCycleError,
+    Dff,
+    DuplicateInstanceError,
+    Gate,
+    MultiplyDrivenNetError,
+    Netlist,
+    ScanFF,
+    UndrivenNetError,
+)
 from scanforge.switchsim import OscillationError, TransistorNetwork, TransistorType
 
 Bit = Optional[int]
@@ -252,6 +261,64 @@ def random_netlist(
         outputs=tuple(outputs),
         instances=tuple(instances),
     )
+
+
+def _pins(inst) -> tuple[str, tuple[str, ...]]:
+    """An instance's output net and its input nets, read off its fields."""
+    if isinstance(inst, Gate):
+        return inst.out, inst.ins
+    if isinstance(inst, Dff):
+        return inst.q, (inst.di,)
+    return inst.q, (inst.di, inst.si, inst.se)
+
+
+def naive_check(n: Netlist) -> Optional[tuple[type, str]]:
+    """A netlist's first structural fault as (error class, message), or None.
+
+    Three loops over the instances, in the order the faults rank: ids, then
+    drivers (inputs first), then reads against every driven net; then the
+    outputs, then cycles, found by placing gates whose inputs are all
+    placed until no more can be.
+    """
+    ids: list[str] = []
+    for inst in n.instances:
+        if inst.id in ids:
+            return DuplicateInstanceError, f"duplicate instance id {inst.id!r}"
+        ids.append(inst.id)
+
+    driven: list[str] = []
+    for net in n.inputs:
+        if net in driven:
+            return MultiplyDrivenNetError, f"net {net!r} declared input twice"
+        driven.append(net)
+    for inst in n.instances:
+        out, _ = _pins(inst)
+        if out in driven:
+            return MultiplyDrivenNetError, (
+                f"net {out!r} has more than one driver (instance {inst.id!r})"
+            )
+        driven.append(out)
+
+    for inst in n.instances:
+        for net in _pins(inst)[1]:
+            if net not in driven:
+                return UndrivenNetError, f"net {net!r} read by instance {inst.id!r} has no driver"
+    for net in n.outputs:
+        if net not in driven:
+            return UndrivenNetError, f"output net {net!r} has no driver"
+
+    pending = [i for i in n.instances if isinstance(i, Gate)]
+    placed = set(driven) - {g.out for g in pending}
+    while True:
+        ready = [g for g in pending if all(net in placed for net in g.ins)]
+        if not ready:
+            break
+        placed.update(g.out for g in ready)
+        pending = [g for g in pending if g not in ready]
+    if pending:
+        stuck = ", ".join(sorted(g.id for g in pending))
+        return CombinationalCycleError, f"combinational cycle through gates: {stuck}"
+    return None
 
 
 def vcd_codes(count: int) -> list[str]:

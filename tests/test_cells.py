@@ -229,7 +229,7 @@ def test_reports_from_the_env_file_match_an_explicit_library(monkeypatch):
     cfg = Path(cells.__file__).parent / "data" / "default.cellcfg"
     monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
     n = load_netlist(str(Path(__file__).parent / "fixtures" / "chain10.snl"))
-    trace = sim_functional(n, [{net: 0 for net in n.inputs}], cycles=8)
+    trace = sim_functional(n, [{net: 0 for net in n.inputs}], cycles=8, init=None)
     points = list(itertools.product(FFVariant, Stage, Mode))
     priced = list(itertools.product(FFVariant, Stage))
     timing = [repr(analyze_timing(n, *point)) for point in points]

@@ -7,7 +7,8 @@ subcommand needs, and checks that it loaded neither ``dataclasses`` nor
 package attributes must still list and resolve every public name; every
 public name, public module-level function and public method or property of
 an exported class must have a reader outside the tests, and every optional
-parameter of the public API a caller outside the tests that passes it.
+parameter of the public API a caller outside the tests that passes it and
+one that leaves it out.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 
@@ -216,7 +217,8 @@ def test_every_public_name_has_a_reader_outside_the_tests():
 
 
 # Optional parameters kept without a caller outside the tests that passes
-# them, by "function.parameter", each with its reason.
+# them, or without one that leaves them out, by "function.parameter", each
+# with its reason.
 KEEP_PARAMETERS: dict[str, str] = {}
 
 # The hand-written ``def``s a call of the class itself runs
@@ -315,17 +317,22 @@ def _passed(call: ast.Call, owner: str, parameter: str, index: int) -> Optional[
     return f"{owner}.{value.id}" if owner and isinstance(value, ast.Name) else ""
 
 
-def test_every_optional_parameter_has_a_caller_outside_the_tests():
-    # A parameter handed on unchanged from another optional parameter is
-    # passed only when that one is.
-    parameters = _optional_parameters()
-    calls = _calls()
-    passed: set[str] = set()
+def _closure(
+    parameters: dict[str, tuple[str, int]],
+    calls: dict[str, list[tuple[ast.Call, str]]],
+    counts: Callable[[Optional[str]], bool],
+) -> set[str]:
+    """The parameters that some call gives what ``counts`` accepts.
+
+    A call that hands on another optional parameter by name gives what
+    that one is given: it counts once that parameter is in the set.
+    """
+    found: set[str] = set()
     while True:
         more = {
             key for key, (called, index) in parameters.items()
-            if key not in passed and any(
-                given is not None and (given not in parameters or given in passed)
+            if key not in found and any(
+                given in found if given in parameters else counts(given)
                 for given in (
                     _passed(call, owner, key.rpartition(".")[2], index)
                     for call, owner in calls.get(called, [])
@@ -333,8 +340,18 @@ def test_every_optional_parameter_has_a_caller_outside_the_tests():
             )
         }
         if not more:
-            break
-        passed |= more
-    unpassed = sorted(set(parameters) - passed - set(KEEP_PARAMETERS))
-    assert unpassed == []
+            return found
+        found |= more
+
+
+def test_every_optional_parameter_has_a_caller_outside_the_tests():
+    # some caller passes it and some caller leaves it out: a default that
+    # no caller outside the tests uses belongs to a required parameter
+    parameters = _optional_parameters()
+    calls = _calls()
+    passed = _closure(parameters, calls, lambda given: given is not None)
+    left_out = _closure(parameters, calls, lambda given: given is None)
+    kept = set(parameters) - set(KEEP_PARAMETERS)
+    assert sorted(kept - passed) == []
+    assert sorted(kept - left_out) == []
     assert set(KEEP_PARAMETERS) <= set(parameters)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,11 +25,10 @@ from scanforge.netlist import (
     parse_netlist,
     parse_patterns,
     serialize_netlist,
-    validate_netlist,
 )
-from scanforge.protocol import run_scan_test, sim_functional
+from scanforge.protocol import CycleSim, run_scan_test, sim_functional
 from scanforge.sta import analyze_timing
-from oracles import random_netlist
+from oracles import naive_check, random_netlist
 
 MINIMAL = "module m\ninput a\noutput y\ngate g1 INV y a\nendmodule\n"
 
@@ -101,6 +101,78 @@ def test_combinational_cycle_rejected():
     )
     with pytest.raises(CombinationalCycleError):
         parse_netlist(text)
+
+
+def inject_fault(rng: random.Random, n: Netlist) -> Netlist:
+    """The netlist with one structural fault of a random kind put in."""
+    inputs, outputs, instances = list(n.inputs), list(n.outputs), list(n.instances)
+    k = rng.randrange(len(instances))
+    inst = instances[k]
+    kind = rng.choice(["id", "input", "driver", "read", "output", "cycle"])
+    if kind == "id":
+        instances[k] = inst._replace(id=rng.choice(instances).id)
+    elif kind == "input":
+        inputs.append(rng.choice(inputs))
+    elif kind == "driver":
+        net = rng.choice(inputs + [i.output_net for i in instances])
+        instances[k] = inst._replace(out=net) if isinstance(inst, Gate) else inst._replace(q=net)
+    elif kind == "read":
+        fresh = f"U{rng.randrange(1000)}"
+        if isinstance(inst, Gate):
+            instances[k] = inst._replace(ins=(fresh,) + inst.ins[1:])
+        else:
+            pin = "di" if isinstance(inst, Dff) else rng.choice(["di", "si", "se"])
+            instances[k] = inst._replace(**{pin: fresh})
+    elif kind == "output":
+        outputs.append(f"V{rng.randrange(1000)}")
+    else:
+        # a gate reads itself or a gate declared after it
+        gates = [j for j, i in enumerate(instances) if isinstance(i, Gate)]
+        first = rng.choice(gates)
+        later = instances[rng.choice([j for j in gates if j >= first])]
+        instances[first] = instances[first]._replace(ins=(later.out,) + instances[first].ins[1:])
+    return Netlist(n.name, tuple(inputs), tuple(outputs), tuple(instances))
+
+
+# what each structural message says, in the order the faults rank
+FAULT_SHAPES = (
+    "duplicate instance id",
+    "declared input twice",
+    "has more than one driver",
+    "read by instance",
+    "output net",
+    "combinational cycle",
+)
+
+
+def test_compiling_raises_the_first_fault_as_the_oracle_finds_it():
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(600):
+        n = random_netlist(rng, max_ffs=3, scan=rng.random() < 0.5)
+        for _ in range(rng.randint(1, 2)):
+            n = inject_fault(rng, n)
+        want = naive_check(n)
+        if want is None:
+            n.compiled
+            continue
+        with pytest.raises(want[0]) as exc:
+            n.compiled
+        assert (type(exc.value), str(exc.value)) == want
+        seen.update(shape for shape in FAULT_SHAPES if shape in want[1])
+    assert seen == set(FAULT_SHAPES)
+
+
+def test_a_netlist_built_in_code_is_checked_where_it_is_compiled():
+    def two_drivers() -> Netlist:
+        gates = (Gate("g1", GateType.INV, "y", ("a",)), Gate("g2", GateType.BUF, "y", ("a",)))
+        return Netlist("m", ("a",), ("y",), gates)
+
+    message = re.escape("net 'y' has more than one driver (instance 'g2')")
+    with pytest.raises(MultiplyDrivenNetError, match=message):
+        analyze_timing(two_drivers(), FFVariant.MUX, Stage.POST_LAYOUT, Mode.FUNCTIONAL)
+    with pytest.raises(MultiplyDrivenNetError, match=message):
+        CycleSim(two_drivers(), None)
 
 
 def test_cycle_through_flop_is_fine():
@@ -181,7 +253,7 @@ def test_parse_serialize_identity_on_fixture(chain10_path):
 def test_parse_serialize_identity_randomized(seed):
     rng = random.Random(1000 + seed)
     n = random_netlist(rng, scan=rng.random() < 0.5, min_ffs=1)
-    validate_netlist(n)
+    n.compiled
     assert parse_netlist(serialize_netlist(n)) == n
 
 
@@ -197,15 +269,16 @@ def test_topological_order_is_valid():
 
 
 def test_one_sort_serves_timing_and_simulation(monkeypatch, chain10_path, chain10_patterns_path):
-    sorts = []
-    real = netlist_module._topo_gates
-    monkeypatch.setattr(netlist_module, "_topo_gates", lambda m: sorts.append(m) or real(m))
+    # parsing compiles (that is the structural check); nothing compiles again
+    builds = []
+    real = netlist_module.CompiledNetlist
+    monkeypatch.setattr(netlist_module, "CompiledNetlist", lambda m: builds.append(m) or real(m))
     n = load_netlist(str(chain10_path))
     for variant, stage, mode in itertools.product(FFVariant, Stage, Mode):
         analyze_timing(n, variant, stage, mode)
     run_scan_test(n, load_patterns(str(chain10_patterns_path), 10))
-    sim_functional(n, [{"A": 0, "SI": 0, "SE": 0}], cycles=8)
-    assert len(sorts) == 1 and sorts[0] is n
+    sim_functional(n, [{"A": 0, "SI": 0, "SE": 0}], cycles=8, init=None)
+    assert len(builds) == 1 and builds[0] is n
     assert n.comb_order() is n.compiled.gates
 
 

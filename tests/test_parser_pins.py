@@ -3,7 +3,8 @@
 Every ``NetlistSyntaxError`` raise site of ``parse_netlist`` is here, with
 the whitespace kinds ``str.splitlines`` and ``str.split`` treat specially,
 comments, CRLF, and tokens repeated on one line; then the structural errors
-``validate_netlist`` raises and every ``parse_patterns`` message. The
+that compiling the parsed netlist (``Netlist.compiled``) raises, and every
+``parse_patterns`` message. The
 tokenizer property compares the parser's token positions with the regex
 tokenizer kept in ``oracles``.
 """

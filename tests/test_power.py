@@ -70,12 +70,12 @@ def test_functional_run_with_se_high_bills_the_test_rate(chain10_path):
     # sim_functional records the chain's shared enable, so cycles that shift
     # are priced as shifts whichever simulator drove them.
     n = load_netlist(str(chain10_path))
-    shifting = sim_functional(n, [{"A": 0, "SI": 1, "SE": 1}], cycles=20)
+    shifting = sim_functional(n, [{"A": 0, "SI": 1, "SE": 1}], cycles=20, init=None)
     assert shifting.se == [1] * 20
     rep = estimate_power(shifting, FFVariant.MUX, POST, t_clk_ns=1.0)
     assert rep.mode is Mode.TEST
     assert rep.ff_internal_energy_fj == pytest.approx(10 * 20 * 3.81, abs=1e-9)
-    holding = sim_functional(n, [{"A": 0, "SI": 1, "SE": 0}], cycles=20)
+    holding = sim_functional(n, [{"A": 0, "SI": 1, "SE": 0}], cycles=20, init=None)
     assert holding.se == [0] * 20
     assert estimate_power(holding, FFVariant.MUX, POST, t_clk_ns=1.0).mode is Mode.FUNCTIONAL
 
@@ -86,7 +86,7 @@ def test_cyclesim_records_se_only_for_one_shared_enable():
         "module two\ninput SI E1 E2\noutput Q1\n"
         "scanff f1 MUX Q1 Q1 SI E1\nscanff f2 MUX Q2 Q2 Q1 E2\nendmodule\n"
     )
-    trace = sim_functional(n, [{"SI": 1, "E1": 1, "E2": 1}], cycles=3)
+    trace = sim_functional(n, [{"SI": 1, "E1": 1, "E2": 1}], cycles=3, init=None)
     assert trace.se == [None] * 3
     assert estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=1.0).mode is Mode.FUNCTIONAL
 
@@ -236,7 +236,8 @@ def test_estimate_validation(chain10_path):
     from scanforge.protocol import CycleSim
 
     with pytest.raises(PowerModelError):
-        estimate_power(CycleSim(Netlist("empty")).finish(), FFVariant.MUX, POST, t_clk_ns=1.0)
+        empty = CycleSim(Netlist("empty", (), (), ())).finish()
+        estimate_power(empty, FFVariant.MUX, POST, t_clk_ns=1.0)
     for t_clk_ns in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(PowerModelError):
             estimate_power(trace, FFVariant.MUX, POST, t_clk_ns=t_clk_ns)

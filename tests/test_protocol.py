@@ -206,9 +206,9 @@ def test_warmup_suppresses_early_unknowns():
     # an X from cycle 0 is silent through cycle 3 and warned at cycle 4
     text = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
     n = parse_netlist(text)
-    silent = sim_functional(n, [{"EN": 0}], cycles=4)
+    silent = sim_functional(n, [{"EN": 0}], cycles=4, init=None)
     assert not silent.warnings
-    noisy = sim_functional(n, [{"EN": 0}], cycles=5)
+    noisy = sim_functional(n, [{"EN": 0}], cycles=5, init=None)
     assert noisy.warnings == ["flip-flop f1 data input is X at cycle 4"]
     seeded = sim_functional(n, [{"EN": 0}], cycles=8, init={"f1": 0})
     assert not seeded.warnings
@@ -226,11 +226,11 @@ def test_functional_toggle_flop():
 def test_functional_argument_validation():
     n = parse_netlist(shift_chain_text(2))
     with pytest.raises(ProtocolError):
-        sim_functional(n, [])
+        sim_functional(n, [], cycles=1, init=None)
     with pytest.raises(ProtocolError):
-        sim_functional(n, [{"SI": 0, "SE": 0}], cycles=0)
+        sim_functional(n, [{"SI": 0, "SE": 0}], cycles=0, init=None)
     with pytest.raises(ProtocolError):
-        sim_functional(n, [{"NOPE": 0}])
+        sim_functional(n, [{"NOPE": 0}], cycles=1, init=None)
 
 
 def test_scan_test_rejects_wrong_pattern_width():
@@ -290,9 +290,11 @@ CHAIN10 = Path(__file__).parent / "fixtures" / "chain10.snl"
 
 # entry point -> (call with one bad value, the net or flop it is given for)
 BIT_ENTRY_POINTS = {
-    "stimulus": (lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}, {"EN": bad}]), "EN"),
+    "stimulus": (
+        lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}, {"EN": bad}], 2, None), "EN"
+    ),
     "sim_functional init": (
-        lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}], init={"f1": bad}), "f1"
+        lambda bad: sim_functional(parse_netlist(TFF), [{"EN": 0}], 1, {"f1": bad}), "f1"
     ),
     "CycleSim init": (lambda bad: CycleSim(parse_netlist(TFF), init={"f1": bad}), "f1"),
     "CycleSim.cycle": (
@@ -364,4 +366,4 @@ def test_runs_on_equal_distinct_netlists_compare_equal(chain10_path):
     patterns = parse_patterns("1010101010\n0110011001\n", 10)
     assert run_scan_test(a, patterns) == run_scan_test(b, patterns)
     stimulus = [{"SI": 0, "SE": 0}]
-    assert sim_functional(a, stimulus, cycles=6) == sim_functional(b, stimulus, cycles=6)
+    assert sim_functional(a, stimulus, 6, None) == sim_functional(b, stimulus, 6, None)

@@ -38,7 +38,7 @@ T1 = Transistor("n1", TransistorType.NMOS, "A", "Y", "GND", 1.0)
 G1 = Gate("g1", GateType.NAND2, "Y", ("A", "B"))
 PARAMS = FFVariantParams(FFVariant.MUX, Stage.PRE_LAYOUT, ROW, ROW, 16)
 # One net, so its compiled numbering cannot follow the string hash seed
-ONE_NET = Netlist("top", ("A",), ("A",))
+ONE_NET = Netlist("top", ("A",), ("A",), ())
 
 # Each record: its class, the constructor's arguments in order, the
 # keyword-only ones, whether it hashes, and its repr text.
@@ -207,14 +207,18 @@ def test_protocol_trace_repr_shows_nets_and_drivers_not_the_netlist_or_lanes():
 
 
 def test_plain_records_equal_only_their_own_class():
-    a = Netlist("top")
+    a = Netlist("top", (), (), ())
     assert a != object() and a != ("top", (), (), ())
-    assert TransistorNetwork((), frozenset(), (), (), ()) != Netlist("top")
+    assert TransistorNetwork((), frozenset(), (), (), ()) != a
 
 
 def test_defaults():
-    assert Netlist("top") == Netlist("top", (), (), ())
-    assert repr(Netlist("top")) == "Netlist(name='top', inputs=(), outputs=(), instances=())"
+    # a netlist names every field: no caller leaves one out
+    with pytest.raises(TypeError):
+        Netlist("top")
+    assert repr(Netlist("top", (), (), ())) == (
+        "Netlist(name='top', inputs=(), outputs=(), instances=())"
+    )
     assert repr(ScanChainPlan(FFVariant.MUX, ("f1",))) == (
         "ScanChainPlan(variant=<FFVariant.MUX: 'mux'>, order=('f1',), chain_in='SI', "
         "chain_out='SO', enable='SE')"
@@ -224,12 +228,12 @@ def test_defaults():
         "internal_toggle_count=0)"
     )
     # the trace of a run of no cycles on a netlist of no nets
-    assert repr(CycleSim(Netlist("empty")).finish()) == (
+    assert repr(CycleSim(Netlist("empty", (), (), ())).finish()) == (
         "ProtocolTrace(netlist_name='empty', nets=(), net_toggles={}, net_drivers={}, "
         "ff_internal_toggles={}, ff_contentions={}, phase_counts={}, warnings=[], phases=[], se=[])"
     )
     # each trace gets its own containers
-    a, b = CycleSim(Netlist("a")).finish(), CycleSim(Netlist("b")).finish()
+    a, b = CycleSim(Netlist("a", (), (), ())).finish(), CycleSim(Netlist("b", (), (), ())).finish()
     a.warnings.append("w")
     assert b.warnings == [] and a.net_toggles is not b.net_toggles
 

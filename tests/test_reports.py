@@ -133,7 +133,7 @@ def test_vcd_structure():
 
 
 def test_vcd_marks_unknowns():
-    trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=2)
+    trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=2, init=None)
     text = to_vcd(trace)
     assert "x" in {line[0] for line in text.splitlines() if line and line[0] in "01x"}
 
@@ -151,4 +151,4 @@ def test_vcd_rejects_empty_traces():
     from scanforge.protocol import CycleSim
 
     with pytest.raises(ValueError):
-        to_vcd(CycleSim(Netlist("empty")).finish())
+        to_vcd(CycleSim(Netlist("empty", (), (), ())).finish())

@@ -107,13 +107,18 @@ def random_bits(rng: random.Random, width: int) -> str:
     return "".join(str(rng.randint(0, 1)) for _ in range(width))
 
 
+def columns(trace: ProtocolTrace) -> str:
+    """Every net's bit string, one after another in lane order."""
+    return "".join(trace.bit_string(net) for net in trace.nets)
+
+
 def assert_same_run(trace, run: NaiveRun) -> None:
     assert trace.cycles == len(run.records)
     # every net in every cycle, net-major as the trace's columns are
     for rec in run.records:
         assert rec.keys() == set(trace.nets)
     want = "".join(bit_char(rec[net]) for net in trace.nets for rec in run.records)
-    assert trace.bit_columns(trace.nets) == want
+    assert columns(trace) == want
     assert [p.value for p in trace.phases] == run.phases
     assert list(trace.net_toggles.items()) == list(run.net_toggles.items())
     assert list(trace.ff_internal_toggles.items()) == list(run.internal.items())
@@ -183,13 +188,13 @@ def test_hand_driven_cyclesim_matches_sim_functional_and_the_oracle(seed):
     sim = CycleSim(n, init=init)
     records = [sim.cycle(pi, Phase.FUNCTIONAL) for pi in stimulus]
     hand = sim.finish()
-    want = sim_functional(n, stimulus, init=init)
+    want = sim_functional(n, stimulus, cycles=len(stimulus), init=init)
     oracle = NaiveRun(n, init)
     for pi in stimulus:
         oracle.cycle(pi, "functional")
 
     assert [dict(r.values) for r in records] == oracle.records
-    assert hand.bit_columns(hand.nets) == want.bit_columns(want.nets)
+    assert columns(hand) == columns(want)
     assert hand.net_toggles == want.net_toggles
     assert hand.warnings == want.warnings
     assert_same_run(hand, oracle)
@@ -450,16 +455,17 @@ def test_records_read_late_equal_the_eager_values(seed):
     assert [rec.se for rec in late] == late_sim.finish().se[: len(stimulus)]
 
 
-# -- bit columns built in groups of lanes ----------------------------------------
+# -- one lane's characters --------------------------------------------------------
 
 
 def random_lanes(rng: random.Random, count: int, width: int) -> ProtocolTrace:
-    """A trace of ``count`` nets over ``width`` cycles with random 0/1/X lanes."""
-    n = Netlist("lanes", tuple(f"n{i}" for i in range(count)))
-    v, k = [], []
-    for _ in n.compiled.nets:
-        k.append(rng.getrandbits(width) | rng.getrandbits(width))
-        v.append(rng.getrandbits(width) & k[-1])
+    """A trace of ``count`` nets over ``width`` cycles with random 0/1/X lanes.
+
+    The value rail is random under an unknown bit too: it must read x.
+    """
+    n = Netlist("lanes", tuple(f"n{i}" for i in range(count)), (), ())
+    v = [rng.getrandbits(width) for _ in n.compiled.nets]
+    k = [rng.getrandbits(width) | rng.getrandbits(width) for _ in n.compiled.nets]
     return ProtocolTrace(n, v, k, [Phase.FUNCTIONAL] * width, [0] * width, {}, {}, {}, {}, [])
 
 
@@ -470,30 +476,23 @@ def per_bit(trace: ProtocolTrace) -> str:
     )
 
 
-@pytest.mark.parametrize("width", [1, 194, protocol._GROUP_BYTES + 7])
-@pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_bit_columns_match_the_bits_at_the_group_edges(width, extra):
-    # one lane short of a group, a full group, and one lane into the next;
-    # above 65,536 cycles a group is a single lane
-    group = max(protocol._GROUP_BYTES // width, 1)
-    trace = random_lanes(random.Random(width + extra), group + extra, width)
-    want = per_bit(trace)
-    assert trace.bit_columns(trace.nets) == want
-    if trace.nets:
-        assert trace.bit_string(trace.nets[-1]) == want[-width:]
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_bit_string_matches_the_bits_at_each_lane_width(width):
+    trace = random_lanes(random.Random(width), 40, width)
+    assert columns(trace) == per_bit(trace)
 
 
-def test_bit_columns_stay_within_three_times_their_result():
-    # capture-deep's shape: 2,600 nets over 194 cycles
-    trace = random_lanes(random.Random(3), 2600, 194)
+def test_bit_string_stays_within_three_times_its_result():
+    # one lane as long as capture-deep's 2,600 nets over 194 cycles
+    trace = random_lanes(random.Random(3), 1, 2600 * 194)
     tracemalloc.start()
     try:
-        columns = trace.bit_columns(trace.nets)
+        bits = trace.bit_string(trace.nets[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(columns) == 2600 * 194
-    assert peak < 3 * len(columns)
+    assert len(bits) == 2600 * 194
+    assert peak < 3 * len(bits)
 
 
 # -- captured bits deposited into lanes ------------------------------------------
