@@ -44,7 +44,7 @@ _EXPORTS = {
         "verify_chain",
     ),
     "protocol": (
-        "Phase", "CycleRecord", "CycleSim", "ProtocolTrace", "ProtocolError",
+        "Phase", "CycleSim", "ProtocolTrace", "ProtocolError",
         "sim_functional", "run_scan_test", "flush_chain", "cycle_budget",
     ),
     "sta": (

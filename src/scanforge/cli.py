@@ -275,7 +275,8 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
     from .switchsim import BUNDLED, bundled_network, check_behavioral, load_network_file
 
     bundled = BUNDLED.get(Path(args.network).name)
-    if bundled is not None and not Path(args.network).exists():
+    # a bare bundled name with no such file here is the shipped cell
+    if args.network in BUNDLED and not Path(args.network).exists():
         net = bundled_network(bundled)
     else:
         net = load_network_file(args.network)

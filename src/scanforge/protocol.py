@@ -25,20 +25,20 @@ flip-flop Qs, which fix every other net's end-of-cycle value, one width-T
 pass over all cycles gives the end-of-cycle lanes of every net.
 ``CycleSim`` steps every cycle at width 1, one walk each of the gates that
 feed the flops (``CompiledNetlist.flop_cone``), and keeps only those state
-nets' bits per cycle; the ``CycleRecord`` it returns settles the whole gate
-program from those bits on its first value read. ``sim_functional`` steps
-through the same width-1 step and stops at the first repeated state row
-once its last input map is held: from there the run is periodic, and each
-state lane repeats its segment to the end. ``run_scan_test`` and
-``flush_chain`` step at width 1 only where the chain's shift cannot be
-written down: the SE=0 capture cycles, or every cycle when some flop is not
-on the SI -> Q chain; the loop visits only those cycles, the zero bytes of
-the SE stream. On every SE=1 cycle each chain flop loads SI, so the Q lane
-of chain position p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for
-the head). CAP_p is read from the stepper's own state rows, one per stepped
-cycle: each row's Q bytes are ORed, at their cycle's bit, into lanes packed
-eight cycles to a byte, so the work follows the stepped rows plus T/8
-bytes per lane. When every cycle is stepped, a row column already is the
+nets' bits per cycle; its ``finish``, which may be called at any point,
+builds the trace of every cycle so far from them. That trace is the one
+way to read a run's values. ``sim_functional`` steps through the same
+width-1 step and stops at the first repeated state row once its last input
+map is held: from there the run is periodic, and each state lane repeats
+its segment to the end. ``run_scan_test`` and ``flush_chain`` step every
+cycle, and return the stepper's own trace, when some flop is not on the
+SI -> Q chain. Otherwise they step at width 1 only the SE=0 capture
+cycles, the zero bytes of the SE stream, and write the shift down: on
+every SE=1 cycle each chain flop loads SI, so the Q lane of chain position
+p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for the head). CAP_p
+is read from the stepper's own state rows, one per stepped cycle: each
+row's Q bytes are ORed, at their cycle's bit, into lanes packed eight
+cycles to a byte, so the work follows the stepped rows plus T/8 bytes per
 lane.
 
 A trace keeps those lanes by net id, with the netlist they came from,
@@ -206,53 +206,6 @@ def _deposit(rows: bytes, stride: int, start: int, cycles: Sequence[int], width:
 # -- traces --------------------------------------------------------------------
 
 
-class _CycleValues(Mapping[str, Bit]):
-    """Read-only end-of-cycle net values of one cycle.
-
-    It keeps only the cycle's state row (the primary inputs and the flop Qs)
-    and settles the gate program from it on the first value read; ``len``
-    and iteration need no values and settle nothing.
-    """
-
-    __slots__ = ("_cn", "_state_ids", "_row_v", "_row_k", "_settled")
-
-    def __init__(self, cn: CompiledNetlist, state_ids: Sequence[int], row_v: bytes, row_k: bytes):
-        self._cn = cn
-        self._state_ids = state_ids
-        self._row_v = row_v
-        self._row_k = row_k
-        self._settled: Optional[tuple[list[int], list[int]]] = None
-
-    def __getitem__(self, net: str) -> Bit:
-        i = self._cn.index[net]
-        if self._settled is None:
-            v = [0] * len(self._cn.nets)
-            k = [0] * len(self._cn.nets)
-            for j, a, b in zip(self._state_ids, self._row_v, self._row_k):
-                v[j] = a
-                k[j] = b
-            evaluate(self._cn.program, v, k)
-            self._settled = v, k
-        v, k = self._settled
-        return v[i] if k[i] else X
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._cn.index)
-
-    def __len__(self) -> int:
-        return len(self._cn.index)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-class CycleRecord(NamedTuple):
-    index: int
-    phase: Phase
-    se: Bit
-    values: Mapping[str, Bit]  # end-of-cycle net values, settled on first read
-
-
 class ProtocolTrace(NamedTuple):
     """What one run produced: the netlist, every net's end-of-cycle lanes,
     per-cycle phase and SE, and the counts.
@@ -384,9 +337,9 @@ class CycleSim:
     """Incremental simulator; drives one netlist cycle by cycle.
 
     Each cycle keeps the bits of the primary inputs and the flop Qs, from
-    which ``finish`` builds the trace (and ``run_scan_test`` the captured
-    Q lanes), and the scan enable the rising edge
-    saw when every scan flop shares one enable net (X otherwise), so
+    which ``finish`` builds the trace of every cycle so far (and
+    ``run_scan_test`` the captured Q lanes), and the scan enable the rising
+    edge saw when every scan flop shares one enable net (X otherwise), so
     ``estimate_power`` bills its SE=1 cycles at the test rate.
     """
 
@@ -410,20 +363,18 @@ class CycleSim:
         self._phases: list[Phase] = []
         self._se: list[Bit] = []
 
-    def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> CycleRecord:
-        """Apply inputs, clock every flop once, and return the end-of-cycle values.
+    def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> None:
+        """Apply inputs and clock every flop once.
 
         The map may be partial: an input left out keeps the value it was last
         given, and one never given is X. ``phase`` is a Phase or its value.
-        The record's values are settled on their first read.
+        The cycle's end-of-cycle values are read from ``finish``.
         """
         try:
             phase = Phase(phase)
         except ValueError:
             raise ProtocolError(f"{phase!r} is not a phase") from None
-        row_v, row_k = self._step(pi_values, phase)
-        values = _CycleValues(self.compiled, self._state_ids, row_v, row_k)
-        return CycleRecord(len(self._phases) - 1, phase, self._se[-1], values)
+        self._step(pi_values, phase)
 
     def _step(self, pi_values: Mapping[str, Bit], phase: Phase) -> tuple[bytes, bytes]:
         """One width-1 cycle: apply inputs, settle the flops' cone, clock the flops.
@@ -572,18 +523,14 @@ def _run_schedule(
         raise ProtocolError(f"chain output {plan.chain_out!r} is not a net")
     base = {cn.index[net]: _rail(bit, net) for net, bit in base_pi.items()}
     width = len(phases)
-    full = (1 << width) - 1
     se = bytes(se_bits)
-    si_lane = _bits_to_lane(bytes(si_bits))
-    se_lane = _bits_to_lane(se)
     chain = _shift_chain(cn, plan)
-    shift = se_lane if chain is not None else 0
 
-    # Step the cycles the shift does not cover (the SE=0 captures, or every
-    # cycle when a flop is off the chain) through the one width-1 stepper;
-    # its state rows then hold each flop's Q over those cycles. Each capture
-    # follows at least one chain length of shift cycles, which leave only
-    # SI bits in the chain.
+    # Step the cycles the shift does not cover through the one width-1
+    # stepper: every cycle when a flop is off the chain, and the run's trace
+    # is then the stepper's own; else the SE=0 captures, whose state rows
+    # hold each flop's Q at those cycles. Each capture follows at least one
+    # chain length of shift cycles, which leave only SI bits in the chain.
     stepped = range(width) if chain is None else list(_zeros(se))
     pi = dict(base_pi)
     for t in stepped:
@@ -592,24 +539,24 @@ def _run_schedule(
         pi[plan.chain_in] = si_bits[t]
         pi[plan.enable] = se_bits[t]
         sim.cycle(pi, phases[t])
+    if chain is None:
+        return sim.finish()
 
+    full = (1 << width) - 1
+    si_lane = _bits_to_lane(bytes(si_bits))
+    se_lane = _bits_to_lane(se)
     lv = [0] * len(cn.nets)
     lk = [0] * len(cn.nets)
     stride = len(sim._state_ids)
     qs = stride - len(cn.ff_q)  # where the Qs start in a state row
     for lanes, rows in ((lv, sim._state_v), (lk, sim._state_k)):
-        if chain is None:  # a row per cycle: each Q column is its lane
-            qlanes = [_bits_to_lane(rows[j::stride]) for j in range(qs, stride)]
-        else:
-            qlanes = _deposit(rows, stride, qs, stepped, width)
-        for q, lane in zip(cn.ff_q, qlanes):
+        for q, lane in zip(cn.ff_q, _deposit(rows, stride, qs, stepped, width)):
             lanes[q] = lane
-    if chain is not None:
-        pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
-        for q in (cn.ff_q[f] for f in chain):
-            lv[q] |= pin_v & shift
-            lk[q] |= pin_k & shift
-            pin_v, pin_k = lv[q] << 1, lk[q] << 1
+    pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
+    for q in (cn.ff_q[f] for f in chain):
+        lv[q] |= pin_v & se_lane
+        lk[q] |= pin_k & se_lane
+        pin_v, pin_k = lv[q] << 1, lk[q] << 1
     for i, (a, b) in base.items():
         lv[i], lk[i] = full * a, full * b
     lv[cn.index[plan.chain_in]], lk[cn.index[plan.chain_in]] = si_lane, full

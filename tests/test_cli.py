@@ -263,6 +263,14 @@ def test_switchsim_plain_stats(capsys):
     assert rep["verdict"] is None
 
 
+def test_switchsim_takes_a_bundled_cell_only_by_its_bare_name(capsys, tmp_path):
+    # a missing file is an I/O error, whatever its name
+    missing = tmp_path / "no_such_dir" / "approx_sff.tnl"
+    code, out, err = run_cli(capsys, "switchsim", str(missing))
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "cli.io"
+
+
 def test_compare_reproduces_published_gains(capsys):
     doc = run_json(capsys, "compare")
     jsonschema.validate(doc, load_schema("compare"))

@@ -28,7 +28,7 @@ from scanforge.ffmodel import FFState
 from scanforge.kinds import FFVariant, GateType, Mode, Stage
 from scanforge.netlist import Dff, Gate, Netlist, PatternSet, ScanFF
 from scanforge.power import PowerReport
-from scanforge.protocol import CycleRecord, CycleSim, Phase, ProtocolTrace
+from scanforge.protocol import CycleSim, Phase, ProtocolTrace
 from scanforge.scan import ScanChainPlan
 from scanforge.sta import TimingReport
 from scanforge.switchsim import NodeValue, Transistor, TransistorNetwork, TransistorType
@@ -60,10 +60,6 @@ RECORDS = {
     "PatternSet": (
         PatternSet, (2, ("01", "10"), ("11", None)), {}, True,
         "PatternSet(chain_length=2, vectors=('01', '10'), expected=('11', None))",
-    ),
-    "CycleRecord": (
-        CycleRecord, (3, Phase.CAPTURE, 0, {"Y": 1}), {}, False,
-        "CycleRecord(index=3, phase=<Phase.CAPTURE: 'capture'>, se=0, values={'Y': 1})",
     ),
     "ProtocolTrace": (
         ProtocolTrace, (ONE_NET, [1], [1], [Phase.SHIFT_IN], [1], {}, {}, {}, {}, []), {}, False,

@@ -10,9 +10,9 @@ toggles, contention, phase counts and warnings.
 
 ``sim_functional`` stops stepping at the first repeated state and repeats
 the periodic segment; it is checked the same way over whole runs, and the
-number of walks of the gate program is pinned for functional runs, single
-``CycleSim.cycle`` calls (whose records settle on first read) and scan
-tests.
+number of walks of the gate program is pinned for functional runs,
+hand-driven ``CycleSim`` runs and scan tests. A hand-driven run's trace
+read mid-run is checked against the prefix of the whole run's.
 
 A trace's bit columns are built in groups of lanes of about 64 kB; they
 are checked bit by bit at the group edges, and their memory against the
@@ -186,14 +186,14 @@ def test_hand_driven_cyclesim_matches_sim_functional_and_the_oracle(seed):
     ]
 
     sim = CycleSim(n, init=init)
-    records = [sim.cycle(pi, Phase.FUNCTIONAL) for pi in stimulus]
+    for pi in stimulus:
+        sim.cycle(pi, Phase.FUNCTIONAL)
     hand = sim.finish()
     want = sim_functional(n, stimulus, cycles=len(stimulus), init=init)
     oracle = NaiveRun(n, init)
     for pi in stimulus:
         oracle.cycle(pi, "functional")
 
-    assert [dict(r.values) for r in records] == oracle.records
     assert columns(hand) == columns(want)
     assert hand.net_toggles == want.net_toggles
     assert hand.warnings == want.warnings
@@ -379,23 +379,8 @@ def test_functional_run_stops_stepping_at_the_first_repeat(monkeypatch):
         assert trace.net_toggles["Q0"] == cycles - 1
 
 
-def test_cycle_walks_once_unless_its_values_are_read(monkeypatch):
-    n = parse_netlist(counter_text(3))
-    walks = WalkCounter(monkeypatch)
-    sim = CycleSim(n, init={f.id: 0 for f in n.flops})
-    rec = sim.cycle({"EN": 1}, Phase.FUNCTIONAL)
-    assert walks.calls == 1
-    assert len(rec.values) == len(n.nets())
-    assert set(rec.values) == n.nets()
-    assert walks.calls == 1
-    assert (rec.values["Q0"], rec.values["D0"], rec.values["C0"]) == (1, 0, 1)
-    assert walks.calls == 2
-    assert rec.values["D1"] == 1 and dict(rec.values) == dict(rec.values)
-    assert walks.calls == 2
-
-
-def test_cycle_walks_the_flop_cone_and_its_record_the_whole_program(monkeypatch):
-    # g1 feeds only the output, so the cone leaves it out.
+def test_cycle_walks_the_flop_cone_and_finish_the_whole_program(monkeypatch):
+    # g1 feeds only the output, so the cone leaves it out; finish settles it.
     n = parse_netlist(
         "module c\ninput EN\noutput Y\ndff f0 Q0 D0\n"
         "gate g0 XOR2 D0 Q0 EN\ngate g1 INV Y Q0\nendmodule\n"
@@ -404,10 +389,13 @@ def test_cycle_walks_the_flop_cone_and_its_record_the_whole_program(monkeypatch)
     assert [cn.nets[step[1]] for step in cn.flop_cone] == ["D0"]
     walks = WalkCounter(monkeypatch)
     sim = CycleSim(n, init={"f0": 0})
-    recs = [sim.cycle({"EN": 1}, Phase.FUNCTIONAL) for _ in range(3)]
+    for _ in range(3):
+        sim.cycle({"EN": 1}, Phase.FUNCTIONAL)
+    assert len(walks.programs) == 3
     assert all(program is cn.flop_cone for program in walks.programs)
-    assert [(r.values["Q0"], r.values["Y"]) for r in recs] == [(1, 0), (0, 1), (1, 0)]
-    assert walks.programs[3:] == [cn.program] * 3
+    trace = sim.finish()
+    assert (trace.bit_string("Q0"), trace.bit_string("Y")) == ("101", "010")
+    assert walks.programs[3] is cn.program and walks.programs[4:] == [cn.flop_cone]
 
 
 def test_scan_test_walks_once_per_capture(monkeypatch):
@@ -426,13 +414,20 @@ def test_scan_test_walks_once_per_capture(monkeypatch):
         assert walks.programs[-2] is cn.program and walks.programs[-1] is cn.flop_cone
 
 
-# -- records settled on first read ----------------------------------------------------
+# -- traces read mid-run -----------------------------------------------------------
+
+
+def prefix(trace: ProtocolTrace, cycles: int) -> tuple:
+    """Every net's first ``cycles`` values, phases and SE."""
+    bits = [trace.bit_string(net)[:cycles] for net in trace.nets]
+    return bits, trace.phases[:cycles], trace.se[:cycles]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_records_read_late_equal_the_eager_values(seed):
-    # A record keeps its own state bits: cycles after it, and a chain load
-    # through _shift, do not change what it reads.
+    # finish() read after each cycle equals the prefix of the trace read at
+    # the end: cycles after it, and a chain load through _shift, do not
+    # change the cycles it holds.
     rng = random.Random(40_000 + seed)
     n = random_netlist(rng, max_gates=10, max_ffs=4, min_ffs=1, scan=True)
     chain = protocol._shift_chain(n.compiled, verify_chain(n))
@@ -440,19 +435,21 @@ def test_records_read_late_equal_the_eager_values(seed):
         {net: X if rng.random() < 0.1 else rng.randint(0, 1) for net in n.inputs}
         for _ in range(12)
     ]
-    eager_sim, late_sim = CycleSim(n), CycleSim(n)
+    sim = CycleSim(n)
     oracle = NaiveRun(n)
-    eager, late = [], []
+    eager = []
     for pi in stimulus:
-        eager.append(dict(eager_sim.cycle(pi, Phase.FUNCTIONAL).values))
-        late.append(late_sim.cycle(pi, Phase.FUNCTIONAL))
+        sim.cycle(pi, Phase.FUNCTIONAL)
         oracle.cycle(pi, "functional")
-    late_sim._shift(chain, [1] * len(stimulus), len(stimulus) - 1)
-    late_sim.cycle(stimulus[0], Phase.FUNCTIONAL)
-    first = [dict(rec.values) for rec in late]
-    assert first == eager == oracle.records
-    assert [dict(rec.values) for rec in late] == first
-    assert [rec.se for rec in late] == late_sim.finish().se[: len(stimulus)]
+        eager.append(sim.finish())
+    sim._shift(chain, [1] * len(stimulus), len(stimulus) - 1)
+    sim.cycle(stimulus[0], Phase.FUNCTIONAL)
+    late = sim.finish()
+    assert_same_run(eager[-1], oracle)
+    assert late.cycles == len(stimulus) + 1
+    for t, trace in enumerate(eager, 1):
+        assert trace.cycles == t
+        assert prefix(trace, t) == prefix(late, t)
 
 
 # -- one lane's characters --------------------------------------------------------

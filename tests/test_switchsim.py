@@ -152,6 +152,34 @@ t nd N GD OUT GND 1
     assert settle(net, {"GU": 1, "GD": 0})["OUT"] == NodeValue(1, 2.25)
 
 
+# A transmission gate between two driven pins, A and N
+OWN_RANK = """
+node A
+node N
+node G
+node GB
+supply VDD
+supply GND
+io in A
+io in N
+io in G
+io in GB
+t n N G A N 2
+t p P GB A N 2
+"""
+
+
+def test_a_pass_device_delivers_at_its_own_rank():
+    # A width-1 pin through a width-2 device beats N's own width-1 pin: the
+    # device passes at its own rank (2.5), not at its source's (2.25).
+    net = load_network(OWN_RANK)
+    for a in (0, 1):
+        settled = settle(net, {"A": a, "N": 1 - a, "G": 1, "GB": 0})
+        assert settled["N"] == NodeValue(a, 2.5)
+        # so does N's pin through the same devices into A: the pins swap
+        assert settled["A"] == NodeValue(1 - a, 2.5)
+
+
 PASS_GATE = """
 node EN
 node IN
