@@ -4,38 +4,51 @@ Output is deterministic: nets are sorted by name, identifier codes are
 assigned in that order, and only value changes are emitted after the initial
 dump, so identical traces produce byte-identical files.
 
+What a dump derives from the netlist alone is built on its first dump and
+kept on the compiled netlist (``CompiledNetlist.vcd_layout``): the compiled
+net ids in name order, the ``$var`` lines, and the segments. A segment is a
+run of nets, in name order, whose id codes have one length and at most 85
+distinct prefixes, a prefix being every character of a code but the last.
+Each net of a segment has a base, 3 * (its prefix's place in the segment)
++ 1, and the segment keeps its nets' bases and last characters as ints with
+one byte per net, and 256-byte translate tables from a symbol to the value
+character and to each prefix character.
+
 The body is built a cycle at a time straight from the trace's two-rail
 lanes, with no Python object per value change and no character per net per
-cycle. Each net's value and known rails are packed once, in net order, as
+cycle. Each net's value and known rails are packed once, in name order, as
 little-endian bytes, eight cycles to a byte. Every eighth cycle one strided
-slice of each rail gathers the next byte of every net into an int, one byte
-per net. A cycle's state then takes one shift and one AND per rail against
-a constant with 0x01 in every byte: 0 for a known 0, 1 for a known 1 and 2
-for an unknown, whatever its value rail holds. XORing the state with the
-cycle before and folding the two bits of each byte together gives a keep
-mask, 0xFF for each net whose character changed and 0 for the rest. The
-state plus one (1, 2 or 3), ANDed with the mask, translates to ``0``, ``1``
-or ``x`` with the NULs of the unchanged nets deleted. Each column of the id
-codes is kept as an int with one byte per net, codes shorter than the
-longest padded with ``\x01``, and is selected by the same mask. The value
-column and the code columns are interleaved into a newline-filled buffer
-with one strided slice assignment each, and deleting ``\x01`` leaves
-exactly the lines of the changed nets. Neither NUL nor ``\x01`` occurs in
-the text itself: values are ``0``, ``1`` or ``x``, codes use ``!`` to
-``~``, and the only other bytes are the newline and the timestamps. The
-working memory is the packed rails, two bits per net per cycle, and O(nets)
-per cycle; ``dump_vcd`` writes each cycle as it is built.
+slice of each rail gathers the next byte of every net of a segment into an
+int, one byte per net. A cycle's state then takes one shift and one AND per
+rail against a constant with 0x01 in every byte: 0 for a known 0, 1 for a
+known 1 and 2 for an unknown, whatever its value rail holds. XORing the
+state with the cycle before and folding the two bits of each byte together
+gives a keep mask, 0xFF for each net whose character changed and 0 for the
+rest. The state plus the base, ANDed with the mask, is a nonzero symbol
+(at most 3 * 84 + 1 + 2 = 255) for each changed net and NUL for the rest,
+so one ``to_bytes`` and one NUL-deleting ``translate`` give the changed
+nets' symbols. Small translates of that short string give each one's value
+character and each prefix character; the last characters (``!`` to ``~``,
+never NUL), selected by the same mask, are the one other full-width pass. Strided slice assignments
+interleave these columns into a newline-filled buffer. The working memory
+is the packed rails, two bits per net per cycle, and O(nets) per cycle;
+``dump_vcd`` writes each cycle as it is built, and ``to_vcd`` joins the
+cycles a batch at a time, so its peak follows the size of the text.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Union
 
+from .netlist import CompiledNetlist
 from .protocol import ProtocolTrace
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
-# translate table: a changed net's state plus one (1, 2, 3) becomes its value
-_VALUES = bytes.maketrans(b"\x01\x02\x03", b"01x")
+# a segment's symbols, state + 3 * prefix + 1, must fit in a byte
+_MAX_PREFIXES = 85
+# to_vcd joins this many cycles' bytes at a time
+_BATCH = 256
 
 
 def _id_codes(count: int) -> list[str]:
@@ -51,67 +64,106 @@ def _id_codes(count: int) -> list[str]:
     return codes
 
 
-def _chunks(trace: ProtocolTrace) -> Iterator[Union[str, bytes]]:
+def _segment(lo: int, runs: list[list[str]]) -> tuple:
+    """``(lo, hi, width, ones, bases, last, tables)`` for the nets from
+    ``lo`` whose codes are ``runs``, each the codes of one prefix in order.
+
+    A net's base is 3 * its run's place + 1, so its state plus its base is
+    a symbol from 1 to 255; ``tables[j]`` maps a symbol to the character at
+    column j of its line: the value, then each prefix character.
+    """
+    codes = [code for run in runs for code in run]
+    bases = b"".join([bytes([3 * p + 1]) * len(run) for p, run in enumerate(runs)])
+    last = "".join([code[-1] for code in codes]).encode()
+    heads = [value + run[0][:-1] for run in runs for value in "01x"]  # by symbol - 1
+    tables = [
+        bytes([0, *(ord(head[j]) for head in heads)]).ljust(256, b"\0")
+        for j in range(len(heads[0]))
+    ]
+    return (
+        lo, lo + len(codes), len(codes[0]), int.from_bytes(b"\x01" * len(codes), "big"),
+        int.from_bytes(bases, "big"), int.from_bytes(last, "big"), tables,
+    )
+
+
+def _layout(cn: CompiledNetlist) -> tuple[list[int], str, list[tuple]]:
+    """The compiled net ids in name order, the ``$var`` lines and the
+    segments; built on a netlist's first dump and kept on it."""
+    if cn.vcd_layout is None:
+        nets = sorted(cn.nets)
+        codes = _id_codes(len(nets))
+        var = "".join([f"$var wire 1 {code} {net} $end\n" for code, net in zip(codes, nets)])
+        # each code length starts at a multiple of 94, so every run of 94
+        # codes from the start shares one prefix
+        step = len(_ID_CHARS)
+        segments: list[tuple] = []
+        lo, runs = 0, []
+        for i in range(0, len(codes), step):
+            run = codes[i:i + step]
+            if runs and (len(run[0]) != len(runs[0][0]) or len(runs) == _MAX_PREFIXES):
+                segments.append(_segment(lo, runs))
+                lo, runs = i, []
+            runs.append(run)
+        if runs:
+            segments.append(_segment(lo, runs))
+        cn.vcd_layout = ([cn.index[net] for net in nets], var, segments)
+    return cn.vcd_layout
+
+
+def _chunks(trace: ProtocolTrace) -> Iterator[Union[str, bytearray]]:
     """The header as one str, then the body as bytes, a cycle at a time."""
     if not trace.cycles:
         raise ValueError("trace has no cycles to dump")
-    nets = sorted(trace.nets)
-    codes = _id_codes(len(nets))
-    width = len(codes[-1]) if codes else 1
-
-    lines = [
-        "$version scanforge $end",
-        "$timescale 1ns $end",
-        f"$scope module {trace.netlist_name} $end",
-    ]
-    lines += [f"$var wire 1 {code} {net} $end" for code, net in zip(codes, nets)]
-    lines += ["$upscope $end", "$enddefinitions $end", ""]
-    yield "\n".join(lines)
-
-    count = len(nets)
-    size = width + 2  # a line: value, code, newline
-    padded = "".join([code.ljust(width, "\x01") for code in codes]).encode()
-    columns = [int.from_bytes(padded[j::width], "big") for j in range(width)]
-    ones = int.from_bytes(b"\x01" * count, "big")
-    full = ones * 255
-
-    def changed(head: bytes, state: int, keep: int) -> bytes:
-        """``head``, then the line of every net whose byte of ``keep`` is 0xFF."""
-        values = ((state + ones) & keep).to_bytes(count, "big").translate(_VALUES, b"\0")
-        out = bytearray(head) + b"\n" * (len(values) * size)
-        start = len(head)
-        out[start::size] = values
-        for j, column in enumerate(columns, start + 1):
-            out[j::size] = (column & keep).to_bytes(count, "big").translate(None, b"\0")
-        # bytes, not the bytearray: to_vcd holds every cycle's chunk
-        return bytes(out).translate(None, b"\x01")
+    ids, var, segments = _layout(trace.netlist.compiled)
+    yield (
+        f"$version scanforge $end\n$timescale 1ns $end\n"
+        f"$scope module {trace.netlist_name} $end\n"
+        f"{var}$upscope $end\n$enddefinitions $end\n"
+    )
 
     # Byte j of net i's rail is rails[i * stride + j], so byte j of every
-    # net, in net order, is rails[j::stride]; its bit b is cycle 8j + b.
+    # net of a segment, in name order, is rails[lo * stride + j:hi * stride:stride];
+    # its bit b is cycle 8j + b.
     stride = -(-trace.cycles // 8)
-    index = trace.netlist.compiled.index
-    ids = [index[net] for net in nets]
     value = b"".join([trace.value_lanes[i].to_bytes(stride, "little") for i in ids])
     known = b"".join([trace.known_lanes[i].to_bytes(stride, "little") for i in ids])
+    held = [[0, 0, 0] for _ in segments]  # each segment's known 1s, unknowns, last state
     for t in range(trace.cycles):
         bit = t & 7
         if not bit:
-            k = int.from_bytes(known[t >> 3::stride], "big")
-            one = int.from_bytes(value[t >> 3::stride], "big") & k
-            unknown = k ^ full
-        state = ((one >> bit) & ones) | ((unknown >> bit) & ones) << 1
-        if t:
-            diff = state ^ prev
-            yield changed(b"#%d\n" % t, state, ((diff | diff >> 1) & ones) * 255)
-        else:
-            yield changed(b"#0\n$dumpvars\n", state, full) + b"$end\n"
-        prev = state
+            for (lo, hi, _, ones, _, _, _), h in zip(segments, held):
+                cut = slice(lo * stride + (t >> 3), hi * stride, stride)
+                k = int.from_bytes(known[cut], "big")
+                h[0] = int.from_bytes(value[cut], "big") & k
+                h[1] = k ^ ones * 255
+        out = bytearray(b"#%d\n" % t if t else b"#0\n$dumpvars\n")
+        for (lo, hi, width, ones, bases, last, tables), h in zip(segments, held):
+            state = ((h[0] >> bit) & ones) | ((h[1] >> bit) & ones) << 1
+            if t:
+                diff = state ^ h[2]
+                keep = ((diff | diff >> 1) & ones) * 255
+            else:
+                keep = ones * 255
+            h[2] = state
+            count = hi - lo
+            symbols = ((state + bases) & keep).to_bytes(count, "big").translate(None, b"\0")
+            size = width + 2  # a line: value, code, newline
+            start = len(out)
+            out += b"\n" * (len(symbols) * size)
+            for j, table in enumerate(tables, start):
+                out[j::size] = symbols.translate(table)
+            out[start + width::size] = (last & keep).to_bytes(count, "big").translate(None, b"\0")
+        if not t:
+            out += b"$end\n"
+        yield out
 
 
 def to_vcd(trace: ProtocolTrace) -> str:
     chunks = _chunks(trace)
-    header = next(chunks)
-    return header + b"".join(chunks).decode("ascii")
+    parts = [next(chunks)]
+    while batch := list(islice(chunks, _BATCH)):
+        parts.append(b"".join(batch).decode("ascii"))
+    return "".join(parts)
 
 
 def dump_vcd(trace: ProtocolTrace, path: str) -> None:

@@ -7,7 +7,9 @@ Power totals sum per-net energies in toggle order over a set of net names,
 so their last bits move with the string hash seed: they are compared with
 a relative tolerance of 1e-12. The ``line120`` and ``line9000`` VCD digests
 (2- and 3-character id codes) were recorded from the line-by-line VCD
-writer, before the body was built from per-cycle byte masks.
+writer, before the body was built from per-cycle byte masks. Net ids
+follow a set's iteration order, so the VCD digests are also recomputed
+under two string hash seeds, as the STA digests are.
 
 The STA digests were recorded from the name-keyed longest-path walk that
 the compiled one replaced. They cover every variant, stage and mode at zero
@@ -53,8 +55,8 @@ TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-@pytest.fixture(scope="module")
-def traces():
+def pinned_traces() -> dict:
+    """The traces whose VCD bytes and power figures are pinned."""
     n = load_netlist(str(FIXTURES / "chain10.snl"))
     scan, responses = run_scan_test(n, load_patterns(str(FIXTURES / "chain10.pat"), 10))
     assert responses == ["1111111111", "1010101011", "0000000001", "0111111111"]
@@ -99,10 +101,46 @@ POWER = {
 }
 
 
+def vcd_digests() -> list[str]:
+    """SHA-256 of each pinned trace's VCD text, in name order."""
+    traces = pinned_traces()
+    return [
+        hashlib.sha256(to_vcd(traces[name]).encode()).hexdigest() for name in sorted(VCD_SHA256)
+    ]
+
+
+def under_hash_seeds(code: str) -> list[str]:
+    """The stdout of ``python -c code`` under PYTHONHASHSEED 0 and 12345."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout)
+    return outs
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return pinned_traces()
+
+
 @pytest.mark.parametrize("name", sorted(VCD_SHA256))
 def test_vcd_bytes_are_pinned(traces, name):
     text = to_vcd(traces[name])
     assert hashlib.sha256(text.encode()).hexdigest() == VCD_SHA256[name]
+
+
+def test_vcd_bytes_do_not_depend_on_the_hash_seed():
+    # the dump reads net ids, which follow a set's iteration order, through
+    # the name-ordered ids its layout keeps; the bytes must not move
+    outs = under_hash_seeds(
+        "import json; from test_trace_pins import vcd_digests; print(json.dumps(vcd_digests()))"
+    )
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == [VCD_SHA256[name] for name in sorted(VCD_SHA256)]
 
 
 @pytest.mark.parametrize("key", sorted(POWER))
@@ -169,14 +207,7 @@ def test_sta_reports_do_not_depend_on_the_hash_seed():
         "import json, sys; from test_trace_pins import STA_SHA256, sta_digest; "
         "print(json.dumps([sta_digest(name) for name in sorted(STA_SHA256)]))"
     )
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    outs = []
-    for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        outs.append(subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout)
+    outs = under_hash_seeds(code)
     assert outs[0] == outs[1]
     assert json.loads(outs[0]) == [STA_SHA256[name] for name in sorted(STA_SHA256)]
 

@@ -1,16 +1,19 @@
 """``to_vcd`` and ``dump_vcd`` against the per-net oracle.
 
 ``to_vcd`` reads the trace's two-rail lanes packed eight cycles to a byte
-and builds each cycle a column at a time, one byte per net: each net's
-state (0, 1 or 2 for X) comes from one bit of its packed rails, a keep mask
-from the change against the cycle before selects the values and each
-column of the id codes (shorter codes padded with ``\x01``), and strided
-slice assignments interleave them into lines. ``oracles.naive_vcd``
-compares every net's bit string with itself one cycle back. They must agree
-byte for byte on scan tests and functional runs with X, at the edges of a
-run and of the packed bytes, on a value rail set under an unknown, and at
-the net counts where the id codes grow a character (94/95 and 8,930/8,931),
-where no padding byte may be left in the text.
+and builds each cycle from one byte per net: each net's state (0, 1 or 2
+for X) comes from one bit of its packed rails, and a keep mask from the
+change against the cycle before selects, in one pass, each changed net's
+state plus the base of its id code's prefix, and in a second its code's
+last character. The nets are split into segments of one code length and
+at most 85 prefixes, so that sum fits in a byte, and that layout is built
+once per compiled netlist. ``oracles.naive_vcd`` compares every net's bit
+string with itself one cycle back. They must agree byte for byte on scan
+tests and functional runs with X, at the edges of a run and of the packed
+bytes, on a value rail set under an unknown, at the net counts where the
+id codes grow a character (94/95 and 8,930/8,931) and where a segment
+fills its 85 prefixes (8,084/8,085), on every trace of a netlist after its
+layout is kept, and with no NUL byte left in the text.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from scanforge.protocol import (
     CycleSim, Phase, ProtocolTrace, run_scan_test, sim_functional,
 )
 from scanforge.scan import verify_chain
+from scanforge import vcd
 from scanforge.vcd import dump_vcd, to_vcd
 
 from oracles import line_netlist, naive_vcd, random_netlist, vcd_codes
@@ -95,7 +99,9 @@ def test_an_all_x_run_has_no_changes_after_the_initial_dump():
     assert {trace.bit_string(net) for net in trace.nets} == {"xxxxxx"}
 
 
-@pytest.mark.parametrize("nets, width", [(94, 1), (95, 2), (8930, 2), (8931, 3)])
+@pytest.mark.parametrize(
+    "nets, width", [(94, 1), (95, 2), (8084, 2), (8085, 2), (8930, 2), (8931, 3)]
+)
 def test_id_code_boundaries(nets, width, tmp_path):
     trace = line_trace(nets, 5)
     text = to_vcd(trace)
@@ -104,6 +110,12 @@ def test_id_code_boundaries(nets, width, tmp_path):
     assert last.startswith(f"$var wire 1 {vcd_codes(nets)[-1]} ")
     assert len(vcd_codes(nets)[-1]) == width
     assert min(text) == "\n"  # no NUL or \x01 padding byte is left
+    # a segment ends where the code length grows or after 85 prefixes
+    edges = [edge for edge in (0, 94, 8084, 8930) if edge < nets] + [nets]
+    segments = trace.netlist.compiled.vcd_layout[2]
+    assert [segment[:3] for segment in segments] == [
+        (lo, hi, len(vcd_codes(hi)[lo])) for lo, hi in zip(edges, edges[1:])
+    ]
     out = tmp_path / "wave.vcd"
     dump_vcd(trace, str(out))
     assert out.read_bytes() == text.encode()
@@ -136,6 +148,48 @@ def test_a_value_rail_under_an_unknown_is_x():
     )
 
 
+def test_the_layout_is_built_once_per_compiled_netlist(monkeypatch):
+    # two pattern sets on one netlist share its layout; an equal but
+    # distinct netlist compiles, and so lays out, its own
+    built = []
+    codes = vcd._id_codes
+    monkeypatch.setattr(vcd, "_id_codes", lambda count: built.append(count) or codes(count))
+    rng, n = scan_case(7)
+    length = len(verify_chain(n).order)
+    texts = []
+    for _ in range(2):
+        vectors = [random_bits(rng, length) for _ in range(2)]
+        trace, _ = run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length))
+        texts.append(to_vcd(trace))
+        assert texts[-1] == naive_vcd(trace)
+    assert texts[0] != texts[1]
+    assert built == [len(n.compiled.nets)]
+    layout = n.compiled.vcd_layout
+
+    twin = Netlist(n.name, n.inputs, n.outputs, n.instances)
+    assert twin == n and twin.compiled is not n.compiled
+    trace, _ = run_scan_test(twin, parse_patterns("\n".join(vectors) + "\n", length))
+    assert to_vcd(trace) == texts[1]
+    assert built == [len(n.compiled.nets)] * 2
+    assert twin.compiled.vcd_layout is not layout
+    assert n.compiled.vcd_layout is layout
+
+
+def test_to_vcd_peak_follows_the_text():
+    # 4,000 toggling cycles, 47 kB of text: to_vcd joins the cycles a batch
+    # at a time, so it holds about two copies of the text, not a bytes
+    # object per cycle
+    trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=4000, init={"f1": 0})
+    tracemalloc.start()
+    try:
+        text = to_vcd(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == naive_vcd(trace)
+    assert peak < 4 * len(text)
+
+
 def test_dump_vcd_stays_below_a_character_per_net_and_cycle(tmp_path):
     # 300 nets over 4,000 cycles: 1,171 kB as one character per net and
     # cycle; the packed rails take a quarter of that
@@ -152,9 +206,9 @@ def test_dump_vcd_stays_below_a_character_per_net_and_cycle(tmp_path):
 
 
 def test_dump_vcd_writes_as_it_goes(tmp_path):
-    # 4,000 toggling cycles, 47 kB of text. to_vcd holds every cycle's
-    # chunk, their join and its decoding; dump_vcd holds the packed rails
-    # and one cycle, so its peak stays below to_vcd's by more than the text.
+    # 4,000 toggling cycles, 47 kB of text. to_vcd holds the text's
+    # decoded batches and their join; dump_vcd holds the packed rails and
+    # one cycle, so its peak stays below to_vcd's by more than the text.
     trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=4000, init={"f1": 0})
     out = tmp_path / "wave.vcd"
     tracemalloc.start()
