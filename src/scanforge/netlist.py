@@ -232,11 +232,9 @@ class CompiledNetlist:
     shares, or -1 if they do not share one.
 
     It also keeps what its users derive once and then reuse: ``flop_cone``,
-    the program steps that cycle simulation walks; ``walks``, the most
+    the program steps that cycle simulation walks, and ``walks``, the most
     recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
-    table, so memory stays O(nets)); and ``vcd_layout``, set by the first
-    ``vcd`` dump: the net ids in name order, the ``$var`` lines and the
-    id-code segments, O(nets) bytes.
+    table, so memory stays O(nets)).
     """
 
     def __init__(self, n: Netlist):
@@ -318,7 +316,6 @@ class CompiledNetlist:
         enables = {se for se in self.ff_se if se >= 0}
         self.enable = enables.pop() if len(enables) == 1 else -1
         self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
-        self.vcd_layout: Optional[tuple] = None
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
 
     @property

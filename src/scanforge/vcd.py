@@ -4,14 +4,12 @@ Output is deterministic: nets are sorted by name, identifier codes are
 assigned in that order, and only value changes are emitted after the initial
 dump, so identical traces produce byte-identical files.
 
-What a dump derives from the netlist alone is built on its first dump and
-kept on the compiled netlist (``CompiledNetlist.vcd_layout``): the compiled
-net ids in name order, the ``$var`` lines, and the segments. A segment is a
-run of nets, in name order, whose id codes have one length and at most 85
-distinct prefixes, a prefix being every character of a code but the last.
-Each net of a segment has a base, 3 * (its prefix's place in the segment)
-+ 1, and the segment keeps its nets' bases and last characters as ints with
-one byte per net, and 256-byte translate tables from a symbol to the value
+The nets are split into segments. A segment is a run of nets, in name
+order, whose id codes have one length and at most 85 distinct prefixes, a
+prefix being every character of a code but the last. Each net of a
+segment has a base, 3 * (its prefix's place in the segment) + 1, and the
+segment keeps its nets' bases and last characters as ints with one byte
+per net, and 256-byte translate tables from a symbol to the value
 character and to each prefix character.
 
 The body is built a cycle at a time straight from the trace's two-rail
@@ -29,22 +27,22 @@ rest. The state plus the base, ANDed with the mask, is a nonzero symbol
 so one ``to_bytes`` and one NUL-deleting ``translate`` give the changed
 nets' symbols. Small translates of that short string give each one's value
 character and each prefix character; the last characters (``!`` to ``~``,
-never NUL), selected by the same mask, are the one other full-width pass. Strided slice assignments
-interleave these columns into a newline-filled buffer. The working memory
-is the packed rails, two bits per net per cycle, and O(nets) per cycle;
-``dump_vcd`` writes each cycle as it is built, and ``to_vcd`` joins the
-cycles a batch at a time, so its peak follows the size of the text.
+never NUL), selected by the same mask, are the one other full-width pass.
+Strided slice assignments interleave these columns into a newline-filled
+buffer. The working memory is the packed rails, two bits per net per
+cycle, and O(nets) per cycle; ``dump_vcd`` writes each cycle as it is
+built, and ``to_vcd`` joins the cycles a batch at a time, so its peak
+follows the size of the text.
 """
-
 from __future__ import annotations
 
 from itertools import islice
 from typing import Iterator, Union
 
-from .netlist import CompiledNetlist
 from .protocol import ProtocolTrace
 
 _ID_CHARS = [chr(c) for c in range(33, 127)]
+_LAST = "".join(_ID_CHARS).encode()
 # a segment's symbols, state + 3 * prefix + 1, must fit in a byte
 _MAX_PREFIXES = 85
 # to_vcd joins this many cycles' bytes at a time
@@ -64,67 +62,71 @@ def _id_codes(count: int) -> list[str]:
     return codes
 
 
-def _segment(lo: int, runs: list[list[str]]) -> tuple:
+def _segment(lo: int, hi: int, heads: list[str]) -> tuple:
     """``(lo, hi, width, ones, bases, last, tables)`` for the nets from
-    ``lo`` whose codes are ``runs``, each the codes of one prefix in order.
+    ``lo`` to ``hi``, whose codes run through the prefixes in ``heads``.
 
-    A net's base is 3 * its run's place + 1, so its state plus its base is
-    a symbol from 1 to 255; ``tables[j]`` maps a symbol to the character at
-    column j of its line: the value, then each prefix character.
+    ``heads`` holds, for each prefix in order, the prefix after each value
+    character (``0``, ``1``, ``x``), so ``heads[s - 1]`` is the start of the
+    line of symbol s. A net's base is 3 * its prefix's place + 1, so its
+    state plus its base is a symbol from 1 to 255; ``tables[j]`` maps a
+    symbol to the character at column j of its line.
     """
-    codes = [code for run in runs for code in run]
-    bases = b"".join([bytes([3 * p + 1]) * len(run) for p, run in enumerate(runs)])
-    last = "".join([code[-1] for code in codes]).encode()
-    heads = [value + run[0][:-1] for run in runs for value in "01x"]  # by symbol - 1
+    count, step = hi - lo, len(_ID_CHARS)
+    bases = b"".join([bytes([p + 1]) * step for p in range(0, len(heads), 3)])
+    last = _LAST * (len(heads) // 3)
     tables = [
         bytes([0, *(ord(head[j]) for head in heads)]).ljust(256, b"\0")
         for j in range(len(heads[0]))
     ]
     return (
-        lo, lo + len(codes), len(codes[0]), int.from_bytes(b"\x01" * len(codes), "big"),
-        int.from_bytes(bases, "big"), int.from_bytes(last, "big"), tables,
+        lo, hi, len(heads[0]), int.from_bytes(b"\x01" * count, "big"),
+        int.from_bytes(bases[:count], "big"), int.from_bytes(last[:count], "big"), tables,
     )
 
 
-def _layout(cn: CompiledNetlist) -> tuple[list[int], str, list[tuple]]:
-    """The compiled net ids in name order, the ``$var`` lines and the
-    segments; built on a netlist's first dump and kept on it."""
-    if cn.vcd_layout is None:
-        nets = sorted(cn.nets)
-        codes = _id_codes(len(nets))
-        var = "".join([f"$var wire 1 {code} {net} $end\n" for code, net in zip(codes, nets)])
-        # each code length starts at a multiple of 94, so every run of 94
-        # codes from the start shares one prefix
-        step = len(_ID_CHARS)
-        segments: list[tuple] = []
-        lo, runs = 0, []
-        for i in range(0, len(codes), step):
-            run = codes[i:i + step]
-            if runs and (len(run[0]) != len(runs[0][0]) or len(runs) == _MAX_PREFIXES):
-                segments.append(_segment(lo, runs))
-                lo, runs = i, []
-            runs.append(run)
-        if runs:
-            segments.append(_segment(lo, runs))
-        cn.vcd_layout = ([cn.index[net] for net in nets], var, segments)
-    return cn.vcd_layout
+def _segments(codes: list[str]) -> list[tuple]:
+    """The segments of ``codes``: a new one starts where the code length
+    grows or after 85 prefixes."""
+    # Each code length starts at a multiple of 94, so every run of 94
+    # codes from the start shares one prefix, and its last characters
+    # are ``!`` to ``~`` in order.
+    segments: list[tuple] = []
+    lo, heads = 0, []
+    for i in range(0, len(codes), len(_ID_CHARS)):
+        if heads and (len(codes[i]) != len(codes[lo]) or len(heads) == 3 * _MAX_PREFIXES):
+            segments.append(_segment(lo, i, heads))
+            lo, heads = i, []
+        heads += [value + codes[i][:-1] for value in "01x"]
+    if heads:
+        segments.append(_segment(lo, len(codes), heads))
+    return segments
 
 
 def _chunks(trace: ProtocolTrace) -> Iterator[Union[str, bytearray]]:
     """The header as one str, then the body as bytes, a cycle at a time."""
     if not trace.cycles:
         raise ValueError("trace has no cycles to dump")
-    ids, var, segments = _layout(trace.netlist.compiled)
-    yield (
-        f"$version scanforge $end\n$timescale 1ns $end\n"
-        f"$scope module {trace.netlist_name} $end\n"
-        f"{var}$upscope $end\n$enddefinitions $end\n"
-    )
+    nets = sorted(trace.nets)
+    codes = _id_codes(len(nets))
+
+    lines = [
+        "$version scanforge $end",
+        "$timescale 1ns $end",
+        f"$scope module {trace.netlist_name} $end",
+    ]
+    lines += [f"$var wire 1 {code} {net} $end" for code, net in zip(codes, nets)]
+    lines += ["$upscope $end", "$enddefinitions $end", ""]
+    yield "\n".join(lines)
+
+    segments = _segments(codes)
 
     # Byte j of net i's rail is rails[i * stride + j], so byte j of every
-    # net of a segment, in name order, is rails[lo * stride + j:hi * stride:stride];
-    # its bit b is cycle 8j + b.
+    # net of a segment, in name order, is
+    # rails[lo * stride + j:hi * stride:stride]; its bit b is cycle 8j + b.
     stride = -(-trace.cycles // 8)
+    index = trace.netlist.compiled.index
+    ids = [index[net] for net in nets]
     value = b"".join([trace.value_lanes[i].to_bytes(stride, "little") for i in ids])
     known = b"".join([trace.known_lanes[i].to_bytes(stride, "little") for i in ids])
     held = [[0, 0, 0] for _ in segments]  # each segment's known 1s, unknowns, last state

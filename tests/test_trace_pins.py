@@ -109,19 +109,6 @@ def vcd_digests() -> list[str]:
     ]
 
 
-def under_hash_seeds(code: str) -> list[str]:
-    """The stdout of ``python -c code`` under PYTHONHASHSEED 0 and 12345."""
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
-    outs = []
-    for seed in ("0", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        outs.append(subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        ).stdout)
-    return outs
-
-
 @pytest.fixture(scope="module")
 def traces():
     return pinned_traces()
@@ -131,16 +118,6 @@ def traces():
 def test_vcd_bytes_are_pinned(traces, name):
     text = to_vcd(traces[name])
     assert hashlib.sha256(text.encode()).hexdigest() == VCD_SHA256[name]
-
-
-def test_vcd_bytes_do_not_depend_on_the_hash_seed():
-    # the dump reads net ids, which follow a set's iteration order, through
-    # the name-ordered ids its layout keeps; the bytes must not move
-    outs = under_hash_seeds(
-        "import json; from test_trace_pins import vcd_digests; print(json.dumps(vcd_digests()))"
-    )
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0]) == [VCD_SHA256[name] for name in sorted(VCD_SHA256)]
 
 
 @pytest.mark.parametrize("key", sorted(POWER))
@@ -202,14 +179,24 @@ def test_sta_reports_are_pinned(name):
 
 def test_sta_reports_do_not_depend_on_the_hash_seed():
     # Net ids follow a set's iteration order, which the string hash seed
-    # changes; the reports must not.
+    # changes; the reports, and the VCD bytes of the pinned traces, must not.
     code = (
-        "import json, sys; from test_trace_pins import STA_SHA256, sta_digest; "
-        "print(json.dumps([sta_digest(name) for name in sorted(STA_SHA256)]))"
+        "import json, sys; from test_trace_pins import STA_SHA256, sta_digest, vcd_digests; "
+        "print(json.dumps([[sta_digest(name) for name in sorted(STA_SHA256)], vcd_digests()]))"
     )
-    outs = under_hash_seeds(code)
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        outs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout)
     assert outs[0] == outs[1]
-    assert json.loads(outs[0]) == [STA_SHA256[name] for name in sorted(STA_SHA256)]
+    assert json.loads(outs[0]) == [
+        [STA_SHA256[name] for name in sorted(STA_SHA256)],
+        [VCD_SHA256[name] for name in sorted(VCD_SHA256)],
+    ]
 
 
 # stdout of `scantool <argv> tests/fixtures/chain10.snl` with the built-in cells

@@ -6,14 +6,13 @@ for X) comes from one bit of its packed rails, and a keep mask from the
 change against the cycle before selects, in one pass, each changed net's
 state plus the base of its id code's prefix, and in a second its code's
 last character. The nets are split into segments of one code length and
-at most 85 prefixes, so that sum fits in a byte, and that layout is built
-once per compiled netlist. ``oracles.naive_vcd`` compares every net's bit
-string with itself one cycle back. They must agree byte for byte on scan
-tests and functional runs with X, at the edges of a run and of the packed
-bytes, on a value rail set under an unknown, at the net counts where the
-id codes grow a character (94/95 and 8,930/8,931) and where a segment
-fills its 85 prefixes (8,084/8,085), on every trace of a netlist after its
-layout is kept, and with no NUL byte left in the text.
+at most 85 prefixes, so that sum fits in a byte. ``oracles.naive_vcd``
+compares every net's bit string with itself one cycle back. They must
+agree byte for byte on scan tests and functional runs with X, at the
+edges of a run and of the packed bytes, on a value rail set under an
+unknown, at the net counts where the id codes grow a character (94/95 and
+8,930/8,931) and where a segment fills its 85 prefixes (8,084/8,085), and
+with no NUL byte left in the text.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def test_id_code_boundaries(nets, width, tmp_path):
     assert min(text) == "\n"  # no NUL or \x01 padding byte is left
     # a segment ends where the code length grows or after 85 prefixes
     edges = [edge for edge in (0, 94, 8084, 8930) if edge < nets] + [nets]
-    segments = trace.netlist.compiled.vcd_layout[2]
+    segments = vcd._segments(vcd_codes(nets))
     assert [segment[:3] for segment in segments] == [
         (lo, hi, len(vcd_codes(hi)[lo])) for lo, hi in zip(edges, edges[1:])
     ]
@@ -146,33 +145,6 @@ def test_a_value_rail_under_an_unknown_is_x():
     assert text.endswith(
         "#0\n$dumpvars\nx!\n0\"\n1#\n$end\n#1\n1\"\nx#\n#2\n0\"\n1#\n#3\nx#\n"
     )
-
-
-def test_the_layout_is_built_once_per_compiled_netlist(monkeypatch):
-    # two pattern sets on one netlist share its layout; an equal but
-    # distinct netlist compiles, and so lays out, its own
-    built = []
-    codes = vcd._id_codes
-    monkeypatch.setattr(vcd, "_id_codes", lambda count: built.append(count) or codes(count))
-    rng, n = scan_case(7)
-    length = len(verify_chain(n).order)
-    texts = []
-    for _ in range(2):
-        vectors = [random_bits(rng, length) for _ in range(2)]
-        trace, _ = run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length))
-        texts.append(to_vcd(trace))
-        assert texts[-1] == naive_vcd(trace)
-    assert texts[0] != texts[1]
-    assert built == [len(n.compiled.nets)]
-    layout = n.compiled.vcd_layout
-
-    twin = Netlist(n.name, n.inputs, n.outputs, n.instances)
-    assert twin == n and twin.compiled is not n.compiled
-    trace, _ = run_scan_test(twin, parse_patterns("\n".join(vectors) + "\n", length))
-    assert to_vcd(trace) == texts[1]
-    assert built == [len(n.compiled.nets)] * 2
-    assert twin.compiled.vcd_layout is not layout
-    assert n.compiled.vcd_layout is layout
 
 
 def test_to_vcd_peak_follows_the_text():
