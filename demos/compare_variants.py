@@ -10,11 +10,11 @@ Run with: python3 demos/compare_variants.py
 
 from __future__ import annotations
 
-from scanforge.cells import FFVariant, Mode, Stage, comparison_table, resolve_library
+from scanforge.cells import CellLibrary, FFVariant, Mode, Stage, comparison_table
 from scanforge.power import power_gain
 from scanforge.sta import analyze_timing, time_gain, zero_cloud_netlist
 
-lib = resolve_library()
+lib = CellLibrary.builtin()
 n = zero_cloud_netlist()
 
 print("characterized scan flip-flop cells")

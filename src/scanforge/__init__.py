@@ -22,7 +22,7 @@ _EXPORTS = {
     "kinds": ("FFVariant", "Stage", "Mode", "GateType"),
     "cells": (
         "ModeTiming", "FFVariantParams", "GateParams", "CellLibrary", "CellConfigError",
-        "ComparisonRow", "comparison_table", "load_library", "resolve_library",
+        "ComparisonRow", "comparison_table", "load_library",
     ),
     "netlist": (
         "Netlist", "Gate", "Dff", "ScanFF", "PatternSet", "NetlistSyntaxError",

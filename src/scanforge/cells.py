@@ -17,21 +17,20 @@ Libraries load from `.cellcfg` files (INI syntax, sections like
 in the file overrides the builtin value. Every value, from a file or from
 code, passes the range check of the record that holds it when the record
 is built or copied (``_replace`` included), and NaN and infinities are out
-of every range.
+of every range. A library reaches the rest of the package only as a
+``CellLibrary`` argument, ``load_library(path)`` or ``CellLibrary.builtin()``;
+nothing in the environment picks one.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ScanforgeError
 from .kinds import FFVariant, GateType, Mode, Stage
-
-ENV_CELLS = "SCANFORGE_CELLS"
 
 # Printed t_pd and t_su + t_cq may disagree by up to this much before a row
 # is flagged as inconsistent. The epsilon absorbs float noise so a sum that
@@ -303,14 +302,3 @@ def load_library(path: str | Path) -> CellLibrary:
 
     return CellLibrary(ffs=MappingProxyType(ffs), gates=MappingProxyType(gates))
 
-
-def resolve_library(
-    explicit: "CellLibrary | str | Path | None" = None,
-) -> CellLibrary:
-    """Pick the cell library: explicit object or path, else $SCANFORGE_CELLS, else builtin."""
-    if isinstance(explicit, CellLibrary):
-        return explicit
-    path = explicit or os.environ.get(ENV_CELLS)
-    if path:
-        return load_library(path)
-    return CellLibrary.builtin()

@@ -2,9 +2,9 @@
 
 Subcommands: insert, sim, scan-test, sta, power, switchsim, compare. Every
 run emits one report document (JSON by default, CSV/text projections via
---format) to stdout or -o. Domain errors exit 1 with a machine-readable JSON
-object on stderr; usage errors exit 2. Reports are deterministic for fixed
-inputs and --seed.
+--format) to stdout or -o. Domain errors, and files that cannot be read or
+are not UTF-8, exit 1 with a machine-readable JSON object on stderr; usage
+errors exit 2. Reports are deterministic for fixed inputs and --seed.
 
 Each handler imports the modules it runs when it is called, so a process
 that runs one subcommand loads only that subcommand's part of the package.
@@ -45,6 +45,13 @@ def _non_negative(text: str) -> int:
 def _add_cells(sub: argparse.ArgumentParser) -> None:
     """``--cells``, for the subcommands that price cells (sta, power, compare)."""
     sub.add_argument("--cells", metavar="PATH", help="cell config overriding builtins")
+
+
+def _cell_library(path: Optional[str]):
+    """The ``--cells`` file's library, or the builtin one without ``--cells``."""
+    from .cells import CellLibrary, load_library
+
+    return load_library(path) if path else CellLibrary.builtin()
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -196,12 +203,11 @@ def _timing_payload(report, gain_ns: float) -> dict[str, Any]:
 
 
 def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
-    from .cells import resolve_library
     from .netlist import load_netlist
     from .sta import analyze_timing, time_gain
 
     n = load_netlist(args.netlist)
-    lib = resolve_library(args.cells)
+    lib = _cell_library(args.cells)
     variant = FFVariant(args.variant)
     stage = Stage(args.stage)
     mode = Mode(args.mode)
@@ -215,14 +221,13 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
-    from .cells import resolve_library
     from .netlist import load_netlist, load_patterns
     from .power import estimate_power, power_gain
     from .protocol import run_scan_test, sim_functional
     from .scan import verify_chain
 
     n = load_netlist(args.netlist)
-    lib = resolve_library(args.cells)
+    lib = _cell_library(args.cells)
     stage = Stage(args.stage)
     if args.patterns:
         plan = verify_chain(n)
@@ -311,12 +316,12 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
-    from .cells import comparison_table, resolve_library
+    from .cells import comparison_table
     from .netlist import load_netlist
     from .power import power_gain
     from .sta import analyze_timing, time_gain, zero_cloud_netlist
 
-    lib = resolve_library(args.cells)
+    lib = _cell_library(args.cells)
     stage = Stage(args.stage)
     n = load_netlist(args.netlist) if args.netlist else zero_cloud_netlist()
     rows = []
@@ -452,7 +457,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScanforgeError as exc:
         sys.stderr.write(json.dumps({"error": exc.to_dict()}, sort_keys=True) + "\n")
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(
             json.dumps(
                 {"error": {"code": "cli.io", "message": str(exc)}}, sort_keys=True

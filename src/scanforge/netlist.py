@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 from .errors import ScanforgeError
-from .kinds import FFVariant, GateType
+from .kinds import FFVariant, FrozenRecord, GateType
 
 CLK_NET = "CLK"
 
@@ -127,13 +127,15 @@ Instance = Union[Gate, Dff, ScanFF]
 Flop = Union[Dff, ScanFF]
 
 
-class Netlist:
+class Netlist(FrozenRecord):
     """A module's name, ports and instances, each in declaration order.
 
     Its fields cannot be assigned, so the compiled form built on first use
     stays the netlist's own; a changed netlist is a new ``Netlist`` built
     from the fields.
     """
+
+    _fields = ("name", "inputs", "outputs", "instances")
 
     def __init__(
         self,
@@ -142,34 +144,7 @@ class Netlist:
         outputs: tuple[str, ...],
         instances: tuple[Instance, ...],
     ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "name", name)
-        set_field(self, "inputs", inputs)
-        set_field(self, "outputs", outputs)
-        set_field(self, "instances", instances)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.inputs, self.outputs, self.instances)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Netlist(name={self.name!r}, inputs={self.inputs!r}, "
-            f"outputs={self.outputs!r}, instances={self.instances!r})"
-        )
+        super().__init__(name, inputs, outputs, instances)
 
     @property
     def gates(self) -> tuple[Gate, ...]:

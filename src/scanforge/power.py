@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .cells import CellLibrary, resolve_library
+from .cells import CellLibrary
 from .errors import ScanforgeError
 from .kinds import FFVariant, Mode, Stage
 
@@ -61,7 +61,7 @@ def estimate_power(
     library: Optional[CellLibrary] = None,
     contention_penalty_fj: float = 0.0,
 ) -> PowerReport:
-    """Price one simulation trace under one FF variant's calibration."""
+    """Price one trace under one FF variant's calibration (builtin without ``library``)."""
     if not trace.cycles:
         raise PowerModelError("trace has no cycles")
     if not 0.0 < t_clk_ns < math.inf:
@@ -70,7 +70,7 @@ def estimate_power(
         raise PowerModelError(
             f"contention penalty must be >= 0 and finite, got {contention_penalty_fj}"
         )
-    lib = resolve_library(library)
+    lib = CellLibrary.builtin() if library is None else library
     params = lib.ff(variant, stage)
     e_test = params.energy_per_cycle_fj(Mode.TEST)
     e_func = params.energy_per_cycle_fj(Mode.FUNCTIONAL)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .cells import CellLibrary, resolve_library
+from .cells import CellLibrary
 from .errors import ScanforgeError
 from .kinds import FFVariant, Mode, Stage
 from .netlist import CompiledNetlist, Netlist, ScanFF
@@ -127,8 +127,9 @@ def analyze_timing(
 
     All flip-flops are timed with the requested variant's parameters, which
     keeps cross-variant comparisons on the same netlist apples to apples.
+    Without ``library`` they are priced from ``CellLibrary.builtin()``.
     """
-    lib = resolve_library(library)
+    lib = CellLibrary.builtin() if library is None else library
     timing = lib.ff(variant, stage).mode(mode)
 
     cn = n.compiled

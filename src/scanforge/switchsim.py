@@ -28,18 +28,19 @@ messages, by synchronous message passing over channel edges (parallel
 transistors joining the same node pair, e.g. a transmission gate, form one
 edge): the message an edge sends into a node is computed from the far
 node's value EXCLUDING that same edge's reverse message, so a value never
-reflects back through the device that delivered it. Supplies are pinned and never relay. The rounds are
-change-driven (selective trace): a message is a pure function of the other
-messages into its source, so the first round computes every message and
-each later round recomputes only the messages that read one changed in the
-round before, which gives the same rounds and the same fixed point as
-recomputing all of them. On the tree-structured channel graphs of CMOS
-latches this converges exactly and independently of transistor list order;
-a network where either loop is still moving after ``MAX_ITERS`` rounds
-(e.g. a ring oscillator) raises OscillationError with the unsettled nodes.
-A network is compiled on first use into node indices, channel messages with
-their ranks and readers and a memo of settled phases
-(``TransistorNetwork.compiled``), kept on the network object only.
+reflects back through the device that delivered it. Supplies are pinned
+and never relay. The rounds are change-driven (selective trace): a message
+is a pure function of the other messages into its source, so the first
+round computes every message and each later round recomputes only the
+messages that read one changed in the round before, which gives the same
+rounds and the same fixed point as recomputing all of them. On the
+tree-structured channel graphs of CMOS latches this converges exactly and
+independently of transistor list order; a network where either loop is
+still moving after ``MAX_ITERS`` rounds (e.g. a ring oscillator) raises
+OscillationError with the unsettled nodes. A network is compiled on first
+use into node indices, channel messages with their ranks and readers and a
+memo of settled phases (``TransistorNetwork.compiled``), kept on the
+network object only.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
 from .ffmodel import ff_selected_input
-from .kinds import FFVariant
+from .kinds import FFVariant, FrozenRecord
 from .logic import Bit, X
 
 RANK_FLOATING = 0.0
@@ -131,12 +132,14 @@ class NodeValue(NamedTuple):
     rank: float
 
 
-class TransistorNetwork:
+class TransistorNetwork(FrozenRecord):
     """A cell's nodes (VDD and GND included), ports and transistors.
 
     Its fields cannot be assigned, so the compiled form built on first use
     stays the network's own.
     """
+
+    _fields = ("nodes", "storage", "inputs", "outputs", "transistors")
 
     def __init__(
         self,
@@ -146,36 +149,7 @@ class TransistorNetwork:
         outputs: tuple[str, ...],
         transistors: tuple[Transistor, ...],
     ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "nodes", nodes)
-        set_field(self, "storage", storage)
-        set_field(self, "inputs", inputs)
-        set_field(self, "outputs", outputs)
-        set_field(self, "transistors", transistors)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.nodes, self.storage, self.inputs, self.outputs, self.transistors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"TransistorNetwork(nodes={self.nodes!r}, storage={self.storage!r}, "
-            f"inputs={self.inputs!r}, outputs={self.outputs!r}, "
-            f"transistors={self.transistors!r})"
-        )
+        super().__init__(nodes, storage, inputs, outputs, transistors)
 
     @cached_property
     def compiled(self) -> "CompiledNetwork":

@@ -12,7 +12,7 @@ import json
 import random
 import time
 
-from scanforge.cells import FFVariant, Mode, Stage, resolve_library
+from scanforge.cells import CellLibrary, FFVariant, Mode, Stage
 from scanforge.cli import main
 from scanforge.ffmodel import FFState, ff_cycle
 from scanforge.logic import X, bit_char
@@ -25,7 +25,7 @@ from scanforge.switchsim import bundled_network, run_cycles
 
 from oracles import NaiveSim, random_netlist
 
-LIB = resolve_library()
+LIB = CellLibrary.builtin()
 
 
 def report(criterion: int, failures: list[str]) -> None:

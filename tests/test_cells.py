@@ -20,7 +20,6 @@ from scanforge.cells import (
     Stage,
     comparison_table,
     load_library,
-    resolve_library,
 )
 from scanforge.cli import main
 from scanforge.power import estimate_power
@@ -137,10 +136,9 @@ def test_gate_params_present_for_all_types():
         assert gp.energy_per_toggle_fj > 0
 
 
-def test_the_builtin_library_is_one_read_only_object(monkeypatch):
-    monkeypatch.delenv("SCANFORGE_CELLS", raising=False)
+def test_the_builtin_library_is_one_read_only_object():
     lib = CellLibrary.builtin()
-    assert lib is CellLibrary.builtin() is resolve_library()
+    assert lib is CellLibrary.builtin()
     with pytest.raises(TypeError):
         lib.gates[GateType.INV] = GateParams(0.99, 0.5)
     with pytest.raises(TypeError):
@@ -185,17 +183,6 @@ def test_load_library_rejects_unknown_sections(tmp_path):
         load_library(cfg)
 
 
-def test_resolve_library_precedence(tmp_path, monkeypatch):
-    cfg = tmp_path / "env.cellcfg"
-    cfg.write_text("[gate.INV]\ndelay_ns = 0.99\n")
-    monkeypatch.delenv("SCANFORGE_CELLS", raising=False)
-    assert resolve_library().gate(GateType.INV).delay_ns != 0.99
-    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
-    assert resolve_library().gate(GateType.INV).delay_ns == 0.99
-    # explicit object wins over the environment
-    assert resolve_library(CellLibrary.builtin()).gate(GateType.INV).delay_ns != 0.99
-
-
 def test_load_library_returns_read_only_tables(tmp_path):
     cfg = tmp_path / "env.cellcfg"
     cfg.write_text("[gate.INV]\ndelay_ns = 0.99\n")
@@ -207,28 +194,25 @@ def test_load_library_returns_read_only_tables(tmp_path):
     assert lib.gate(GateType.INV).delay_ns == 0.99
 
 
-def test_resolve_library_reads_a_file_rewritten_with_the_same_size_and_time(
-    tmp_path, monkeypatch
-):
-    cfg = tmp_path / "env.cellcfg"
+def test_load_library_reads_a_file_rewritten_with_the_same_size_and_time(tmp_path):
+    # no cache keyed on the file's stat: every load reads the text
+    cfg = tmp_path / "custom.cellcfg"
     cfg.write_text("[gate.INV]\ndelay_ns = 0.11\n")
-    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
-    assert resolve_library().gate(GateType.INV).delay_ns == 0.11
+    assert load_library(cfg).gate(GateType.INV).delay_ns == 0.11
     stamp = cfg.stat()
     cfg.write_text("[gate.INV]\ndelay_ns = 0.12\n")
     os.utime(cfg, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
     assert (cfg.stat().st_size, cfg.stat().st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
-    assert resolve_library().gate(GateType.INV).delay_ns == 0.12
+    assert load_library(cfg).gate(GateType.INV).delay_ns == 0.12
 
 
-def test_reports_from_the_env_file_match_an_explicit_library(monkeypatch):
+def test_reports_priced_from_default_cellcfg_match_the_builtin_library(chain10_path):
     from scanforge.netlist import load_netlist
     from scanforge.protocol import sim_functional
     from scanforge.sta import analyze_timing
 
     cfg = Path(cells.__file__).parent / "data" / "default.cellcfg"
-    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
-    n = load_netlist(str(Path(__file__).parent / "fixtures" / "chain10.snl"))
+    n = load_netlist(str(chain10_path))
     trace = sim_functional(n, [{net: 0 for net in n.inputs}], cycles=8, init=None)
     points = list(itertools.product(FFVariant, Stage, Mode))
     priced = list(itertools.product(FFVariant, Stage))
@@ -237,6 +221,26 @@ def test_reports_from_the_env_file_match_an_explicit_library(monkeypatch):
     lib = load_library(cfg)
     assert timing == [repr(analyze_timing(n, *point, lib)) for point in points]
     assert power == [repr(estimate_power(trace, v, s, 1.0, lib)) for v, s in priced]
+
+
+def test_the_environment_does_not_pick_the_library(tmp_path, chain10_path, capsys, monkeypatch):
+    from scanforge.netlist import load_netlist
+    from scanforge.sta import analyze_timing
+
+    cfg = tmp_path / "slow.cellcfg"
+    cfg.write_text("[gate.NAND2]\ndelay_ns = 0.9\n", encoding="utf-8")
+    n = load_netlist(str(chain10_path))
+    point = (FFVariant.MUX, Stage.POST_LAYOUT, Mode.FUNCTIONAL)
+    builtin = analyze_timing(n, *point, CellLibrary.builtin())
+    assert analyze_timing(n, *point, load_library(cfg)).t_comb_ns > builtin.t_comb_ns
+    assert main(["sta", str(chain10_path)]) == 0
+    plain = capsys.readouterr().out
+    # a library reaches a report only as an argument, never from the environment
+    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
+    assert analyze_timing(n, *point) == builtin
+    assert main(["sta", str(chain10_path)]) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain)["report"]["timing"]["t_comb_ns"] == builtin.t_comb_ns
 
 
 def test_bundled_example_config_loads():

@@ -316,14 +316,6 @@ def test_cells_override_changes_the_analysis(capsys, tmp_path, chain10):
     )
 
 
-def test_cells_env_var_is_honored(capsys, tmp_path, chain10, monkeypatch):
-    cfg = tmp_path / "slow.cellcfg"
-    cfg.write_text("[gate.NAND2]\ndelay_ns = 0.9\n", encoding="utf-8")
-    monkeypatch.setenv("SCANFORGE_CELLS", str(cfg))
-    doc = run_json(capsys, "sta", chain10)
-    assert doc["report"]["timing"]["t_comb_ns"] >= 0.9
-
-
 def test_tool_errors_exit_one_with_json(capsys, tmp_path, chain10):
     bad = tmp_path / "bad.pat"
     bad.write_text("101\n", encoding="utf-8")
@@ -401,6 +393,27 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "sta", "no_such_design.snl")
     assert code == 1
     assert json.loads(err)["error"]["code"] == "cli.io"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("design.snl", ["sim", "{bad}"]),
+        ("vectors.pat", ["scan-test", "{chain10}", "{bad}"]),
+        ("cell.tnl", ["switchsim", "{bad}"]),
+        ("slow.cellcfg", ["sta", "{chain10}", "--cells", "{bad}"]),
+    ],
+    ids=["snl", "pat", "tnl", "cellcfg"],
+)
+def test_a_file_that_is_not_utf8_exits_one_with_json(capsys, tmp_path, chain10, name, argv):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\n")
+    code, out, err = run_cli(capsys, *(a.format(bad=bad, chain10=chain10) for a in argv))
+    assert code == 1 and not out
+    assert err.count("\n") == 1
+    error = strict_json(err)["error"]
+    assert error["code"] == "cli.io"
+    assert "can't decode byte 0xff" in error["message"]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -16,7 +16,6 @@ from scanforge.cells import (
     FFVariant,
     Mode,
     Stage,
-    resolve_library,
 )
 from scanforge.netlist import load_netlist, parse_netlist, parse_patterns
 from scanforge.power import (
@@ -29,7 +28,7 @@ from scanforge.protocol import CycleSim, Phase, run_scan_test, sim_functional
 
 from oracles import wtc_by_list_shift
 
-LIB = resolve_library()
+LIB = CellLibrary.builtin()
 POST = Stage.POST_LAYOUT
 
 

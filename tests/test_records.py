@@ -1,11 +1,12 @@
 """The package's records: construction, value equality, immutability and repr.
 
 Immutable bundles of fields are named tuples; ``Netlist`` and
-``TransistorNetwork`` are plain classes. Each record is built by position
-and by keyword, compared and hashed by value, refuses assignment to its
-fields, survives a deep copy, and prints the same ``repr`` text as it
-always has. The three cell records check their fields on every way of
-building or copying one.
+``TransistorNetwork`` subclass ``kinds.FrozenRecord``, which keeps their
+fields read-only beside the compiled form each keeps. Each record is built
+by position and by keyword, compared and hashed by value, refuses
+assignment to its fields, survives a deep copy, and prints the same
+``repr`` text as it always has. The three cell records check their fields
+on every way of building or copying one.
 """
 
 from __future__ import annotations

@@ -14,9 +14,7 @@ import random
 import pytest
 
 from scanforge import sta
-from scanforge.cells import (
-    CellLibrary, FFVariant, GateParams, GateType, Mode, Stage, resolve_library,
-)
+from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
 from scanforge.netlist import Netlist, parse_netlist
 from scanforge.sta import (
     TimingError,
@@ -27,7 +25,7 @@ from scanforge.sta import (
 
 from oracles import brute_force_longest, random_netlist
 
-LIB = resolve_library()
+LIB = CellLibrary.builtin()
 
 
 def path_delay_sum(n, path):

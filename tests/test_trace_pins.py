@@ -218,8 +218,7 @@ CLI_TIMING_SHA256 = {
 
 
 @pytest.mark.parametrize("argv", list(CLI_TIMING_SHA256), ids=" ".join)
-def test_cli_timing_reports_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.delenv("SCANFORGE_CELLS", raising=False)
+def test_cli_timing_reports_are_pinned(capsys, argv):
     command, *options = argv
     assert main([command, str(FIXTURES / "chain10.snl"), *options]) == 0
     out = capsys.readouterr().out
