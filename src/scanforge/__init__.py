@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # first time it is looked up (PEP 562), and then kept here.
 _EXPORTS = {
     "logic": ("Bit", "X"),
-    "errors": ("ScanforgeError",),
+    "errors": ("ScanforgeError", "InputFileError"),
     "kinds": ("FFVariant", "Stage", "Mode", "GateType"),
     "cells": (
         "ModeTiming", "FFVariantParams", "GateParams", "CellLibrary", "CellConfigError",

@@ -29,7 +29,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ScanforgeError
+from .errors import InputFileError, ScanforgeError, read_text
 from .kinds import FFVariant, GateType, Mode, Stage
 
 # Printed t_pd and t_su + t_cq may disagree by up to this much before a row
@@ -252,16 +252,16 @@ def load_library(path: str | Path) -> CellLibrary:
     values; keys in a ``[DEFAULT]`` section count as keys of every section.
     A key a section does not allow, a value that is not a number, and a
     value outside its field's range (NaN and infinities included) raise
-    CellConfigError naming the section.
+    CellConfigError naming the section; a file that cannot be read or is
+    not UTF-8 raises it naming the path.
     """
     import configparser
 
     # no interpolation: a '%' in a value reaches _override as written
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
+        parser.read_string(read_text(path), source=str(path))
+    except InputFileError as exc:
         raise CellConfigError(f"cannot read cell config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise CellConfigError(f"bad cell config {path}: {exc}") from exc

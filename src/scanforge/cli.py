@@ -2,12 +2,15 @@
 
 Subcommands: insert, sim, scan-test, sta, power, switchsim, compare. Every
 run emits one report document (JSON by default, CSV/text projections via
---format) to stdout or -o. Domain errors, and files that cannot be read or
-are not UTF-8, exit 1 with a machine-readable JSON object on stderr; usage
-errors exit 2. Reports are deterministic for fixed inputs and --seed.
+--format) to stdout or -o. Domain errors, input files that cannot be read or
+are not UTF-8 (``cli.io``), and outputs that cannot be written exit 1 with a
+machine-readable JSON object on stderr; usage errors exit 2. Reports are
+deterministic for fixed inputs and --seed.
 
-Each handler imports the modules it runs when it is called, so a process
-that runs one subcommand loads only that subcommand's part of the package.
+Each handler returns its report's payload, which ``main`` wraps in the one
+envelope (tool, version, command, seed). Each handler imports the modules
+it runs when it is called, so a process that runs one subcommand loads
+only that subcommand's part of the package.
 """
 
 from __future__ import annotations
@@ -83,23 +86,19 @@ def cmd_insert(args: argparse.Namespace) -> dict[str, Any]:
     text = serialize_netlist(inserted)
     if args.netlist_out:
         Path(args.netlist_out).write_text(text, encoding="utf-8")
-    return envelope(
-        "insert",
-        {
-            "insert": {
-                "netlist": n.name,
-                "variant": variant.value,
-                "chain_length": len(recovered.order),
-                "order": list(recovered.order),
-                "chain_in": recovered.chain_in,
-                "chain_out": recovered.chain_out,
-                "enable": recovered.enable,
-                "netlist_out": args.netlist_out,
-                "netlist_text": None if args.netlist_out else text,
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "insert": {
+            "netlist": n.name,
+            "variant": variant.value,
+            "chain_length": len(recovered.order),
+            "order": list(recovered.order),
+            "chain_in": recovered.chain_in,
+            "chain_out": recovered.chain_out,
+            "enable": recovered.enable,
+            "netlist_out": args.netlist_out,
+            "netlist_text": None if args.netlist_out else text,
+        }
+    }
 
 
 def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
@@ -114,21 +113,15 @@ def cmd_sim(args: argparse.Namespace) -> dict[str, Any]:
         from .vcd import dump_vcd
 
         dump_vcd(trace, args.vcd)
-    return envelope(
-        "sim",
-        {
-            "sim": {
-                "netlist": n.name,
-                "cycles": trace.cycles,
-                "total_net_toggles": trace.total_net_toggles,
-                "outputs": {
-                    net: trace.bit_string(net) for net in n.outputs
-                },
-                "warnings": list(trace.warnings),
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "sim": {
+            "netlist": n.name,
+            "cycles": trace.cycles,
+            "total_net_toggles": trace.total_net_toggles,
+            "outputs": {net: trace.bit_string(net) for net in n.outputs},
+            "warnings": list(trace.warnings),
+        }
+    }
 
 
 def _chain_variant(plan, wanted: Optional[str]) -> FFVariant:
@@ -158,30 +151,24 @@ def cmd_scan_test(args: argparse.Namespace) -> dict[str, Any]:
         for i, (got, want) in enumerate(zip(responses, patterns.expected))
         if want is not None and got != want
     ]
-    return envelope(
-        "scan-test",
-        {
-            "scan_test": {
-                "netlist": n.name,
-                "variant": plan.variant.value,
-                "chain_length": len(plan.order),
-                "num_vectors": len(patterns.vectors),
-                "pipelined": args.pipelined,
-                "cycles": trace.cycles,
-                "cycle_budget": cycle_budget(
-                    len(plan.order), len(patterns.vectors), args.pipelined
-                ),
-                "phase_counts": dict(sorted(trace.phase_counts.items())),
-                "responses": responses,
-                "expected": list(patterns.expected) if has_expected else None,
-                "mismatched_vectors": mismatched,
-                "total_net_toggles": trace.total_net_toggles,
-                "contention_cycles": trace.contention_cycles,
-                "warnings": list(trace.warnings),
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "scan_test": {
+            "netlist": n.name,
+            "variant": plan.variant.value,
+            "chain_length": len(plan.order),
+            "num_vectors": len(patterns.vectors),
+            "pipelined": args.pipelined,
+            "cycles": trace.cycles,
+            "cycle_budget": cycle_budget(len(plan.order), len(patterns.vectors), args.pipelined),
+            "phase_counts": dict(sorted(trace.phase_counts.items())),
+            "responses": responses,
+            "expected": list(patterns.expected) if has_expected else None,
+            "mismatched_vectors": mismatched,
+            "total_net_toggles": trace.total_net_toggles,
+            "contention_cycles": trace.contention_cycles,
+            "warnings": list(trace.warnings),
+        }
+    }
 
 
 def _timing_payload(report, gain_ns: float) -> dict[str, Any]:
@@ -213,11 +200,7 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
     mode = Mode(args.mode)
     report = analyze_timing(n, variant, stage, mode, lib)
     mux_report = analyze_timing(n, FFVariant.MUX, stage, mode, lib)
-    return envelope(
-        "sta",
-        {"timing": _timing_payload(report, time_gain(mux_report, report))},
-        seed=args.seed,
-    )
+    return {"timing": _timing_payload(report, time_gain(mux_report, report))}
 
 
 def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
@@ -251,27 +234,23 @@ def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
     )
     mux_report = estimate_power(trace, FFVariant.MUX, stage, t_clk_ns=args.tclk, library=lib)
     gain = power_gain(mux_report.total_avg_power_uw, report.total_avg_power_uw)
-    return envelope(
-        "power",
-        {
-            "power": {
-                "netlist": report.netlist_name,
-                "variant": report.variant.value,
-                "stage": report.stage.value,
-                "mode": report.mode.value,
-                "cycles": report.cycles,
-                "t_clk_ns": report.t_clk_ns,
-                "ff_internal_fj": report.ff_internal_energy_fj,
-                "comb_fj": report.combinational_energy_fj,
-                "total_fj": report.total_energy_fj,
-                "avg_power_uw": report.total_avg_power_uw,
-                "ff_internal_avg_uw": report.ff_internal_avg_power_uw,
-                "contention_cycles": report.contention_cycles,
-                "gains_vs_mux_pct": gain,
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "power": {
+            "netlist": report.netlist_name,
+            "variant": report.variant.value,
+            "stage": report.stage.value,
+            "mode": report.mode.value,
+            "cycles": report.cycles,
+            "t_clk_ns": report.t_clk_ns,
+            "ff_internal_fj": report.ff_internal_energy_fj,
+            "comb_fj": report.combinational_energy_fj,
+            "total_fj": report.total_energy_fj,
+            "avg_power_uw": report.total_avg_power_uw,
+            "ff_internal_avg_uw": report.ff_internal_avg_power_uw,
+            "contention_cycles": report.contention_cycles,
+            "gains_vs_mux_pct": gain,
+        }
+    }
 
 
 def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
@@ -295,24 +274,20 @@ def cmd_switchsim(args: argparse.Namespace) -> dict[str, Any]:
         rng = random.Random(args.seed)
         checked, mismatches = check_behavioral(net, variant, rng, args.vectors)
         verdict = "equivalent" if mismatches == 0 else "mismatch"
-    return envelope(
-        "switchsim",
-        {
-            "switchsim": {
-                "network": Path(args.network).name,
-                "transistors": len(net.transistors),
-                "nodes": len(net.nodes),
-                "inputs": list(net.inputs),
-                "outputs": list(net.outputs),
-                "check_behavioral": args.check_behavioral,
-                "variant": variant.value if variant else None,
-                "vectors_checked": checked,
-                "mismatches": mismatches,
-                "verdict": verdict,
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "switchsim": {
+            "network": Path(args.network).name,
+            "transistors": len(net.transistors),
+            "nodes": len(net.nodes),
+            "inputs": list(net.inputs),
+            "outputs": list(net.outputs),
+            "check_behavioral": args.check_behavioral,
+            "variant": variant.value if variant else None,
+            "vectors_checked": checked,
+            "mismatches": mismatches,
+            "verdict": verdict,
+        }
+    }
 
 
 def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
@@ -355,18 +330,14 @@ def cmd_compare(args: argparse.Namespace) -> dict[str, Any]:
         }
         for row in comparison_table()
     ]
-    return envelope(
-        "compare",
-        {
-            "compare": {
-                "netlist": n.name if args.netlist else None,
-                "stage": stage.value,
-                "rows": rows,
-                "literature": literature,
-            }
-        },
-        seed=args.seed,
-    )
+    return {
+        "compare": {
+            "netlist": n.name if args.netlist else None,
+            "stage": stage.value,
+            "rows": rows,
+            "literature": literature,
+        }
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,12 +423,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
-        _emit(args, doc)
+        _emit(args, envelope(args.command, args.handler(args), seed=args.seed))
     except ScanforgeError as exc:
         sys.stderr.write(json.dumps({"error": exc.to_dict()}, sort_keys=True) + "\n")
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # writing -o, --vcd or --netlist-out
         sys.stderr.write(
             json.dumps(
                 {"error": {"code": "cli.io", "message": str(exc)}}, sort_keys=True

@@ -32,7 +32,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
-from .errors import ScanforgeError
+from .errors import ScanforgeError, read_text
 from .kinds import FFVariant, FrozenRecord, GateType
 
 CLK_NET = "CLK"
@@ -536,10 +536,8 @@ def parse_patterns(text: str, chain_length: int) -> PatternSet:
 
 
 def load_netlist(path: str) -> Netlist:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
+    return parse_netlist(read_text(path))
 
 
 def load_patterns(path: str, chain_length: int) -> PatternSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_patterns(fh.read(), chain_length)
+    return parse_patterns(read_text(path), chain_length)

@@ -48,9 +48,11 @@ counts all come from the lanes: net toggles are
 flops' fan-in cone (this cycle's inputs with the previous cycle's Q) gives
 the flip-flop inputs each rising edge saw. That pass yields internal
 toggles (twice the Q toggles), ``approx`` contention
-``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, and each flop's first X data
+``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, each flop's first X data
 input from cycle ``WARMUP_CYCLES`` on, the lowest set bit of the unknown
-rail.
+rail, and the trace's per-cycle SE: the enable every scan flop shares (X in
+every cycle when they share none), which ``estimate_power`` bills at the
+test rate where it is 1.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 # A cycle's hex digit in a lane's value numeral plus twice its unknown
 # numeral: 0 or 1 known, 2 or 3 unknown
 _CHARS = str.maketrans("0123", "01xx")
+# '0', '1' and 'x' as the bytes 0, 1 and 2
+_CHAR_CODES = bytes.maketrans(b"01x", b"\x00\x01\x02")
 
 
 def _bits_to_lane(bits: bytes) -> int:
@@ -161,7 +165,7 @@ def _bits_to_lane(bits: bytes) -> int:
 
 
 def _lane_chars(value: int, known: int, width: int) -> str:
-    """'0', '1' or 'x' per cycle of a two-rail lane of ``width`` >= 1 cycles,
+    """'0', '1' or 'x' per cycle of a two-rail lane of ``width`` cycles,
     cycle 0 first.
 
     The value and unknown rails are written as binary numerals and read
@@ -169,6 +173,8 @@ def _lane_chars(value: int, known: int, width: int) -> str:
     plus twice the unknown adds with no carry, and its hex digits, last
     cycle first, are reversed and mapped to characters.
     """
+    if not width:
+        return ""
     spec = f"0{width}b"
     unknown = ((1 << width) - 1) ^ known
     digits = int(format(value, spec), 16) + 2 * int(format(unknown, spec), 16)
@@ -266,20 +272,19 @@ class ProtocolTrace(NamedTuple):
     def bit_string(self, net: str) -> str:
         """The net's end-of-cycle values, one '0', '1' or 'x' per cycle."""
         i = self.netlist.compiled.index[net]
-        if not self.cycles:
-            return ""
         return _lane_chars(self.value_lanes[i], self.known_lanes[i], self.cycles)
 
 
 def _lane_trace(
-    n: Netlist, v: list[int], k: list[int], phases: list[Phase], se: list[Bit],
+    n: Netlist, v: list[int], k: list[int], phases: list[Phase],
     init: Sequence[tuple[int, int]],
 ) -> ProtocolTrace:
     """The trace of a run, from its state lanes and the flops' power-up rails.
 
     ``v`` and ``k`` hold, by net id, the two-rail lanes of the primary inputs
     and the flop Qs over the run's cycles; one width-T pass settles every
-    other net's end-of-cycle lane in place.
+    other net's end-of-cycle lane in place. The SE of each cycle is the
+    shared enable each rising edge saw, X when the scan flops share none.
     """
     cn = n.compiled
     width = len(phases)
@@ -306,6 +311,11 @@ def _lane_trace(
         pv[q] = (v[q] << 1 | iv) & full
         pk[q] = (k[q] << 1 | ik) & full
     evaluate(cn.flop_cone, pv, pk)
+    s = cn.enable
+    chars = _lane_chars(pv[s], pk[s], width) if s >= 0 else "x" * width
+    se: list[Bit] = list(chars.encode().translate(_CHAR_CODES))
+    if "x" in chars:
+        se = [X if c == 2 else c for c in se]
 
     after_warmup = full >> WARMUP_CYCLES << WARMUP_CYCLES
     internal: dict[str, int] = {}
@@ -336,11 +346,10 @@ def _lane_trace(
 class CycleSim:
     """Incremental simulator; drives one netlist cycle by cycle.
 
-    Each cycle keeps the bits of the primary inputs and the flop Qs, from
-    which ``finish`` builds the trace of every cycle so far (and
-    ``run_scan_test`` the captured Q lanes), and the scan enable the rising
-    edge saw when every scan flop shares one enable net (X otherwise), so
-    ``estimate_power`` bills its SE=1 cycles at the test rate.
+    Each cycle keeps only the bits of the primary inputs and the flop Qs,
+    from which ``finish`` builds the trace of every cycle so far (and
+    ``run_scan_test`` the captured Q lanes); that trace reads the scan
+    enable each rising edge saw from the same lanes.
     """
 
     def __init__(self, n: Netlist, init: Optional[Mapping[str, Bit]] = None):
@@ -361,7 +370,6 @@ class CycleSim:
         self._state_v = bytearray()  # one row of state bits per cycle
         self._state_k = bytearray()
         self._phases: list[Phase] = []
-        self._se: list[Bit] = []
 
     def cycle(self, pi_values: Mapping[str, Bit], phase: Phase) -> None:
         """Apply inputs and clock every flop once.
@@ -389,8 +397,6 @@ class CycleSim:
                 raise ProtocolError(f"{net!r} is not a primary input")
             v[i], k[i] = _rail(bit, net)
         evaluate(cn.flop_cone, v, k)
-        s = cn.enable
-        se = X if s < 0 or not k[s] else v[s]
         qv, qk = _latch(cn, v, k)
         for q, a, b in zip(cn.ff_q, qv, qk):
             v[q] = a
@@ -401,7 +407,6 @@ class CycleSim:
         self._state_v += row_v
         self._state_k += row_k
         self._phases.append(phase)
-        self._se.append(se)
         return row_v, row_k
 
     def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int) -> None:
@@ -424,14 +429,13 @@ class CycleSim:
         state = self._state_ids
         stepped = len(self._phases)
         extra = cycles - stepped
-        phases, se = list(self._phases), list(self._se)
+        phases = list(self._phases)
         if extra:
             period = stepped - start
             copies = -(-extra // period)
             ones = ((1 << copies * period) - 1) // ((1 << period) - 1)  # bit i * period set
             tail = (1 << extra) - 1
             phases += (phases[start:] * copies)[:extra]
-            se += (se[start:] * copies)[:extra]
         v = [0] * len(self.compiled.nets)
         k = [0] * len(self.compiled.nets)
         for j, i in enumerate(state):
@@ -440,7 +444,7 @@ class CycleSim:
                 if extra:
                     lane |= ((lane >> start) * ones & tail) << stepped
                 lanes[i] = lane
-        return _lane_trace(self.netlist, v, k, phases, se, self._init)
+        return _lane_trace(self.netlist, v, k, phases, self._init)
 
 
 def sim_functional(
@@ -561,7 +565,7 @@ def _run_schedule(
         lv[i], lk[i] = full * a, full * b
     lv[cn.index[plan.chain_in]], lk[cn.index[plan.chain_in]] = si_lane, full
     lv[cn.index[plan.enable]], lk[cn.index[plan.enable]] = se_lane, full
-    return _lane_trace(n, lv, lk, phases, list(se_bits), sim._init)
+    return _lane_trace(n, lv, lk, phases, sim._init)
 
 
 def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:
@@ -589,6 +593,7 @@ def run_scan_test(
     """Shift-in / capture / shift-out every vector; return trace + responses.
 
     Primary inputs other than SI/SE hold 0 unless overridden in pi_defaults.
+    An empty chain or pattern set raises ProtocolError before any cycle runs.
     """
     if plan is None:
         plan = verify_chain(n)
@@ -597,6 +602,7 @@ def run_scan_test(
         raise PatternWidthError(
             f"patterns are width {patterns.chain_length}, chain length is {length}"
         )
+    cycle_budget(length, len(patterns.vectors), pipelined)
 
     base_pi = _free_inputs(n, plan)
     if pi_defaults:

@@ -18,6 +18,7 @@ from typing import Container, NamedTuple
 from .errors import ScanforgeError
 from .kinds import FFVariant
 from .netlist import (
+    _IDENT_RE,
     CLK_NET,
     Dff,
     Gate,
@@ -96,6 +97,8 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
 
     nets = n.compiled.index
     for name in (plan.chain_in, plan.chain_out, plan.enable):
+        if not _IDENT_RE.match(name):
+            raise ScanPlanError(f"chain port name {name!r} is not a netlist identifier")
         if name in nets:
             raise NameCollisionError(f"net name {name!r} already exists")
     if len({plan.chain_in, plan.chain_out, plan.enable, CLK_NET}) != 4:

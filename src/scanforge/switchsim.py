@@ -39,8 +39,9 @@ independently of transistor list order; a network where either loop is
 still moving after ``MAX_ITERS`` rounds (e.g. a ring oscillator) raises
 OscillationError with the unsettled nodes. A network is compiled on first
 use into node indices, channel messages with their ranks and readers and a
-memo of settled phases (``TransistorNetwork.compiled``), kept on the
-network object only.
+memo of whole clock cycles (``TransistorNetwork.compiled``), kept on the
+network object only: ``SwitchFF.cycle``, ``run_cycles`` and
+``check_behavioral`` settle a cycle's two phases once per (charge, pins).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ScanforgeError
+from .errors import ScanforgeError, read_text
 from .ffmodel import ff_selected_input
 from .kinds import FFVariant, FrozenRecord
 from .logic import Bit, X
@@ -158,7 +159,7 @@ class TransistorNetwork(FrozenRecord):
 
 
 class CompiledNetwork:
-    """A transistor network by node index, with its settled-phase memo.
+    """A transistor network by node index, with its clock-cycle memo.
 
     Built once per network object by ``TransistorNetwork.compiled``; ``settle``
     and ``SwitchFF`` read it. ``gates[t]`` is transistor t's (on level, gate
@@ -174,8 +175,9 @@ class CompiledNetwork:
     the ones that read m. ``into[n]`` lists the messages node n joins into
     its value, none for a supply. ``pinned[n]`` is a supply's fixed value,
     else None. ``storage`` is the storage nodes in sorted order, the order of
-    ``SwitchFF.state``, and ``phases`` maps (input bits, charge) to (settled
-    values, new charge).
+    ``SwitchFF.state``, and ``cycles`` maps (charge, (DI, SI, SE)), the
+    charge a clock cycle starts from and its pins, to (Q after the falling
+    phase, new charge).
     """
 
     def __init__(self, net: TransistorNetwork):
@@ -214,7 +216,7 @@ class CompiledNetwork:
         )
         self.input_rank = rank(INPUT_DRIVE_WIDTH)
         self.storage = tuple(sorted(net.storage))
-        self.phases: dict = {}
+        self.cycles: dict = {}
 
 
 def _join(a: tuple[Bit, float], b: tuple[Bit, float]) -> tuple[Bit, float]:
@@ -330,12 +332,12 @@ def settle(
 
 
 class SwitchFF:
-    """Stateful wrapper: one flip-flop network stepped phase by phase.
+    """Stateful wrapper: one flip-flop network stepped cycle by cycle.
 
     ``state`` is the storage-node charge in sorted node order; it persists
-    between phases and may be assigned to restore an earlier charge. Settled
-    phases are memoised on the network, keyed by (input bits, charge), so
-    every ``SwitchFF`` on one network shares them.
+    between cycles and may be assigned to restore an earlier charge. Clock
+    cycles are memoised on the network (``_cycle``), so every ``SwitchFF``
+    on one network shares them; ``step_phase`` settles on every call.
     """
 
     def __init__(self, net: TransistorNetwork):
@@ -343,6 +345,7 @@ class SwitchFF:
         self.state: tuple[Bit, ...] = (X,) * len(net.compiled.storage)
 
     def step_phase(self, pins: Mapping[str, Bit]) -> dict[str, NodeValue]:
+        """Settle one phase from ``state``, which becomes the charge it leaves."""
         net = self.net
         c = net.compiled
         if len(self.state) != len(c.storage):
@@ -350,22 +353,39 @@ class SwitchFF:
                 f"state has {len(self.state)} charges; the network has"
                 f" {len(c.storage)} storage nodes"
             )
-        inputs = {n: _bit(pins.get(n, X), n) for n in net.inputs}
-        key = (tuple(inputs.values()), self.state)
-        hit = c.phases.get(key)
-        if hit is None:
-            settled = settle(net, inputs, dict(zip(c.storage, self.state)))
-            hit = c.phases[key] = (settled, tuple(settled[n].logic for n in c.storage))
-        settled, self.state = hit
+        inputs = {n: pins.get(n, X) for n in net.inputs}
+        settled = settle(net, inputs, dict(zip(c.storage, self.state)))
+        self.state = tuple(settled[n].logic for n in c.storage)
         return settled
 
     def cycle(self, di: Bit, si: Bit, se: Bit) -> Bit:
         """One clock cycle, CLK high then low; Q's logic after the falling phase."""
-        self.step_phase({"CLK": 1, "DI": di, "SI": si, "SE": se})
-        q = self.step_phase({"CLK": 0, "DI": di, "SI": si, "SE": se}).get("Q")
+        pins = (_bit(di, "DI"), _bit(si, "SI"), _bit(se, "SE"))
+        q, self.state = _cycle(self.net, self.state, pins)
+        return q
+
+
+def _cycle(
+    net: TransistorNetwork, charge: tuple[Bit, ...], pins: tuple[Bit, Bit, Bit]
+) -> tuple[Bit, tuple[Bit, ...]]:
+    """``SwitchFF.cycle`` from ``charge`` under (DI, SI, SE): (Q, new charge).
+
+    The network's cycle memo is keyed by the charge the cycle starts from; a
+    miss settles both phases (a charge of the wrong length, which no key
+    has, is refused there) and stores the result only once Q is read.
+    """
+    memo = net.compiled.cycles
+    hit = memo.get((charge, pins))
+    if hit is None:
+        ff = SwitchFF(net)
+        ff.state = charge
+        named = dict(zip(("DI", "SI", "SE"), pins))
+        ff.step_phase({"CLK": 1, **named})
+        q = ff.step_phase({"CLK": 0, **named}).get("Q")
         if q is None:
             raise StimulusError("the network has no node named Q to sample")
-        return q.logic
+        hit = memo[(charge, pins)] = (q.logic, ff.state)
+    return hit
 
 
 def run_cycles(
@@ -393,31 +413,26 @@ def check_behavioral(
 
     Sequences are not replayed one by one. After one cycle the model's Q is
     ``ff_selected_input`` of that cycle's pins, whatever it held before, so a
-    state of the product machine is the storage charge alone, and ``step``
-    memoises one switch-level clock cycle per (charge, pins). The exhaustive
-    part counts the prefixes that reach each state, so a mismatch at depth d
+    state of the product machine is the storage charge alone, and each step
+    reads the network's cycle memo of (charge, pins). The exhaustive part
+    counts the prefixes that reach each state, so a mismatch at depth d
     stands for ``count * 8**(3 - d)`` sequences; the random part steps the
     memo with the draws a replay would make, in the same order. A negative
     ``vectors`` raises StimulusError before any phase is settled.
     """
     if vectors < 0:
         raise StimulusError(f"vectors must be >= 0, got {vectors}")
-    ff = SwitchFF(net)
-    memo: dict = {}
+
+    all_pins = list(itertools.product((0, 1), repeat=3))
+    model = {pins: ff_selected_input(variant, *pins) for pins in all_pins}
 
     def step(state: tuple, pins: tuple[int, int, int]) -> tuple[tuple, bool]:
-        hit = memo.get((state, pins))
-        if hit is None:
-            ff.state = state
-            q = ff.cycle(*pins)
-            model_q = ff_selected_input(variant, *pins)
-            hit = memo[(state, pins)] = (ff.state, q != model_q)
-        return hit
+        q, new = _cycle(net, state, pins)
+        return new, q != model[pins]
 
-    start = ff.state
+    start = SwitchFF(net).state
     mismatches = 0
     level = {start: 1}
-    all_pins = list(itertools.product((0, 1), repeat=3))
     for depth in range(4):
         weight = len(all_pins) ** (3 - depth)
         reached: dict = {}
@@ -549,8 +564,7 @@ def load_network(text: str) -> TransistorNetwork:
 
 
 def load_network_file(path: str) -> TransistorNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_network(fh.read())
+    return load_network(read_text(path))
 
 
 def bundled_network(variant: FFVariant) -> TransistorNetwork:

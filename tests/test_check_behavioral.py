@@ -111,7 +111,7 @@ def test_negative_vector_count_raises_before_any_phase_settles(vectors):
     net = bundled_network(FFVariant.MUX)
     with pytest.raises(StimulusError, match=f"vectors must be >= 0, got {vectors}"):
         check_behavioral(net, FFVariant.MUX, random.Random(1), vectors)
-    assert net.compiled.phases == {}
+    assert net.compiled.cycles == {}
 
 
 def run_cli(capsys, *argv):

@@ -99,6 +99,24 @@ def test_insert_bumps_port_names_past_collisions(capsys, tmp_path):
     assert json.loads(err)["error"]["code"] == "scan.collision"
 
 
+@pytest.mark.parametrize(
+    "option, name",
+    [("--chain-in", "a b"), ("--chain-in", "#x"), ("--enable", ""), ("--chain-out", "1x")],
+)
+def test_insert_refuses_a_chain_port_that_is_not_an_identifier(capsys, tmp_path, option, name):
+    # the inserted netlist would not parse back, so nothing is written
+    src = netlist_file(tmp_path, TFF)
+    out = tmp_path / "scan.snl"
+    argv = ["insert", src, f"{option}={name}", "--netlist-out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and not stdout
+    assert err.count("\n") == 1
+    error = strict_json(err)["error"]
+    assert error["code"] == "scan.plan"
+    assert repr(name) in error["message"]
+    assert not out.exists()
+
+
 def test_sim_waveform(capsys, tmp_path):
     src = netlist_file(tmp_path, TFF)
     vcd = tmp_path / "wave.vcd"
@@ -158,6 +176,21 @@ endmodule
     assert rep["responses"] == ["10", "01", "00"]
     assert rep["expected"] == ["10", "11", None]
     assert rep["mismatched_vectors"] == [1]
+
+
+@pytest.mark.parametrize("pipelined", [[], ["--pipelined"]], ids=["plain", "pipelined"])
+def test_scan_test_of_an_empty_pattern_file_writes_no_vcd(capsys, tmp_path, chain10, pipelined):
+    pats = tmp_path / "empty.pat"
+    pats.write_text("# no vectors\n", encoding="utf-8")
+    vcd = tmp_path / "w.vcd"
+    code, out, err = run_cli(
+        capsys, "scan-test", chain10, str(pats), *pipelined, "--vcd", str(vcd)
+    )
+    assert code == 1 and not out
+    assert err == (
+        '{"error": {"code": "protocol.run", "message": "num_vectors must be >= 1"}}\n'
+    )
+    assert not vcd.exists()
 
 
 def test_scan_test_variant_guard(capsys, chain10, chain10_patterns):
@@ -396,24 +429,28 @@ def test_missing_file_exits_one(capsys):
 
 
 @pytest.mark.parametrize(
-    "name, argv",
+    "name, argv, code",
     [
-        ("design.snl", ["sim", "{bad}"]),
-        ("vectors.pat", ["scan-test", "{chain10}", "{bad}"]),
-        ("cell.tnl", ["switchsim", "{bad}"]),
-        ("slow.cellcfg", ["sta", "{chain10}", "--cells", "{bad}"]),
+        ("design.snl", ["sim", "{bad}"], "cli.io"),
+        ("vectors.pat", ["scan-test", "{chain10}", "{bad}"], "cli.io"),
+        ("cell.tnl", ["switchsim", "{bad}"], "cli.io"),
+        # a cell config that cannot be read is a cell config error
+        ("slow.cellcfg", ["sta", "{chain10}", "--cells", "{bad}"], "cells.config"),
     ],
     ids=["snl", "pat", "tnl", "cellcfg"],
 )
-def test_a_file_that_is_not_utf8_exits_one_with_json(capsys, tmp_path, chain10, name, argv):
+def test_a_file_that_is_not_utf8_exits_one_with_json(
+    capsys, tmp_path, chain10, name, argv, code
+):
     bad = tmp_path / name
     bad.write_bytes(b"\xff\n")
-    code, out, err = run_cli(capsys, *(a.format(bad=bad, chain10=chain10) for a in argv))
-    assert code == 1 and not out
+    status, out, err = run_cli(capsys, *(a.format(bad=bad, chain10=chain10) for a in argv))
+    assert status == 1 and not out
     assert err.count("\n") == 1
     error = strict_json(err)["error"]
-    assert error["code"] == "cli.io"
+    assert error["code"] == code
     assert "can't decode byte 0xff" in error["message"]
+    assert str(bad) in error["message"]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -428,6 +465,30 @@ def test_usage_errors_exit_two(capsys):
 def test_seed_is_echoed(capsys):
     doc = run_json(capsys, "switchsim", "mux_sff.tnl", "--seed", "7")
     assert doc["seed"] == 7
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("insert", ["{tff}"]),
+        ("sim", ["{tff}", "--cycles", "4"]),
+        ("scan-test", ["{chain10}", "{patterns}"]),
+        ("sta", ["{chain10}"]),
+        ("power", ["{chain10}", "--cycles", "4"]),
+        ("switchsim", ["mux_sff.tnl"]),
+        ("compare", []),
+    ],
+)
+def test_every_subcommand_echoes_its_command_and_seed(
+    capsys, tmp_path, chain10, chain10_patterns, command, argv
+):
+    paths = {"tff": netlist_file(tmp_path, TFF), "chain10": chain10, "patterns": chain10_patterns}
+    doc = run_json(capsys, command, *(a.format(**paths) for a in argv), "--seed", "7")
+    assert doc["command"] == command
+    assert doc["seed"] == 7
+    assert doc["tool"] == "scanforge" and doc["version"] == scanforge.__version__
+    assert sorted(doc) == ["command", "report", "seed", "tool", "version"]
+    jsonschema.validate(doc, load_schema(command))
 
 
 def test_only_sta_power_and_compare_take_cells(capsys, tmp_path, chain10, chain10_patterns):

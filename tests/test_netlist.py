@@ -26,11 +26,35 @@ from scanforge.netlist import (
     parse_patterns,
     serialize_netlist,
 )
+from scanforge.cells import load_library
+from scanforge.errors import ScanforgeError
 from scanforge.protocol import CycleSim, run_scan_test, sim_functional
 from scanforge.sta import analyze_timing
+from scanforge.switchsim import load_network_file
 from oracles import naive_check, random_netlist
 
 MINIMAL = "module m\ninput a\noutput y\ngate g1 INV y a\nendmodule\n"
+
+
+@pytest.mark.parametrize(
+    "load, code",
+    [
+        (load_netlist, "cli.io"),
+        (lambda path: load_patterns(path, 2), "cli.io"),
+        (load_network_file, "cli.io"),
+        (load_library, "cells.config"),
+    ],
+    ids=["snl", "pat", "tnl", "cellcfg"],
+)
+@pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not-utf8"])
+def test_an_input_file_that_cannot_be_read_is_one_error_naming_it(tmp_path, load, code, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScanforgeError) as exc:
+        load(str(path))
+    assert exc.value.code == code
+    assert str(path) in str(exc.value)
 
 
 def test_minimal_module():

@@ -17,6 +17,7 @@ import pytest
 from scanforge.cells import FFVariant, Mode, Stage
 from scanforge.logic import X
 from scanforge.netlist import (
+    PatternSet,
     PatternSyntaxError,
     PatternWidthError,
     load_netlist,
@@ -126,6 +127,21 @@ def test_plan_ports_must_be_distinct_primary_inputs():
         run_scan_test(n, patterns, plan=plan._replace(chain_in="SE"))
     with pytest.raises(ProtocolError):
         run_scan_test(n, patterns, plan=plan._replace(enable="Q0"))
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_an_empty_pattern_set_or_chain_is_refused_before_any_cycle(pipelined, monkeypatch):
+    def no_cycle(*args):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(CycleSim, "_step", no_cycle)
+    n = parse_netlist(shift_chain_text(2))
+    plan = verify_chain(n)
+    with pytest.raises(ProtocolError, match="^num_vectors must be >= 1$"):
+        run_scan_test(n, parse_patterns("# no vectors\n", 2), pipelined, plan=plan)
+    empty = PatternSet(0, ("",), (None,))
+    with pytest.raises(ProtocolError, match="^chain_length must be >= 1$"):
+        run_scan_test(n, empty, pipelined, plan=plan._replace(order=()))
 
 
 def test_a_run_stepped_whole_bills_the_enable_its_flops_saw():

@@ -151,6 +151,15 @@ def test_insert_rejects_port_collisions(chain_in, chain_out, enable):
         insert_scan(n, plan)
 
 
+@pytest.mark.parametrize("port", ["chain_in", "chain_out", "enable"])
+@pytest.mark.parametrize("name", ["a b", "#x", "", "1x", "a,b"])
+def test_insert_rejects_a_port_name_the_parser_would_refuse(port, name):
+    n = parse_netlist(TWO_FF)
+    plan = default_plan(n, FFVariant.MUX)._replace(**{port: name})
+    with pytest.raises(ScanPlanError, match=f"chain port name {name!r} is not"):
+        insert_scan(n, plan)
+
+
 def _verify_text(text):
     return verify_chain(parse_netlist(text))
 

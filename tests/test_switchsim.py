@@ -486,16 +486,40 @@ def test_a_state_of_the_wrong_length_is_rejected_before_the_memo(state):
     net = bundled_network(FFVariant.MUX)
     ff = SwitchFF(net)
     ff.cycle(1, 0, 0)
-    memo = dict(net.compiled.phases)
+    memo = dict(net.compiled.cycles)
     ff.state = state
     with pytest.raises(StimulusError, match="the network has 2 storage nodes"):
         ff.cycle(0, 0, 0)
-    assert net.compiled.phases == memo
+    with pytest.raises(StimulusError, match="the network has 2 storage nodes"):
+        ff.step_phase({"CLK": 1, "DI": 0, "SI": 0, "SE": 0})
+    assert net.compiled.cycles == memo
+
+
+@pytest.mark.parametrize("pins", [(2, 0, 0), (0, "1", 0), (0, 0, 0.5)])
+def test_a_pin_that_is_not_a_bit_is_rejected_before_the_memo(pins, settle_calls):
+    net = bundled_network(FFVariant.MUX)
+    ff = SwitchFF(net)
+    ff.cycle(1, 0, 0)
+    memo = dict(net.compiled.cycles)
+    with pytest.raises(StimulusError, match="not 0, 1 or X"):
+        ff.cycle(*pins)
+    assert net.compiled.cycles == memo
+    assert len(settle_calls) == 2
+
+
+def test_a_network_without_q_stores_no_cycle():
+    text = (Path(scanforge.__file__).parent / "data" / "mux_sff.tnl").read_text("utf-8")
+    net = load_network(text.replace(" Q\n", " QB\n").replace(" Q ", " QB "))
+    assert "Q" not in net.nodes
+    with pytest.raises(StimulusError, match="no node named Q"):
+        SwitchFF(net).cycle(1, 0, 0)
+    assert net.compiled.cycles == {}
 
 
 @pytest.fixture()
 def settle_calls(monkeypatch):
-    """Counts the ``settle`` calls that ``SwitchFF.step_phase`` makes."""
+    """Counts the phases settled, by ``SwitchFF.step_phase`` or into the
+    network's cycle memo."""
     calls = []
     real = switchsim.settle
 
@@ -520,6 +544,23 @@ def test_phases_are_memoised_on_the_network(settle_calls):
 def test_check_behavioral_settles_48_phases_on_a_fresh_network(variant, settle_calls):
     check_behavioral(bundled_network(variant), variant, random.Random(1), 256)
     assert len(settle_calls) == 48
+
+
+@pytest.mark.parametrize("variant", list(FFVariant))
+def test_check_behavioral_leaves_the_cycle_memo_that_run_cycles_reads(variant, settle_calls):
+    # from X charge, binary pins reach three charge states, and each of the
+    # eight pin triples leads from each of them: 24 edges, two phases each
+    net = bundled_network(variant)
+    check_behavioral(net, variant, random.Random(1), 256)
+    memo = net.compiled.cycles
+    assert len(memo) == 24
+    assert len({charge for charge, _ in memo}) == 3
+    settled = len(settle_calls)
+    rng = random.Random(5)
+    stim = [tuple(rng.randint(0, 1) for _ in range(3)) for _ in range(64)]
+    got = run_cycles(net, stim)
+    assert len(settle_calls) == settled
+    assert got == run_cycles(bundled_network(variant), stim)
 
 
 def _outcome(settle_fn, net, inputs, charge):
