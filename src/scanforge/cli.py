@@ -204,15 +204,19 @@ def cmd_sta(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def cmd_power(args: argparse.Namespace) -> dict[str, Any]:
-    from .netlist import load_netlist, load_patterns
+    from .netlist import load_netlist
     from .power import estimate_power, power_gain
     from .protocol import run_scan_test, sim_functional
-    from .scan import verify_chain
 
     n = load_netlist(args.netlist)
+    if not n.flops:
+        raise CommandError(f"netlist {n.name!r} has no flip-flops to price")
     lib = _cell_library(args.cells)
     stage = Stage(args.stage)
     if args.patterns:
+        from .netlist import load_patterns
+        from .scan import verify_chain
+
         plan = verify_chain(n)
         patterns = load_patterns(args.patterns, len(plan.order))
         # contention comes from the chain's own cells, so price those

@@ -22,6 +22,13 @@ character for which ``str.isspace()`` holds. Syntax errors carry a 1-based
 line and column; the column counts code points from the start of the line,
 in the text left once the comment is cut.
 
+An ``input``, ``output``, ``gate``, ``dff`` or ``scanff`` row is checked in
+one step: its identifier tokens, joined by spaces, make one match of one
+anchored pattern, beside its arity, its gate type or variant (one dict
+lookup) and the absence of CLK. It is built on that one path. Only a row
+that fails is checked again token by token, by ``_refuse``, which finds and
+raises its first error with the class, message and position it always had.
+
 Pattern files (.pat) hold one bit vector per line, leftmost bit shifted
 first, with an optional ``-> <expected>`` response suffix.
 """
@@ -30,14 +37,20 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import ScanforgeError, read_text
 from .kinds import FFVariant, FrozenRecord, GateType
 
 CLK_NET = "CLK"
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$.\[\]]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_$.\[\]]*"
+_IDENT_RE = re.compile(_IDENT + r"\Z")
+# a row's identifier tokens joined by single spaces (no token holds one)
+_IDENTS_RE = re.compile(rf"{_IDENT}(?: {_IDENT})*\Z")
+# each gate type by value (the lookup GateType(value) makes) with its row's length
+_GATE_ROWS = {t.value: (t, 4 + t.num_inputs) for t in GateType}
+_VARIANTS = {v.value: v for v in FFVariant}
 
 
 class NetlistSyntaxError(ScanforgeError):
@@ -83,23 +96,11 @@ class Gate(NamedTuple):
     out: str
     ins: tuple[str, ...]
 
-    @property
-    def output_net(self) -> str:
-        return self.out
-
-    @property
-    def input_nets(self) -> tuple[str, ...]:
-        return self.ins
-
 
 class Dff(NamedTuple):
     id: str
     q: str
     di: str
-
-    @property
-    def output_net(self) -> str:
-        return self.q
 
     @property
     def input_nets(self) -> tuple[str, ...]:
@@ -113,10 +114,6 @@ class ScanFF(NamedTuple):
     di: str
     si: str
     se: str
-
-    @property
-    def output_net(self) -> str:
-        return self.q
 
     @property
     def input_nets(self) -> tuple[str, ...]:
@@ -153,13 +150,17 @@ class Netlist(FrozenRecord):
     @property
     def flops(self) -> tuple[Flop, ...]:
         """Flip-flops in declaration order (the default scan-chain order)."""
-        return tuple(i for i in self.instances if isinstance(i, (Dff, ScanFF)))
+        return tuple(i for i in self.instances if not isinstance(i, Gate))
 
     def nets(self) -> set[str]:
         nets = set(self.inputs) | set(self.outputs)
         for inst in self.instances:
-            nets.add(inst.output_net)
-            nets.update(inst.input_nets)
+            if isinstance(inst, Gate):
+                nets.add(inst.out)
+                nets.update(inst.ins)
+            else:
+                nets.add(inst.q)
+                nets.update(inst.input_nets)
         return nets
 
     def comb_order(self) -> tuple[Gate, ...]:
@@ -201,8 +202,9 @@ class CompiledNetlist:
     last bits of its figures do depend on the seed; the benchmark pins
     ``PYTHONHASHSEED`` (see "Deterministic by construction" in ROADMAP.md).
     Program step i is ``(op, out, a, b)`` for ``gates[i]``, sorted by Kahn's
-    algorithm from declaration order, with ``b == a`` for one-input gates.
-    Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
+    algorithm from declaration order, with ``b == a`` for one-input gates;
+    the first ``sources`` gates are those the sort starts ready with. Flop
+    arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
     a plain D flip-flop. ``enable`` is the enable net every scan flop
     shares, or -1 if they do not share one.
 
@@ -210,15 +212,22 @@ class CompiledNetlist:
     the program steps that cycle simulation walks, and ``walks``, the most
     recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
     table, so memory stays O(nets)).
+
+    ``insert_scan`` does not compile its result: ``scanned`` derives that
+    form from its parent's, equal to a fresh compile in every field. It
+    skips no check that could fail: the parent's compile passed all six,
+    and the insertion's own checks rule each one out for what it adds (see
+    ``insert_scan``).
     """
 
     def __init__(self, n: Netlist):
         instances = n.instances
-        ids: set[str] = set()
-        for inst in instances:
-            if inst.id in ids:
-                raise DuplicateInstanceError(f"duplicate instance id {inst.id!r}")
-            ids.add(inst.id)
+        if len({inst.id for inst in instances}) < len(instances):
+            ids: set[str] = set()
+            for inst in instances:
+                if inst.id in ids:
+                    raise DuplicateInstanceError(f"duplicate instance id {inst.id!r}")
+                ids.add(inst.id)
 
         # each driven net's driver: -1 for an input or a flop Q, else the
         # gate's index in declaration order
@@ -230,24 +239,27 @@ class CompiledNetlist:
         gates: list[Gate] = []
         flops: list[Flop] = []
         for inst in instances:
-            out = inst.output_net
+            if isinstance(inst, Gate):
+                out, index = inst.out, len(gates)
+                gates.append(inst)
+            else:
+                out, index = inst.q, -1
+                flops.append(inst)
             if out in driver:
                 raise MultiplyDrivenNetError(
                     f"net {out!r} has more than one driver (instance {inst.id!r})"
                 )
-            if isinstance(inst, Gate):
-                driver[out] = len(gates)
-                gates.append(inst)
-            else:
-                driver[out] = -1
-                flops.append(inst)
+            driver[out] = index
 
         # Kahn's sort: a gate waits for each of its inputs that a gate drives
         indegree = [0] * len(gates)
         readers: list[list[int]] = [[] for _ in gates]
         for inst in instances:
-            reader = driver[inst.output_net]  # its own index; -1 for a flop
-            for net in inst.input_nets:
+            if isinstance(inst, Gate):
+                reader, ins = driver[inst.out], inst.ins
+            else:
+                reader, ins = -1, inst.input_nets
+            for net in ins:
                 src = driver.get(net)
                 if src is None:
                     raise UndrivenNetError(
@@ -260,6 +272,7 @@ class CompiledNetlist:
             if net not in driver:
                 raise UndrivenNetError(f"output net {net!r} has no driver")
         ready = [i for i, waits in enumerate(indegree) if not waits]
+        sources = len(ready)
         for i in ready:  # grows as the loop runs
             for succ in readers[i]:
                 indegree[succ] -= 1
@@ -270,17 +283,25 @@ class CompiledNetlist:
             raise CombinationalCycleError(
                 f"combinational cycle through gates: {', '.join(stuck)}"
             )
-
-        self.nets: tuple[str, ...] = tuple(n.nets())
-        self.index = index = {net: i for i, net in enumerate(self.nets)}
-        self.inputs = {net: index[net] for net in n.inputs}
-        self.outputs = tuple(index[net] for net in n.outputs)
-        self.gates = tuple(gates[i] for i in ready)
+        self._fill(n, tuple(gates[i] for i in ready), sources, flops)
+        index = self.index
         self.program = tuple(
             (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
             for g in self.gates
         )
         self.drivers = {g.out: g.gtype for g in self.gates}
+
+    def _fill(
+        self, n: Netlist, gates: tuple[Gate, ...], sources: int, flops: Sequence[Flop]
+    ) -> None:
+        """Set every field but ``program`` and ``drivers``; ``sources`` is how
+        many gates Kahn's sort starts ready with."""
+        self.nets: tuple[str, ...] = tuple(n.nets())
+        self.index = index = {net: i for i, net in enumerate(self.nets)}
+        self.inputs = {net: index[net] for net in n.inputs}
+        self.outputs = tuple(index[net] for net in n.outputs)
+        self.gates = gates
+        self.sources = sources
         scan = [f if isinstance(f, ScanFF) else None for f in flops]
         self.ff_ids = tuple(f.id for f in flops)
         self.ff_q = tuple(index[f.q] for f in flops)
@@ -292,6 +313,27 @@ class CompiledNetlist:
         self.enable = enables.pop() if len(enables) == 1 else -1
         self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
+
+    def scanned(self, n: Netlist, flops: Sequence[ScanFF], so: Gate) -> "CompiledNetlist":
+        """The compiled form of ``n``, which ``insert_scan`` made from this form's netlist.
+
+        ``n`` has this netlist's instances in their order, with ``flops``
+        in place of its D flip-flops and the buffer ``so`` from the last Q
+        to SO appended, and three fresh ports. ``so`` reads a flop Q, so a
+        fresh Kahn's sort starts it ready, after this form's ``sources``
+        gates, and no gate reads SO: the order is this one with ``so``
+        there. Net ids are ``tuple(n.nets())``, as in a fresh compile.
+        """
+        cn = CompiledNetlist.__new__(CompiledNetlist)
+        k = self.sources
+        cn._fill(n, (*self.gates[:k], so, *self.gates[k:]), k + 1, flops)
+        new = [cn.index[net] for net in self.nets]  # this form's net ids in n's
+        program = [(op, new[out], new[a], new[b]) for op, out, a, b in self.program]
+        q = cn.index[so.ins[0]]
+        program.insert(k, (BUF, cn.index[so.out], q, q))
+        cn.program = tuple(program)
+        cn.drivers = {**self.drivers, so.out: so.gtype}
+        return cn
 
     @property
     def flop_cone(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -314,11 +356,6 @@ class CompiledNetlist:
         return self._flop_cone
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 # One nonblank line: (1-based line number, the line, its tokens).
 _Row = tuple[int, str, list[str]]
 
@@ -327,7 +364,7 @@ def _rows(text: str) -> list[_Row]:
     """The lines that hold tokens once their comment is cut, in file order."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        words = _strip_comment(line).split()
+        words = line.partition("#")[0].split()
         if words:
             rows.append((lineno, line, words))
     return rows
@@ -340,7 +377,7 @@ def _at(row: _Row, index: int = 0) -> tuple[int, int]:
     than once on it gets the column of its own occurrence.
     """
     lineno, line, words = row
-    body = _strip_comment(line)
+    body = line.partition("#")[0]
     end = 0
     for word in words[: index + 1]:
         start = body.find(word, end)
@@ -367,6 +404,50 @@ def _require_arity(row: _Row, count: int) -> None:
         )
 
 
+def _refuse(row: _Row, output_decls: set[str]) -> None:
+    """Raise the first error of an instance or port row that the one match refused.
+
+    The per-token checks of its directive, in the order its errors rank,
+    ending with each net name (and, on an ``output`` row, whether that net
+    was declared before).
+    """
+    words = row[2]
+    word = words[0]
+    first = 1
+    if word == "gate":
+        if len(words) < 4:
+            raise NetlistSyntaxError("'gate' expects <id> <TYPE> <out> <in>...", *_at(row))
+        _require_ident(row, 1, "instance id")
+        try:
+            gtype = GateType(words[2].upper())
+        except ValueError:
+            raise NetlistSyntaxError(
+                f"unknown gate type {words[2]!r}", *_at(row, 2)
+            ) from None
+        _require_arity(row, 4 + gtype.num_inputs)
+        first = 3
+    elif word == "dff":
+        _require_arity(row, 4)
+        _require_ident(row, 1, "instance id")
+        first = 2
+    elif word == "scanff":
+        _require_arity(row, 7)
+        _require_ident(row, 1, "instance id")
+        try:
+            FFVariant(words[2].lower())
+        except ValueError:
+            raise NetlistSyntaxError(
+                f"unknown scan flip-flop variant {words[2]!r}", *_at(row, 2)
+            ) from None
+        first = 3
+    elif len(words) < 2:
+        raise NetlistSyntaxError(f"{word!r} expects at least one net", *_at(row))
+    for i in range(first, len(words)):
+        net = _require_ident(row, i, "net name")
+        if word == "output" and (net in output_decls or net in words[1:i]):
+            raise NetlistSyntaxError(f"net {net!r} declared output twice", *_at(row, i))
+
+
 def parse_netlist(text: str) -> Netlist:
     rows = _rows(text)
     if not rows:
@@ -384,68 +465,54 @@ def parse_netlist(text: str) -> Netlist:
     instances: list[Instance] = []
     output_decls: set[str] = set()
     ended = False
+    match = _IDENTS_RE.match
 
+    # An instance or port row is built once one match of its identifier
+    # tokens, its arity and its type pass; else _refuse raises its error.
     while pos < len(rows):
         row = rows[pos]
         pos += 1
         words = row[2]
         word = words[0]
-        if word == "endmodule":
+        if word == "gate":
+            kind = _GATE_ROWS.get(words[2].upper()) if len(words) > 3 else None
+            if not (
+                kind
+                and len(words) == kind[1]
+                and CLK_NET not in words
+                and match(" ".join([words[1], *words[3:]]))
+            ):
+                _refuse(row, output_decls)
+            instances.append(Gate(words[1], kind[0], words[3], tuple(words[4:])))
+        elif word == "dff":
+            if not (len(words) == 4 and CLK_NET not in words and match(" ".join(words[1:]))):
+                _refuse(row, output_decls)
+            instances.append(Dff(words[1], words[2], words[3]))
+        elif word == "scanff":
+            variant = _VARIANTS.get(words[2].lower()) if len(words) == 7 else None
+            if not (
+                variant and CLK_NET not in words and match(" ".join([words[1], *words[3:]]))
+            ):
+                _refuse(row, output_decls)
+            instances.append(ScanFF(words[1], variant, *words[3:]))
+        elif word == "input" or word == "output":
+            nets = words[1:]
+            fresh = word == "input" or (
+                output_decls.isdisjoint(nets) and len(set(nets)) == len(nets)
+            )
+            if not (nets and fresh and CLK_NET not in nets and match(" ".join(nets))):
+                _refuse(row, output_decls)
+            if word == "input":
+                inputs += nets
+            else:
+                outputs += nets
+                output_decls.update(nets)
+        elif word == "endmodule":
             _require_arity(row, 1)
             ended = True
             break
-        if word == "module":
+        elif word == "module":
             raise NetlistSyntaxError("nested module", *_at(row))
-        if word == "input" or word == "output":
-            if len(words) < 2:
-                raise NetlistSyntaxError(f"{word!r} expects at least one net", *_at(row))
-            for i in range(1, len(words)):
-                net = _require_ident(row, i, "net name")
-                if word == "input":
-                    inputs.append(net)
-                else:
-                    if net in output_decls:
-                        raise NetlistSyntaxError(
-                            f"net {net!r} declared output twice", *_at(row, i)
-                        )
-                    output_decls.add(net)
-                    outputs.append(net)
-        elif word == "gate":
-            if len(words) < 4:
-                raise NetlistSyntaxError(
-                    "'gate' expects <id> <TYPE> <out> <in>...", *_at(row)
-                )
-            gid = _require_ident(row, 1, "instance id")
-            try:
-                gtype = GateType(words[2].upper())
-            except ValueError:
-                raise NetlistSyntaxError(
-                    f"unknown gate type {words[2]!r}", *_at(row, 2)
-                ) from None
-            _require_arity(row, 4 + gtype.num_inputs)
-            out = _require_ident(row, 3, "net name")
-            ins = tuple(_require_ident(row, i, "net name") for i in range(4, len(words)))
-            instances.append(Gate(gid, gtype, out, ins))
-        elif word == "dff":
-            _require_arity(row, 4)
-            instances.append(
-                Dff(
-                    _require_ident(row, 1, "instance id"),
-                    _require_ident(row, 2, "net name"),
-                    _require_ident(row, 3, "net name"),
-                )
-            )
-        elif word == "scanff":
-            _require_arity(row, 7)
-            fid = _require_ident(row, 1, "instance id")
-            try:
-                variant = FFVariant(words[2].lower())
-            except ValueError:
-                raise NetlistSyntaxError(
-                    f"unknown scan flip-flop variant {words[2]!r}", *_at(row, 2)
-                ) from None
-            nets = [_require_ident(row, i, "net name") for i in range(3, 7)]
-            instances.append(ScanFF(fid, variant, *nets))
         else:
             raise NetlistSyntaxError(f"unknown directive {word!r}", *_at(row))
 
@@ -504,7 +571,7 @@ def parse_patterns(text: str, chain_length: int) -> PatternSet:
     vectors: list[str] = []
     expected: list[Optional[str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).strip()
+        body = raw.partition("#")[0].strip()
         if not body:
             continue
         parts = body.split()

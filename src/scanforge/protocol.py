@@ -58,14 +58,16 @@ test rate where it is 1.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
 from .kinds import GateType
 from .logic import X, Bit
 from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
 from .netlist import PatternSyntaxError, PatternWidthError
-from .scan import ScanChainPlan, verify_chain
+
+if TYPE_CHECKING:
+    from .scan import ScanChainPlan
 
 
 # X data inputs before this cycle raise no warning
@@ -596,6 +598,8 @@ def run_scan_test(
     An empty chain or pattern set raises ProtocolError before any cycle runs.
     """
     if plan is None:
+        from .scan import verify_chain
+
         plan = verify_chain(n)
     length = len(plan.order)
     if patterns.chain_length != length:
@@ -647,6 +651,8 @@ def flush_chain(n: Netlist, bits: str) -> str:
     n, so 2n-1 shift cycles run and the last n end-of-cycle SO values are the
     flushed word.
     """
+    from .scan import verify_chain
+
     plan = verify_chain(n)
     length = len(plan.order)
     if len(bits) != length:

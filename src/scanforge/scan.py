@@ -81,7 +81,17 @@ def default_plan(n: Netlist, variant: FFVariant) -> ScanChainPlan:
 
 
 def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
-    """Convert every D flip-flop into a scan flip-flop stitched per the plan."""
+    """Convert every D flip-flop into a scan flip-flop stitched per the plan.
+
+    The result's compiled form is derived from ``n``'s, not compiled again
+    (``CompiledNetlist.scanned``), and it cannot hide a structural fault.
+    ``n`` compiled, and the checks here rule out each fault for what is
+    added: the three ports are distinct identifiers no net of ``n`` has, so
+    no input repeats and no net gains a second driver; the plan covers
+    exactly the D flip-flops, so every SI pin reads the chain input or a
+    flop Q, and every SE pin reads an input; the buffer to SO gets a fresh id, reads a flop Q and is read by
+    no gate, so it closes no cycle.
+    """
     flops = n.flops
     if any(isinstance(f, ScanFF) for f in flops):
         raise ScanPlanError("netlist already contains scan flip-flops")
@@ -112,24 +122,15 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
     last_q = prev
 
     instances: list[Instance] = []
+    sffs: list[ScanFF] = []
     for inst in n.instances:
         if isinstance(inst, Dff):
-            instances.append(
-                ScanFF(
-                    id=inst.id,
-                    variant=plan.variant,
-                    q=inst.q,
-                    di=inst.di,
-                    si=si_of[inst.id],
-                    se=plan.enable,
-                )
-            )
-        else:
-            instances.append(inst)
+            inst = ScanFF(inst.id, plan.variant, inst.q, inst.di, si_of[inst.id], plan.enable)
+            sffs.append(inst)
+        instances.append(inst)
     ids = {i.id for i in instances}
-    instances.append(
-        Gate(_fresh_name("u_so", ids), GateType.BUF, plan.chain_out, (last_q,))
-    )
+    so = Gate(_fresh_name("u_so", ids), GateType.BUF, plan.chain_out, (last_q,))
+    instances.append(so)
 
     out = Netlist(
         name=n.name,
@@ -137,7 +138,8 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
         outputs=n.outputs + (plan.chain_out,),
         instances=tuple(instances),
     )
-    out.compiled  # compiling checks the structure
+    # the slot Netlist.compiled caches its form in
+    vars(out)["compiled"] = n.compiled.scanned(out, sffs, so)
     return out
 
 
@@ -197,8 +199,9 @@ def verify_chain(n: Netlist) -> ScanChainPlan:
     candidates = []
     if cur.q in n.outputs:
         candidates.append(cur.q)
+    tail = (cur.q,)
     for g in n.gates:
-        if g.gtype == GateType.BUF and g.ins == (cur.q,) and g.out in n.outputs:
+        if g.ins == tail and g.gtype == GateType.BUF and g.out in n.outputs:
             candidates.append(g.out)
     if not candidates:
         raise BrokenChainError(

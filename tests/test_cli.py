@@ -259,6 +259,18 @@ def test_power_with_patterns_prices_the_chains_own_variant(
     assert rep["variant"] == "mux"
 
 
+@pytest.mark.parametrize("with_patterns", [False, True])
+def test_power_refuses_a_design_without_flip_flops(capsys, tmp_path, with_patterns):
+    src = netlist_file(tmp_path, "module m\ninput a\noutput y\ngate g INV y a\nendmodule\n")
+    pat = tmp_path / "one.pat"
+    pat.write_text("0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "power", src, *([str(pat)] if with_patterns else []))
+    assert code == 1 and not out
+    assert json.loads(err) == {
+        "error": {"code": "cli.command", "message": "netlist 'm' has no flip-flops to price"}
+    }
+
+
 def test_switchsim_bundled_equivalence(capsys):
     doc = run_json(
         capsys, "switchsim", "approx_sff.tnl", "--check-behavioral", "--vectors", "16"

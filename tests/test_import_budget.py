@@ -35,7 +35,7 @@ PLAIN = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
 # Every subcommand names variants and stages through ``kinds``; only the
 # ones that price cells (sta, power, compare) load the data in ``cells``.
 FRONT = {"cli", "kinds", "errors", "reports"}
-SIM = {"netlist", "scan", "protocol", "logic"}
+SIM = {"netlist", "protocol", "logic"}
 
 BUDGETS = [
     ("insert", ["insert", "{plain}"], FRONT | {"netlist", "scan"}),
@@ -44,9 +44,9 @@ BUDGETS = [
     ("compare-fixture", ["compare"], FRONT | {"cells", "netlist", "sta", "power"}),
     ("sim", ["sim", CHAIN10], FRONT | SIM),
     ("sim-vcd", ["sim", CHAIN10, "--vcd", "{tmp}/sim.vcd"], FRONT | SIM | {"vcd"}),
-    ("scan-test", ["scan-test", CHAIN10, PATTERNS], FRONT | SIM),
+    ("scan-test", ["scan-test", CHAIN10, PATTERNS], FRONT | SIM | {"scan"}),
     ("power", ["power", CHAIN10], FRONT | SIM | {"cells", "power"}),
-    ("power-patterns", ["power", CHAIN10, PATTERNS], FRONT | SIM | {"cells", "power"}),
+    ("power-patterns", ["power", CHAIN10, PATTERNS], FRONT | SIM | {"cells", "power", "scan"}),
     ("switchsim", ["switchsim", "approx_sff.tnl", "--check-behavioral", "--vectors", "4"],
      FRONT | {"switchsim", "ffmodel", "logic"}),
 ]

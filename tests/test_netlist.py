@@ -138,7 +138,7 @@ def inject_fault(rng: random.Random, n: Netlist) -> Netlist:
     elif kind == "input":
         inputs.append(rng.choice(inputs))
     elif kind == "driver":
-        net = rng.choice(inputs + [i.output_net for i in instances])
+        net = rng.choice(inputs + [i.out if isinstance(i, Gate) else i.q for i in instances])
         instances[k] = inst._replace(out=net) if isinstance(inst, Gate) else inst._replace(q=net)
     elif kind == "read":
         fresh = f"U{rng.randrange(1000)}"

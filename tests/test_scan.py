@@ -5,9 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scanforge.cells import FFVariant
-from scanforge.netlist import ScanFF, parse_netlist, serialize_netlist
+from scanforge.netlist import (
+    CompiledNetlist,
+    Dff,
+    Gate,
+    GateType,
+    Netlist,
+    PatternSet,
+    ScanFF,
+    parse_netlist,
+    serialize_netlist,
+)
+from scanforge.protocol import run_scan_test
 from scanforge.scan import (
     BrokenChainError,
     MixedVariantError,
@@ -20,7 +33,7 @@ from scanforge.scan import (
     verify_chain,
 )
 
-from oracles import NaiveSim, random_netlist
+from oracles import NaiveSim, naive_check, random_netlist
 
 TWO_FF = """
 module two
@@ -94,6 +107,64 @@ def test_inserted_netlist_is_functionally_identical_with_se_low():
             for net in n.outputs:
                 assert got_a[net] == got_b[net]
             assert sim_a.q == {f: sim_b.q[f] for f in sim_a.q}
+
+
+def _variant_design(rng: random.Random, shape: str) -> Netlist:
+    """A random plain-flop design, changed as ``shape`` names."""
+    n = random_netlist(rng, max_gates=10, max_ffs=5, min_ffs=1)
+    inputs, outputs, instances = n.inputs, n.outputs, n.instances
+    if shape == "no_gates":
+        flops = [f for f in instances if isinstance(f, Dff)]
+        qs = [f.q for f in flops]
+        instances = tuple(f._replace(di=rng.choice([*inputs, *qs])) for f in flops)
+        outputs = (rng.choice(qs),)
+    elif shape == "taken_ports":
+        # SI, SE, SO and SO_1 are taken, so the plan's ports are bumped
+        inputs += ("SI", "SE")
+        instances += (
+            Gate("gso", GateType.BUF, "SO", ("SI",)),
+            Gate("gso1", GateType.INV, "SO_1", ("SE",)),
+        )
+        outputs += ("SO",)
+    elif shape == "taken_u_so":
+        # u_so and u_so_1 are taken, so the stitch buffer is u_so_2
+        gates = [i for i, inst in enumerate(instances) if isinstance(inst, Gate)]
+        renamed = list(instances)
+        for i, name in zip(rng.sample(gates, min(2, len(gates))), ("u_so", "u_so_1")):
+            renamed[i] = renamed[i]._replace(id=name)
+        instances = tuple(renamed)
+    return Netlist(n.name, inputs, outputs, instances)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from(["plain", "no_gates", "taken_ports", "taken_u_so"]),
+    st.sampled_from(list(FFVariant)),
+)
+def test_inserted_compiled_form_equals_a_fresh_compile(rng, shape, variant):
+    n = _variant_design(rng, shape)
+    plan = default_plan(n, variant)
+    order = list(plan.order)
+    rng.shuffle(order)
+    plan = plan._replace(order=tuple(order))
+    scanned = insert_scan(n, plan)
+    assert naive_check(scanned) is None
+    derived = scanned.compiled
+    fresh = CompiledNetlist(scanned)
+    assert vars(derived) == vars(fresh)  # every field: nets, ids, program, ff arrays, ...
+    assert derived.gates[derived.sources - 1].out == plan.chain_out
+    if shape == "taken_u_so" and len(n.gates) > 1:
+        assert derived.gates[derived.sources - 1].id == "u_so_2"
+
+    # a twin netlist compiles its own form from scratch; both run alike
+    twin = Netlist(scanned.name, scanned.inputs, scanned.outputs, scanned.instances)
+    length = len(plan.order)
+    vectors = tuple("".join(rng.choice("01") for _ in range(length)) for _ in range(2))
+    patterns = PatternSet(length, vectors, (None, None))
+    for pipelined in (False, True):
+        assert run_scan_test(scanned, patterns, pipelined=pipelined) == run_scan_test(
+            twin, patterns, pipelined=pipelined
+        )
 
 
 def test_default_plan_bumps_colliding_port_names():
