@@ -483,7 +483,9 @@ def parse_netlist(text: str) -> Netlist:
                 and match(" ".join([words[1], *words[3:]]))
             ):
                 _refuse(row, output_decls)
-            instances.append(Gate(words[1], kind[0], words[3], tuple(words[4:])))
+            # tuple.__new__ skips the named tuple's generated Python __new__,
+            # the largest cost of a row after its match
+            instances.append(tuple.__new__(Gate, (words[1], kind[0], words[3], tuple(words[4:]))))
         elif word == "dff":
             if not (len(words) == 4 and CLK_NET not in words and match(" ".join(words[1:]))):
                 _refuse(row, output_decls)

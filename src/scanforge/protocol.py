@@ -30,16 +30,23 @@ builds the trace of every cycle so far from them. That trace is the one
 way to read a run's values. ``sim_functional`` steps through the same
 width-1 step and stops at the first repeated state row once its last input
 map is held: from there the run is periodic, and each state lane repeats
-its segment to the end. ``run_scan_test`` and ``flush_chain`` step every
-cycle, and return the stepper's own trace, when some flop is not on the
-SI -> Q chain. Otherwise they step at width 1 only the SE=0 capture
+its segment to the end.
+
+``run_scan_test`` and ``flush_chain`` check every vector's width and bits,
+then lay the schedule out as two byte streams, SI and SE, one 0/1 byte
+per cycle: the checked vectors become SI bytes in one ``encode`` and
+``translate``, and SE is repeated blocks of ones and zeros. They step
+every cycle, and return the stepper's own trace, when some flop is not on
+the SI -> Q chain. Otherwise they step at width 1 only the SE=0 capture
 cycles, the zero bytes of the SE stream, and write the shift down: on
 every SE=1 cycle each chain flop loads SI, so the Q lane of chain position
 p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for the head). CAP_p
 is read from the stepper's own state rows, one per stepped cycle: each
 row's Q bytes are ORed, at their cycle's bit, into lanes packed eight
 cycles to a byte, so the work follows the stepped rows plus T/8 bytes per
-lane.
+lane. The known rail of CAP_p is the capture cycles' mask whenever every
+Q bit the captures latched is known, which the known rows show; only when
+some capture latched X are those rows transposed too.
 
 A trace keeps those lanes by net id, with the netlist they came from,
 whose compiled form gives the net names, column order and drivers. Its
@@ -57,6 +64,7 @@ test rate where it is 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -154,6 +162,8 @@ def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], 
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# SI characters '0' and '1' as the bytes 0 and 1
+_SI_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 # A cycle's hex digit in a lane's value numeral plus twice its unknown
 # numeral: 0 or 1 known, 2 or 3 unknown
 _CHARS = str.maketrans("0123", "01xx")
@@ -335,8 +345,8 @@ def _lane_trace(
             first_x.append(((unknown & -unknown).bit_length() - 1, f))
     first_x.sort()
     warnings = [f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x]
-    firsts = sorted((phases.index(p), p) for p in Phase if p in phases)
-    phase_counts = {p.value: phases.count(p) for _, p in firsts}
+    # a Counter keeps its keys in the order they are first seen
+    phase_counts = {p.value: c for p, c in Counter(phases).items()}
     return ProtocolTrace(
         n, v, k, phases, se, net_toggles, internal, contention, phase_counts, warnings
     )
@@ -357,17 +367,19 @@ class CycleSim:
     def __init__(self, n: Netlist, init: Optional[Mapping[str, Bit]] = None):
         self.netlist = n
         cn = self.compiled = n.compiled
+        self._v = [0] * len(cn.nets)
+        self._k = [0] * len(cn.nets)
+        # every flop powers up X, both rails 0, unless init names it
+        self._init = [(0, 0)] * len(cn.ff_ids)
         if init:
             ids = set(cn.ff_ids)
             for fid in init:
                 if fid not in ids:
                     raise ProtocolError(f"{fid!r} is not a flip-flop instance")
-        self._v = [0] * len(cn.nets)
-        self._k = [0] * len(cn.nets)
-        self._init = [_rail(init.get(fid, X) if init else X, fid) for fid in cn.ff_ids]
-        for q, (a, b) in zip(cn.ff_q, self._init):
-            self._v[q] = a
-            self._k[q] = b
+            self._init = [_rail(init.get(fid, X), fid) for fid in cn.ff_ids]
+            for q, (a, b) in zip(cn.ff_q, self._init):
+                self._v[q] = a
+                self._k[q] = b
         self._state_ids = (*cn.inputs.values(), *cn.ff_q)
         self._state_v = bytearray()  # one row of state bits per cycle
         self._state_k = bytearray()
@@ -411,16 +423,17 @@ class CycleSim:
         self._phases.append(phase)
         return row_v, row_k
 
-    def _shift(self, chain: Sequence[int], si_bits: Sequence[int], end: int) -> None:
+    def _shift(self, chain: Sequence[int], si: bytes, end: int) -> None:
         """Load what the SE=1 cycles ending at cycle ``end`` leave in the chain.
 
-        At least ``len(chain)`` of them run, so chain position p holds the SI
-        bit of cycle end - p.
+        ``chain`` holds the chain's Q net ids from SI to SO. At least
+        ``len(chain)`` of those cycles run, so chain position p holds the
+        SI byte of cycle end - p.
         """
-        v, k, ff_q = self._v, self._k, self.compiled.ff_q
-        for p, f in enumerate(chain):
-            v[ff_q[f]] = si_bits[end - p]
-            k[ff_q[f]] = 1
+        v, k = self._v, self._k
+        for q, bit in zip(chain, si[end + 1 - len(chain):end + 1][::-1]):
+            v[q] = bit
+            k[q] = 1
 
     def finish(self) -> ProtocolTrace:
         """The trace of every cycle so far."""
@@ -488,7 +501,8 @@ def sim_functional(
 
 
 def _shift_chain(cn: CompiledNetlist, plan: ScanChainPlan) -> Optional[list[int]]:
-    """Flop indices from SI to SO when every flop is a scan cell on one path.
+    """The flops' Q net ids from SI to SO when every flop is a scan cell on
+    one path.
 
     Such a path shifts in closed form: with the plan's enable at 1 each flop
     loads the Q of the one before it (the chain input for the first). None
@@ -504,8 +518,8 @@ def _shift_chain(cn: CompiledNetlist, plan: ScanChainPlan) -> Optional[list[int]
         f = position.get(fid)
         if f is None or cn.ff_si[f] != src or cn.ff_se[f] != enable:
             return None
-        chain.append(f)
         src = cn.ff_q[f]
+        chain.append(src)
     return chain
 
 
@@ -514,10 +528,11 @@ def _run_schedule(
     plan: ScanChainPlan,
     base_pi: Mapping[str, Bit],
     phases: list[Phase],
-    si_bits: list[int],
-    se_bits: list[int],
+    si: bytes,
+    se: bytes,
 ) -> ProtocolTrace:
-    """Simulate cycles with fixed free inputs and per-cycle SI/SE bits."""
+    """Simulate cycles with fixed free inputs and per-cycle SI and SE, one
+    0/1 byte per cycle in each stream."""
     for net in (plan.chain_in, plan.enable):
         if net not in n.inputs:
             raise ProtocolError(f"{net!r} is not a primary input")
@@ -529,7 +544,6 @@ def _run_schedule(
         raise ProtocolError(f"chain output {plan.chain_out!r} is not a net")
     base = {cn.index[net]: _rail(bit, net) for net, bit in base_pi.items()}
     width = len(phases)
-    se = bytes(se_bits)
     chain = _shift_chain(cn, plan)
 
     # Step the cycles the shift does not cover through the one width-1
@@ -541,25 +555,32 @@ def _run_schedule(
     pi = dict(base_pi)
     for t in stepped:
         if chain is not None:
-            sim._shift(chain, si_bits, t - 1)
-        pi[plan.chain_in] = si_bits[t]
-        pi[plan.enable] = se_bits[t]
+            sim._shift(chain, si, t - 1)
+        pi[plan.chain_in] = si[t]
+        pi[plan.enable] = se[t]
         sim.cycle(pi, phases[t])
     if chain is None:
         return sim.finish()
 
     full = (1 << width) - 1
-    si_lane = _bits_to_lane(bytes(si_bits))
+    si_lane = _bits_to_lane(si)
     se_lane = _bits_to_lane(se)
     lv = [0] * len(cn.nets)
     lk = [0] * len(cn.nets)
     stride = len(sim._state_ids)
     qs = stride - len(cn.ff_q)  # where the Qs start in a state row
-    for lanes, rows in ((lv, sim._state_v), (lk, sim._state_k)):
-        for q, lane in zip(cn.ff_q, _deposit(rows, stride, qs, stepped, width)):
-            lanes[q] = lane
+    rows_k = sim._state_k
+    # A flop's captured known lane is the capture cycles' mask unless some
+    # capture latched X into it, so only then are the known rows transposed.
+    if any(rows_k.find(0, j + qs, j + stride) >= 0 for j in range(0, len(rows_k), stride)):
+        known = _deposit(rows_k, stride, qs, stepped, width)
+    else:
+        known = [full ^ se_lane] * len(cn.ff_q)
+    captured = _deposit(sim._state_v, stride, qs, stepped, width)
+    for q, a, b in zip(cn.ff_q, captured, known):
+        lv[q], lk[q] = a, b
     pin_v, pin_k = si_lane, full  # what the next chain flop's SI sees
-    for q in (cn.ff_q[f] for f in chain):
+    for q in chain:
         lv[q] |= pin_v & se_lane
         lk[q] |= pin_k & se_lane
         pin_v, pin_k = lv[q] << 1, lk[q] << 1
@@ -581,6 +602,19 @@ def cycle_budget(chain_length: int, num_vectors: int, pipelined: bool) -> int:
     return num_vectors * (2 * chain_length + 1)
 
 
+def _si_stream(words: Sequence[str], length: int, what: str, gap: int) -> bytes:
+    """The words as one SI stream of 0/1 bytes, ``gap`` zero bytes between
+    each two; each word must be ``length`` characters, each '0' or '1'."""
+    for word in words:
+        if len(word) != length:
+            raise PatternWidthError(
+                f"{what} {word!r} has width {len(word)}, chain length is {length}"
+            )
+        if word.strip("01"):
+            raise PatternSyntaxError(f"{what} {word!r} is not bits")
+    return ("0" * gap).join(words).encode().translate(_SI_BYTES)
+
+
 def _free_inputs(n: Netlist, plan: ScanChainPlan) -> dict[str, Bit]:
     return {net: 0 for net in n.inputs if net not in (plan.chain_in, plan.enable)}
 
@@ -595,7 +629,12 @@ def run_scan_test(
     """Shift-in / capture / shift-out every vector; return trace + responses.
 
     Primary inputs other than SI/SE hold 0 unless overridden in pi_defaults.
-    An empty chain or pattern set raises ProtocolError before any cycle runs.
+    Before any cycle runs, an empty chain or pattern set raises
+    ProtocolError, a vector not as wide as the chain PatternWidthError, and
+    a vector with a character other than 0 or 1 PatternSyntaxError. The
+    schedule is two byte streams, SI and SE, one byte per cycle; only the
+    captures are stepped when every flop is on the chain, and the captured
+    known rail is the capture mask unless some capture latched X.
     """
     if plan is None:
         from .scan import verify_chain
@@ -608,6 +647,22 @@ def run_scan_test(
         )
     cycle_budget(length, len(patterns.vectors), pipelined)
 
+    # Per vector: shift-in ending in launch, capture, and, unpipelined, the
+    # unload; pipelined, the next vector's shift-in unloads, and one unload
+    # follows the last capture.
+    vectors = patterns.vectors
+    si = _si_stream(vectors, length, "vector", 1 if pipelined else length + 1)
+    si += bytes(length + 1)
+    shift_in = b"\x01" * length
+    block = [Phase.SHIFT_IN] * (length - 1) + [Phase.LAUNCH, Phase.CAPTURE]
+    unload = [Phase.SHIFT_OUT] * length
+    if pipelined:
+        se = (shift_in + b"\x00") * len(vectors) + shift_in
+        phases = block * len(vectors) + unload
+    else:
+        se = (shift_in + b"\x00" + shift_in) * len(vectors)
+        phases = (block + unload) * len(vectors)
+
     base_pi = _free_inputs(n, plan)
     if pi_defaults:
         for net, bit in pi_defaults.items():
@@ -615,33 +670,10 @@ def run_scan_test(
                 raise ProtocolError(f"{net!r} is not a free primary input")
             base_pi[net] = bit
 
-    phases: list[Phase] = []
-    si_bits: list[int] = []
-    se_bits: list[int] = []
-    captures: list[int] = []
-
-    def shift_out() -> None:
-        phases.extend([Phase.SHIFT_OUT] * length)
-        si_bits.extend([0] * length)
-        se_bits.extend([1] * length)
-
-    for vector in patterns.vectors:
-        phases.extend([Phase.SHIFT_IN] * (length - 1) + [Phase.LAUNCH])
-        si_bits.extend(int(ch) for ch in vector)
-        se_bits.extend([1] * length)
-        captures.append(len(phases))
-        phases.append(Phase.CAPTURE)
-        si_bits.append(0)
-        se_bits.append(0)
-        if not pipelined:
-            shift_out()
-    if pipelined:
-        shift_out()
-
-    trace = _run_schedule(n, plan, base_pi, phases, si_bits, se_bits)
+    trace = _run_schedule(n, plan, base_pi, phases, si, se)
     # A vector's response is SO at its capture and the next length-1 cycles.
     so = trace.bit_string(plan.chain_out)
-    return trace, [so[c:c + length] for c in captures]
+    return trace, [so[c:c + length] for c in _zeros(se)]
 
 
 def flush_chain(n: Netlist, bits: str) -> str:
@@ -655,13 +687,7 @@ def flush_chain(n: Netlist, bits: str) -> str:
 
     plan = verify_chain(n)
     length = len(plan.order)
-    if len(bits) != length:
-        raise PatternWidthError(
-            f"flush word is width {len(bits)}, chain length is {length}"
-        )
-    if any(c not in "01" for c in bits):
-        raise PatternSyntaxError(f"flush word {bits!r} is not bits")
-    stream = [int(c) for c in bits] + [0] * (length - 1)
+    si = _si_stream([bits], length, "flush word", 0) + bytes(length - 1)
     phases = [Phase.SHIFT_IN] * length + [Phase.SHIFT_OUT] * (length - 1)
-    trace = _run_schedule(n, plan, _free_inputs(n, plan), phases, stream, [1] * len(stream))
+    trace = _run_schedule(n, plan, _free_inputs(n, plan), phases, si, b"\x01" * len(si))
     return trace.bit_string(plan.chain_out)[length - 1:]

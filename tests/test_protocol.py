@@ -36,7 +36,7 @@ from scanforge.protocol import (
 )
 from scanforge.scan import verify_chain
 
-from oracles import NaiveSim, random_netlist
+from oracles import NaiveSim, naive_scan_test, random_netlist
 
 
 def shift_chain_text(n, capture="identity"):
@@ -270,6 +270,96 @@ def test_scan_test_rejects_wrong_pattern_width():
     n = parse_netlist(shift_chain_text(3))
     with pytest.raises(PatternWidthError):
         run_scan_test(n, parse_patterns("1010\n", 4))
+
+
+@pytest.mark.parametrize("vector, error", [
+    ("00000000", PatternWidthError),
+    ("0000000000000", PatternWidthError),
+    ("000000000x", PatternSyntaxError),
+    ("0000000002", PatternSyntaxError),
+])
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_a_malformed_vector_is_refused_before_any_cycle(
+    chain10_path, monkeypatch, vector, error, pipelined
+):
+    # A PatternSet built in code skips parse_patterns' checks; the vector
+    # names the run's fault, not a misaligned response or a bare ValueError.
+    def no_cycle(*args):
+        raise AssertionError("a cycle ran")
+
+    monkeypatch.setattr(CycleSim, "_step", no_cycle)
+    n = load_netlist(str(chain10_path))
+    patterns = PatternSet(10, ("1010101010", vector), (None, None))
+    with pytest.raises(error, match=re.escape(repr(vector))):
+        run_scan_test(n, patterns, pipelined)
+
+
+# Two-FF chains whose captures load DI = f(Q, inputs). In KNOWN_CAPTURE
+# every captured bit is known; in X_CAPTURE the input B, held at X, reaches
+# only f1's DI, so f1 latches X at each capture while f0 latches a known bit.
+KNOWN_CAPTURE = """
+module kc
+input A B SI SE
+output SO
+gate x0 XOR2 D0 Q1 A
+gate n1 NAND2 D1 Q0 B
+scanff f0 APPROX Q0 D0 SI SE
+scanff f1 APPROX Q1 D1 Q0 SE
+gate gso BUF SO Q1
+endmodule
+"""
+X_CAPTURE = KNOWN_CAPTURE.replace("NAND2 D1 Q0 B", "XOR2 D1 Q0 B")
+
+
+def bit_char(b):
+    return "x" if b is None else str(b)
+
+
+@pytest.mark.parametrize("design, pi_defaults, x_flops", [
+    pytest.param(KNOWN_CAPTURE, {"A": 1, "B": 1}, set(), id="known"),
+    pytest.param(X_CAPTURE, {"A": 1, "B": X}, {"f1"}, id="x"),
+])
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_captured_known_lanes_match_the_oracle(design, pi_defaults, x_flops, pipelined):
+    n = parse_netlist(design)
+    plan = verify_chain(n)
+    vectors = ["10", "01", "11"]
+    trace, responses = run_scan_test(
+        n, parse_patterns("\n".join(vectors) + "\n", 2), pipelined, pi_defaults
+    )
+    run, want = naive_scan_test(
+        n, 2, plan.chain_in, plan.enable, plan.chain_out, vectors, pipelined, pi_defaults
+    )
+    assert responses == want
+    for net in trace.nets:
+        assert trace.bit_string(net) == "".join(bit_char(r[net]) for r in run.records), net
+    assert trace.net_toggles == run.net_toggles
+    assert trace.ff_internal_toggles == run.internal
+    assert trace.ff_contentions == run.contention
+    assert list(trace.phase_counts.items()) == list(run.phase_counts().items())
+    assert trace.warnings == run.warnings
+    # which flops latched X at a capture, read off the trace
+    captures = [t for t, p in enumerate(trace.phases) if p is Phase.CAPTURE]
+    latched_x = {
+        fid for fid, q in (("f0", "Q0"), ("f1", "Q1"))
+        if any(trace.bit_string(q)[t] == "x" for t in captures)
+    }
+    assert latched_x == x_flops
+
+
+def test_phase_counts_follow_first_use_not_declaration_order():
+    sim = CycleSim(parse_netlist(TFF), init={"f1": 0})
+    for phase in ("shift_out", "capture", "functional", "capture", "shift_out", "capture"):
+        sim.cycle({"EN": 0}, phase)
+    counts = sim.finish().phase_counts
+    assert list(counts.items()) == [("shift_out", 2), ("capture", 3), ("functional", 1)]
+
+
+def test_a_functional_run_has_one_phase_count():
+    # the toggle flop repeats after two cycles; the count covers every cycle
+    trace = sim_functional(parse_netlist(TFF), [{"EN": 0}], cycles=1_000, init={"f1": 0})
+    assert trace.phases == [Phase.FUNCTIONAL] * 1_000
+    assert list(trace.phase_counts.items()) == [("functional", 1_000)]
 
 
 XOR_CAPTURE = """
