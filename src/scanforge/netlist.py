@@ -209,7 +209,8 @@ class CompiledNetlist:
     shares, or -1 if they do not share one.
 
     It also keeps what its users derive once and then reuse: ``flop_cone``,
-    the program steps that cycle simulation walks, and ``walks``, the most
+    the program steps that cycle simulation walks, ``cone_inputs``, the
+    primary inputs those steps read, and ``walks``, the most
     recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
     table, so memory stays O(nets)).
 
@@ -313,6 +314,7 @@ class CompiledNetlist:
         self.enable = enables.pop() if len(enables) == 1 else -1
         self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
+        self._cone_inputs: Optional[frozenset[int]] = None
 
     def scanned(self, n: Netlist, flops: Sequence[ScanFF], so: Gate) -> "CompiledNetlist":
         """The compiled form of ``n``, which ``insert_scan`` made from this form's netlist.
@@ -354,6 +356,14 @@ class CompiledNetlist:
                     need.add(step[3])
             self._flop_cone = tuple(steps[::-1])
         return self._flop_cone
+
+    @property
+    def cone_inputs(self) -> frozenset[int]:
+        """The ids of the primary inputs that some step of ``flop_cone`` reads."""
+        if self._cone_inputs is None:
+            reads = {i for step in self.flop_cone for i in step[2:]}
+            self._cone_inputs = frozenset(reads.intersection(self.inputs.values()))
+        return self._cone_inputs
 
 
 # One nonblank line: (1-based line number, the line, its tokens).

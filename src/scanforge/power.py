@@ -79,12 +79,15 @@ def estimate_power(
     other_cycles = trace.cycles - shift_cycles
     per_ff_base = shift_cycles * e_test + other_cycles * e_func
 
+    # Added left to right, as the combinational energy is: sum() compensates
+    # its float additions from Python 3.12 on, so its last bits would
+    # differ between Python versions.
     per_ff: dict[str, float] = {}
+    ff_energy = 0.0
     for fid in trace.ff_internal_toggles:
-        per_ff[fid] = per_ff_base + contention_penalty_fj * trace.ff_contentions.get(
-            fid, 0
-        )
-    ff_energy = sum(per_ff.values())
+        energy = per_ff_base + contention_penalty_fj * trace.ff_contentions.get(fid, 0)
+        per_ff[fid] = energy
+        ff_energy += energy
 
     comb_energy = 0.0
     drivers = trace.net_drivers

@@ -51,10 +51,13 @@ some capture latched X are those rows transposed too.
 A trace keeps those lanes by net id, with the netlist they came from,
 whose compiled form gives the net names, column order and drivers. Its
 counts all come from the lanes: net toggles are
-``popcount((v ^ v>>1) & k & k>>1)``, and a second width-T pass over the
-flops' fan-in cone (this cycle's inputs with the previous cycle's Q) gives
-the flip-flop inputs each rising edge saw. That pass yields internal
-toggles (twice the Q toggles), ``approx`` contention
+``popcount((v ^ v>>1) & k & k>>1)``, and internal toggles are twice a Q's
+toggles plus its power-up edge. What each rising edge saw needs no second
+pass (``_edge_lanes``): one cycle behind, it is a Q's or a gate's own
+end-of-cycle lane, and an input's lane shifted down a cycle. Only gates
+downstream of an input that changes during the run are settled again,
+and there are none in a scan test of an inserted design or a functional
+run with one input map. From these come ``approx`` contention
 ``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, each flop's first X data
 input from cycle ``WARMUP_CYCLES`` on, the lowest set bit of the unknown
 rail, and the trace's per-cycle SE: the enable every scan flop shares (X in
@@ -66,6 +69,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
@@ -287,6 +291,58 @@ class ProtocolTrace(NamedTuple):
         return _lane_chars(self.value_lanes[i], self.known_lanes[i], self.cycles)
 
 
+def _edge_lanes(
+    cn: CompiledNetlist, v: list[int], k: list[int], full: int,
+    init: Sequence[tuple[int, int]],
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """What the flop pins saw at each rising edge, by net id, from the
+    settled end-of-cycle lanes ``v`` and ``k`` (``full`` has a bit set for
+    every cycle): two-rail lanes one cycle behind, whose bit t is what the
+    edge of cycle t + 1 saw, and the width-1 rails of the edge of cycle 0.
+
+    A rising edge sees this cycle's inputs with the last cycle's Qs. So,
+    one cycle behind, a Q, or a gate fed only by Qs and by inputs that
+    hold one value all run, is its own end-of-cycle lane, and an input is
+    its lane shifted down one cycle; bit T - 1, past the last edge, is
+    left for the reader to mask off. The cone's gates downstream of an
+    input whose lane changes are settled again at width T from the lanes
+    behind. The edge of cycle 0 saw the power-up values: each input's
+    cycle-0 rail, each flop's init rail, and for the gates one width-1
+    walk of the flop cone from those. That walk runs only when the shared
+    enable or an approx flop's contention reads a gate pin at cycle 0 (X
+    warnings start at ``WARMUP_CYCLES``); otherwise the gates stay X there.
+    """
+    inputs = cn.inputs.values()
+    bv, bk = list(v), list(k)
+    uv = [0] * len(v)
+    uk = [0] * len(v)
+    for i in inputs:
+        bv[i] = v[i] >> 1
+        bk[i] = k[i] >> 1
+        uv[i] = v[i] & 1
+        uk[i] = k[i] & 1
+    for q, (a, b) in zip(cn.ff_q, init):
+        uv[q] = a
+        uk[q] = b
+    # the pins read at cycle 0, and the nets no gate drives (-1: no enable)
+    approx = cn.ff_approx
+    read = chain((cn.enable,), *(compress(p, approx) for p in (cn.ff_di, cn.ff_si, cn.ff_se)))
+    ungated = {-1, *inputs, *cn.ff_q}
+    if any(i not in ungated for i in read):
+        evaluate(cn.flop_cone, uv, uk)
+
+    # the cone's inputs whose lanes change, and the gates they reach
+    hit = {i for i in cn.cone_inputs if v[i] not in (0, full) or k[i] not in (0, full)}
+    if hit:
+        steps = []
+        for step in cn.flop_cone:
+            if step[2] in hit or step[3] in hit:
+                hit.add(step[1])
+                steps.append(step)
+        evaluate(steps, bv, bk)
+    return bv, bk, uv, uk
+
+
 def _lane_trace(
     n: Netlist, v: list[int], k: list[int], phases: list[Phase],
     init: Sequence[tuple[int, int]],
@@ -295,8 +351,9 @@ def _lane_trace(
 
     ``v`` and ``k`` hold, by net id, the two-rail lanes of the primary inputs
     and the flop Qs over the run's cycles; one width-T pass settles every
-    other net's end-of-cycle lane in place. The SE of each cycle is the
-    shared enable each rising edge saw, X when the scan flops share none.
+    other net's end-of-cycle lane in place, and ``_edge_lanes`` reads off
+    them what each rising edge saw. The SE of each cycle is the shared
+    enable its rising edge saw, X when the scan flops share none.
     """
     cn = n.compiled
     width = len(phases)
@@ -316,33 +373,37 @@ def _lane_trace(
     keys.sort()
     net_toggles = {cn.nets[i]: counts[i] for i in [key % nets for key in keys]}
 
-    # What each rising edge saw: this cycle's inputs with the last cycle's Q.
-    # Only the flops' rails are read, so only their fan-in cone is walked.
-    pv, pk = list(v), list(k)
-    for q, (iv, ik) in zip(cn.ff_q, init):
-        pv[q] = (v[q] << 1 | iv) & full
-        pk[q] = (k[q] << 1 | ik) & full
-    evaluate(cn.flop_cone, pv, pk)
+    bv, bk, uv, uk = _edge_lanes(cn, v, k, full, init)
     s = cn.enable
-    chars = _lane_chars(pv[s], pk[s], width) if s >= 0 else "x" * width
+    if s >= 0:
+        chars = _lane_chars((bv[s] << 1 | uv[s]) & full, (bk[s] << 1 | uk[s]) & full, width)
+    else:
+        chars = "x" * width
     se: list[Bit] = list(chars.encode().translate(_CHAR_CODES))
     if "x" in chars:
         se = [X if c == 2 else c for c in se]
 
-    after_warmup = full >> WARMUP_CYCLES << WARMUP_CYCLES
+    # the edges of cycles 1 to T - 1, and of WARMUP_CYCLES on, one cycle behind
+    behind = full >> 1
+    after_warmup = behind >> WARMUP_CYCLES - 1 << WARMUP_CYCLES - 1
     internal: dict[str, int] = {}
     contention: dict[str, int] = {}
     first_x = []
-    for f, fid in enumerate(cn.ff_ids):
-        q, di, si, en = cn.ff_q[f], cn.ff_di[f], cn.ff_si[f], cn.ff_se[f]
-        # master and slave each flip once per Q flip
-        internal[fid] = 2 * ((pv[q] ^ v[q]) & pk[q] & k[q]).bit_count()
+    flops = zip(cn.ff_ids, cn.ff_q, cn.ff_di, cn.ff_si, cn.ff_se, cn.ff_approx, init)
+    for f, (fid, q, di, si, en, approx, (iv, ik)) in enumerate(flops):
+        # master and slave each flip once per Q flip, the power-up edge included
+        internal[fid] = 2 * (counts[q] + (ik & k[q] & (iv ^ v[q]) & 1))
         if en >= 0:
-            fights = pv[en] & pk[en] & pk[di] & pk[si] & (pv[di] ^ pv[si])
-            contention[fid] = fights.bit_count() if cn.ff_approx[f] else 0
-        unknown = after_warmup & ~pk[di]
+            fights = 0
+            if approx:
+                later = behind & bv[en] & bk[en] & bk[di] & bk[si] & (bv[di] ^ bv[si])
+                first = uv[en] & uk[en] & uk[di] & uk[si] & (uv[di] ^ uv[si])
+                fights = later.bit_count() + first
+            contention[fid] = fights
+        unknown = after_warmup & ~bk[di]
         if unknown:
-            first_x.append(((unknown & -unknown).bit_length() - 1, f))
+            # bit t is the edge of cycle t + 1
+            first_x.append(((unknown & -unknown).bit_length(), f))
     first_x.sort()
     warnings = [f"flip-flop {cn.ff_ids[f]} data input is X at cycle {t}" for t, f in first_x]
     # a Counter keeps its keys in the order they are first seen
@@ -360,8 +421,9 @@ class CycleSim:
 
     Each cycle keeps only the bits of the primary inputs and the flop Qs,
     from which ``finish`` builds the trace of every cycle so far (and
-    ``run_scan_test`` the captured Q lanes); that trace reads the scan
-    enable each rising edge saw from the same lanes.
+    ``run_scan_test`` the captured Q lanes). That trace reads what each
+    rising edge saw, the scan enable included, off the same lanes one
+    cycle behind, with the init rails at cycle 0 (``_edge_lanes``).
     """
 
     def __init__(self, n: Netlist, init: Optional[Mapping[str, Bit]] = None):

@@ -296,15 +296,31 @@ class WalkCounter:
 
 def check_functional(n: Netlist, stimulus, cycles: int, init, walks: WalkCounter) -> None:
     """sim_functional against the oracle, and its walks of the gate program:
-    one per cycle up to the first repeated state, plus the trace's two."""
+    one of the flops' cone per cycle up to the first repeated state, the
+    trace's one pass over the whole program, one width-1 power-up walk of
+    the cone only when some flop is approx or the enable is a gate's, and
+    one re-settle of the cone's gates fed by an input only when the inputs
+    change during the run."""
     before = walks.calls
     trace = sim_functional(n, stimulus, cycles=cycles, init=init)
-    made = walks.calls - before
+    made = walks.programs[before:]
     run, se = functional_oracle(n, stimulus, cycles, init)
     assert_same_run(trace, run)
     assert trace.se == se
     t0, period = first_repeat(run, n, len(stimulus) - 1)
-    assert made <= (t0 + period + 1 if period else cycles) + 2
+    cn = n.compiled
+    scan = [f for f in n.flops if isinstance(f, ScanFF)]
+    enables = {f.se for f in scan}
+    powerup = any(f.variant is FFVariant.APPROX for f in scan) or (
+        len(enables) == 1 and enables <= {g.out for g in n.gates}
+    )
+    resettles = [p for p in made if p is not cn.program and p is not cn.flop_cone]
+    assert len(resettles) <= (len(stimulus) > 1)
+    assert all(set(p) <= set(cn.flop_cone) for p in resettles)
+    stepped = t0 + period + 1 if period else cycles
+    assert len(made) <= stepped + 1 + powerup + len(resettles)
+    # with no gates the program and the cone are both the empty tuple
+    assert sum(program is cn.program for program in made) == 1 or not cn.program
 
 
 FUNCTIONAL_CASES = {
@@ -368,13 +384,13 @@ def test_random_functional_runs_match_the_oracle(seed, monkeypatch):
 
 def test_functional_run_stops_stepping_at_the_first_repeat(monkeypatch):
     # 4-bit counter: the state after cycle 16 repeats cycle 0's, so 17 width-1
-    # steps and the trace's 2 width-T passes, whatever the run length.
+    # steps and the trace's one width-T pass, whatever the run length.
     n = parse_netlist(counter_text(4))
     walks = WalkCounter(monkeypatch)
     for cycles in (100, 10_000):
         before = walks.calls
         trace = sim_functional(n, [{"EN": 1}], cycles=cycles, init={f.id: 0 for f in n.flops})
-        assert walks.calls - before == 17 + 2
+        assert walks.calls - before == 17 + 1
         assert trace.cycles == cycles
         assert trace.net_toggles["Q0"] == cycles - 1
 
@@ -395,23 +411,32 @@ def test_cycle_walks_the_flop_cone_and_finish_the_whole_program(monkeypatch):
     assert all(program is cn.flop_cone for program in walks.programs)
     trace = sim.finish()
     assert (trace.bit_string("Q0"), trace.bit_string("Y")) == ("101", "010")
-    assert walks.programs[3] is cn.program and walks.programs[4:] == [cn.flop_cone]
+    assert walks.programs[3] is cn.program and walks.programs[4:] == []
 
 
 def test_scan_test_walks_once_per_capture(monkeypatch):
     rng = random.Random(5)
-    n = random_netlist(rng, max_gates=10, max_ffs=5, min_ffs=3, scan=True)
-    length = len(verify_chain(n).order)
+    approx = random_netlist(rng, max_gates=10, max_ffs=5, min_ffs=3, scan=True)
+    mux = Netlist(approx.name, approx.inputs, approx.outputs, tuple(
+        i._replace(variant=FFVariant.MUX) if isinstance(i, ScanFF) else i
+        for i in approx.instances
+    ))
+    length = len(verify_chain(approx).order)
     vectors = [random_bits(rng, length) for _ in range(4)]
-    for pipelined in (False, True):
-        walks = WalkCounter(monkeypatch)
-        run_scan_test(n, parse_patterns("\n".join(vectors) + "\n", length), pipelined=pipelined)
-        assert walks.calls == len(vectors) + 2
-        # the captures walk the flops' cone; the trace settles the whole
-        # program, then its pre-edge pass walks the cone again
-        cn = n.compiled
-        assert all(program is cn.flop_cone for program in walks.programs[:-2])
-        assert walks.programs[-2] is cn.program and walks.programs[-1] is cn.flop_cone
+    for n, powerup in ((mux, 0), (approx, 1)):
+        for pipelined in (False, True):
+            walks = WalkCounter(monkeypatch)
+            run_scan_test(
+                n, parse_patterns("\n".join(vectors) + "\n", length), pipelined=pipelined
+            )
+            assert walks.calls == len(vectors) + 1 + powerup
+            # the captures walk the flops' cone and the trace settles the
+            # whole program; only an approx flop with a gate-driven DI reads
+            # cycle 0, so only then is the cone walked once at width 1
+            cn = n.compiled
+            assert all(program is cn.flop_cone for program in walks.programs[:len(vectors)])
+            assert walks.programs[len(vectors)] is cn.program
+            assert walks.programs[len(vectors) + 1:] == [cn.flop_cone] * powerup
 
 
 # -- traces read mid-run -----------------------------------------------------------
