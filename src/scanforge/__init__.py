@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "power": (
         "PowerReport", "PowerModelError", "estimate_power", "power_gain",
-        "weighted_transition_count",
     ),
     "vcd": ("to_vcd", "dump_vcd"),
 }

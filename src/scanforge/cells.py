@@ -9,8 +9,9 @@ re-exports, are the same objects.
 
 The flip-flop numbers are stored exactly as characterized. Some rows print a
 propagation delay t_pd that differs from t_su + t_cq by more than rounding;
-those rows are flagged (`ModeTiming.inconsistent`) rather than repaired, so
-downstream consumers can decide which figure to trust.
+those rows are not repaired: every STA report shows both the printed figure
+and the recomputed sum (`ModeTiming.t_pd_sum`), so a reader can decide which
+to trust.
 
 Libraries load from `.cellcfg` files (INI syntax, sections like
 ``[gate.NAND2]`` and ``[ff.APPROX.post_layout.functional]``); any key present
@@ -31,12 +32,6 @@ from typing import Any, Iterable, Mapping, NamedTuple, Optional
 
 from .errors import InputFileError, ScanforgeError, read_text
 from .kinds import FFVariant, GateType, Mode, Stage
-
-# Printed t_pd and t_su + t_cq may disagree by up to this much before a row
-# is flagged as inconsistent. The epsilon absorbs float noise so a sum that
-# is off by exactly the tolerance does not flag.
-CONSISTENCY_TOL_NS = 0.005
-_TOL_EPS = 1e-9
 
 F_REF_HZ = 1e9  # the frequency every avg_power_uw is characterized at
 
@@ -87,11 +82,6 @@ class ModeTiming(_ModeTimingFields):
     def t_pd_sum(self) -> float:
         """Path delay recomputed as t_su + t_cq."""
         return self.t_su + self.t_cq
-
-    @property
-    def inconsistent(self) -> bool:
-        """True when printed t_pd disagrees with t_su + t_cq beyond tolerance."""
-        return abs(self.t_pd - self.t_pd_sum) > CONSISTENCY_TOL_NS + _TOL_EPS
 
 
 class _FFVariantParamsFields(NamedTuple):
@@ -144,8 +134,8 @@ class GateParams(_GateParamsFields):
 
 
 # Characterized flip-flop rows, stored verbatim (known t_pd inconsistencies
-# included and flagged, never repaired here): variant, stage, functional and
-# test (t_su, t_cq, t_pd, avg_power_uw), area.
+# included, never repaired here): variant, stage, functional and test
+# (t_su, t_cq, t_pd, avg_power_uw), area.
 _BUILTIN_FFS: dict[tuple[FFVariant, Stage], FFVariantParams] = {
     (variant, stage): FFVariantParams(
         variant, stage, ModeTiming(*functional), ModeTiming(*test), area

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ScanforgeError, read_text
 from .kinds import FFVariant, FrozenRecord, GateType
@@ -191,20 +191,21 @@ _OPCODE = {
 class CompiledNetlist:
     """A checked netlist as integer net ids, a flat gate program and flop index arrays.
 
-    Built once per netlist object by ``Netlist.compiled``, and building it is
-    the one structural check. It raises, in this order, on a duplicate
-    instance id, an input declared twice, a net with a second driver, a read
-    net with no driver (the first in instance order), an output with no
-    driver, and a combinational cycle; so every compiled net has one driver.
+    Built once per netlist object by ``Netlist.compiled``, on first use,
+    whether the netlist was parsed, built in code or returned by
+    ``insert_scan``. Building it is the one structural check. It raises, in
+    this order, on a duplicate instance id, an input declared twice, a net
+    with a second driver, a read net with no driver (the first in instance
+    order), an output with no driver, and a combinational cycle; so every
+    compiled net has one driver.
 
     Net ids follow ``Netlist.nets()`` iteration order, which the string hash
     seed changes. ``estimate_power`` adds float energies in id order, so the
     last bits of its figures do depend on the seed; the benchmark pins
     ``PYTHONHASHSEED`` (see "Deterministic by construction" in ROADMAP.md).
     Program step i is ``(op, out, a, b)`` for ``gates[i]``, sorted by Kahn's
-    algorithm from declaration order, with ``b == a`` for one-input gates;
-    the first ``sources`` gates are those the sort starts ready with. Flop
-    arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
+    algorithm from declaration order, with ``b == a`` for one-input gates.
+    Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
     a plain D flip-flop. ``enable`` is the enable net every scan flop
     shares, or -1 if they do not share one.
 
@@ -213,12 +214,6 @@ class CompiledNetlist:
     primary inputs those steps read, and ``walks``, the most
     recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
     table, so memory stays O(nets)).
-
-    ``insert_scan`` does not compile its result: ``scanned`` derives that
-    form from its parent's, equal to a fresh compile in every field. It
-    skips no check that could fail: the parent's compile passed all six,
-    and the insertion's own checks rule each one out for what it adds (see
-    ``insert_scan``).
     """
 
     def __init__(self, n: Netlist):
@@ -273,7 +268,6 @@ class CompiledNetlist:
             if net not in driver:
                 raise UndrivenNetError(f"output net {net!r} has no driver")
         ready = [i for i, waits in enumerate(indegree) if not waits]
-        sources = len(ready)
         for i in ready:  # grows as the loop runs
             for succ in readers[i]:
                 indegree[succ] -= 1
@@ -284,25 +278,17 @@ class CompiledNetlist:
             raise CombinationalCycleError(
                 f"combinational cycle through gates: {', '.join(stuck)}"
             )
-        self._fill(n, tuple(gates[i] for i in ready), sources, flops)
-        index = self.index
+
+        self.nets: tuple[str, ...] = tuple(n.nets())
+        self.index = index = {net: i for i, net in enumerate(self.nets)}
+        self.inputs = {net: index[net] for net in n.inputs}
+        self.outputs = tuple(index[net] for net in n.outputs)
+        self.gates = tuple(gates[i] for i in ready)
         self.program = tuple(
             (_OPCODE[g.gtype], index[g.out], index[g.ins[0]], index[g.ins[-1]])
             for g in self.gates
         )
         self.drivers = {g.out: g.gtype for g in self.gates}
-
-    def _fill(
-        self, n: Netlist, gates: tuple[Gate, ...], sources: int, flops: Sequence[Flop]
-    ) -> None:
-        """Set every field but ``program`` and ``drivers``; ``sources`` is how
-        many gates Kahn's sort starts ready with."""
-        self.nets: tuple[str, ...] = tuple(n.nets())
-        self.index = index = {net: i for i, net in enumerate(self.nets)}
-        self.inputs = {net: index[net] for net in n.inputs}
-        self.outputs = tuple(index[net] for net in n.outputs)
-        self.gates = gates
-        self.sources = sources
         scan = [f if isinstance(f, ScanFF) else None for f in flops]
         self.ff_ids = tuple(f.id for f in flops)
         self.ff_q = tuple(index[f.q] for f in flops)
@@ -315,27 +301,6 @@ class CompiledNetlist:
         self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
         self._cone_inputs: Optional[frozenset[int]] = None
-
-    def scanned(self, n: Netlist, flops: Sequence[ScanFF], so: Gate) -> "CompiledNetlist":
-        """The compiled form of ``n``, which ``insert_scan`` made from this form's netlist.
-
-        ``n`` has this netlist's instances in their order, with ``flops``
-        in place of its D flip-flops and the buffer ``so`` from the last Q
-        to SO appended, and three fresh ports. ``so`` reads a flop Q, so a
-        fresh Kahn's sort starts it ready, after this form's ``sources``
-        gates, and no gate reads SO: the order is this one with ``so``
-        there. Net ids are ``tuple(n.nets())``, as in a fresh compile.
-        """
-        cn = CompiledNetlist.__new__(CompiledNetlist)
-        k = self.sources
-        cn._fill(n, (*self.gates[:k], so, *self.gates[k:]), k + 1, flops)
-        new = [cn.index[net] for net in self.nets]  # this form's net ids in n's
-        program = [(op, new[out], new[a], new[b]) for op, out, a, b in self.program]
-        q = cn.index[so.ins[0]]
-        program.insert(k, (BUF, cn.index[so.out], q, q))
-        cn.program = tuple(program)
-        cn.drivers = {**self.drivers, so.out: so.gtype}
-        return cn
 
     @property
     def flop_cone(self) -> tuple[tuple[int, int, int, int], ...]:

@@ -116,19 +116,3 @@ def power_gain(reference_uw: float, candidate_uw: float) -> float:
         raise PowerModelError("power figures must be positive")
     return 100.0 * (reference_uw - candidate_uw) / reference_uw
 
-
-def weighted_transition_count(vector: str) -> int:
-    """Shift-power proxy: adjacent transitions weighted by remaining distance.
-
-    Each transition between bits i and i+1 of the inbound vector toggles
-    L - i flip-flops on its way down a chain as long as the vector, so the
-    count is sum over i of (L - i) * [bit_i != bit_i+1].
-    """
-    if any(c not in "01" for c in vector):
-        raise PowerModelError("vector must be bits")
-    length = len(vector)
-    total = 0
-    for i in range(1, length):
-        if vector[i - 1] != vector[i]:
-            total += length - i
-    return total

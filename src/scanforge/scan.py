@@ -83,14 +83,9 @@ def default_plan(n: Netlist, variant: FFVariant) -> ScanChainPlan:
 def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
     """Convert every D flip-flop into a scan flip-flop stitched per the plan.
 
-    The result's compiled form is derived from ``n``'s, not compiled again
-    (``CompiledNetlist.scanned``), and it cannot hide a structural fault.
-    ``n`` compiled, and the checks here rule out each fault for what is
-    added: the three ports are distinct identifiers no net of ``n`` has, so
-    no input repeats and no net gains a second driver; the plan covers
-    exactly the D flip-flops, so every SI pin reads the chain input or a
-    flop Q, and every SE pin reads an input; the buffer to SO gets a fresh id, reads a flop Q and is read by
-    no gate, so it closes no cycle.
+    The result is a plain ``Netlist``: its compiled form, and with it the
+    full structural check, is built the first time a simulation, STA or
+    power call reads it, as for any netlist built in code.
     """
     flops = n.flops
     if any(isinstance(f, ScanFF) for f in flops):
@@ -122,25 +117,19 @@ def insert_scan(n: Netlist, plan: ScanChainPlan) -> Netlist:
     last_q = prev
 
     instances: list[Instance] = []
-    sffs: list[ScanFF] = []
     for inst in n.instances:
         if isinstance(inst, Dff):
             inst = ScanFF(inst.id, plan.variant, inst.q, inst.di, si_of[inst.id], plan.enable)
-            sffs.append(inst)
         instances.append(inst)
     ids = {i.id for i in instances}
-    so = Gate(_fresh_name("u_so", ids), GateType.BUF, plan.chain_out, (last_q,))
-    instances.append(so)
+    instances.append(Gate(_fresh_name("u_so", ids), GateType.BUF, plan.chain_out, (last_q,)))
 
-    out = Netlist(
+    return Netlist(
         name=n.name,
         inputs=n.inputs + (plan.chain_in, plan.enable),
         outputs=n.outputs + (plan.chain_out,),
         instances=tuple(instances),
     )
-    # the slot Netlist.compiled caches its form in
-    vars(out)["compiled"] = n.compiled.scanned(out, sffs, so)
-    return out
 
 
 def verify_chain(n: Netlist) -> ScanChainPlan:

@@ -401,6 +401,24 @@ def brute_force_longest(
     return best
 
 
+def weighted_transition_count(vector: str) -> int:
+    """Shift-power proxy: adjacent transitions weighted by remaining distance.
+
+    Each transition between bits i and i+1 of the inbound vector toggles
+    L - i flip-flops on its way down a chain as long as the vector, so the
+    count is sum over i of (L - i) * [bit_i != bit_i+1]. It is the closed
+    formula that ACCEPTANCE 7 holds simulated shift toggles to.
+    """
+    if any(c not in "01" for c in vector):
+        raise ValueError("vector must be bits")
+    length = len(vector)
+    total = 0
+    for i in range(1, length):
+        if vector[i - 1] != vector[i]:
+            total += length - i
+    return total
+
+
 def wtc_by_list_shift(bits: str) -> int:
     """Weighted transition count via literal list shifting of a quiet chain."""
     length = len(bits)

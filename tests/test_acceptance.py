@@ -17,13 +17,13 @@ from scanforge.cli import main
 from scanforge.ffmodel import FFState, ff_cycle
 from scanforge.logic import X, bit_char
 from scanforge.netlist import load_netlist, parse_netlist, parse_patterns
-from scanforge.power import estimate_power, weighted_transition_count
+from scanforge.power import estimate_power
 from scanforge.protocol import CycleSim, Phase, flush_chain, run_scan_test, sim_functional
 from scanforge.scan import default_plan, insert_scan, verify_chain
 from scanforge.sta import analyze_timing, zero_cloud_netlist
 from scanforge.switchsim import bundled_network, run_cycles
 
-from oracles import NaiveSim, random_netlist
+from oracles import NaiveSim, random_netlist, weighted_transition_count
 
 LIB = CellLibrary.builtin()
 

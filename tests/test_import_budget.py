@@ -141,11 +141,8 @@ def test_star_import_and_unknown_names():
 # Public names ("name", "module.function" or "Class.method") kept without a
 # reader outside the tests, each with its reason.
 KEEP = {
-    "weighted_transition_count": "the reference of ACCEPTANCE's shift-power check",
     "Netlist.comb_order": "bench/tracer.py times it by name and bench/tests read it until "
     "Benchmark v2",
-    "ModeTiming.inconsistent": "flags the characterized rows whose printed t_pd disagrees with "
-    "t_su + t_cq, so downstream consumers can decide which figure to trust",
 }
 
 
