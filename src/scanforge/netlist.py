@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple, Optional, Union
 
 from .errors import ScanforgeError, read_text
@@ -200,9 +201,10 @@ class CompiledNetlist:
     compiled net has one driver.
 
     Net ids follow ``Netlist.nets()`` iteration order, which the string hash
-    seed changes. ``estimate_power`` adds float energies in id order, so the
-    last bits of its figures do depend on the seed; the benchmark pins
-    ``PYTHONHASHSEED`` (see "Deterministic by construction" in ROADMAP.md).
+    seed changes. ``estimate_power`` adds float energies in ``net_toggles``
+    order, first toggle first with ties in id order, so the last bits of its
+    figures do depend on the seed; the benchmark pins ``PYTHONHASHSEED``
+    (see "Declaration-order net ids" in ROADMAP.md).
     Program step i is ``(op, out, a, b)`` for ``gates[i]``, sorted by Kahn's
     algorithm from declaration order, with ``b == a`` for one-input gates.
     Flop arrays follow ``Netlist.flops``; ``ff_si`` and ``ff_se`` are -1 for
@@ -211,7 +213,9 @@ class CompiledNetlist:
 
     It also keeps what its users derive once and then reuse: ``flop_cone``,
     the program steps that cycle simulation walks, ``cone_inputs``, the
-    primary inputs those steps read, and ``walks``, the most
+    primary inputs those steps read, ``toggle_roots``, the nets whose
+    toggles a trace counts and the INV/BUF outputs that share them, and
+    ``walks``, the most
     recent longest-path walk of ``sta`` (one entry, keyed by its gate-delay
     table, so memory stays O(nets)).
     """
@@ -301,6 +305,7 @@ class CompiledNetlist:
         self.walks: dict[tuple, tuple[list[float], list[int], list[int]]] = {}
         self._flop_cone: Optional[tuple[tuple[int, int, int, int], ...]] = None
         self._cone_inputs: Optional[frozenset[int]] = None
+        self._toggle_roots: Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = None
 
     @property
     def flop_cone(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -329,6 +334,29 @@ class CompiledNetlist:
             reads = {i for step in self.flop_cone for i in step[2:]}
             self._cone_inputs = frozenset(reads.intersection(self.inputs.values()))
         return self._cone_inputs
+
+    @property
+    def toggle_roots(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The net ids whose toggles are counted, in id order, and each INV or
+        BUF output, in program order, with the counted id whose toggles it
+        shares.
+
+        An INV or BUF output flips in exactly the cycles its input flips, so
+        a chain of them shares the toggles of the net at its head. Found on
+        first use, and kept as ``flop_cone`` is.
+        """
+        if self._toggle_roots is None:
+            root = list(range(len(self.nets)))
+            counted = bytearray(b"\x01") * len(root)
+            shared = []
+            # in program order a one-input gate's input is resolved first
+            for op, out, a, _ in self.program:
+                if op <= BUF:
+                    root[out] = head = root[a]
+                    counted[out] = 0
+                    shared.append((out, head))
+            self._toggle_roots = tuple(compress(range(len(root)), counted)), tuple(shared)
+        return self._toggle_roots
 
 
 # One nonblank line: (1-based line number, the line, its tokens).

@@ -51,13 +51,14 @@ some capture latched X are those rows transposed too.
 A trace keeps those lanes by net id, with the netlist they came from,
 whose compiled form gives the net names, column order and drivers. Its
 counts all come from the lanes: net toggles are
-``popcount((v ^ v>>1) & k & k>>1)``, and internal toggles are twice a Q's
-toggles plus its power-up edge. What each rising edge saw needs no second
-pass (``_edge_lanes``): one cycle behind, it is a Q's or a gate's own
-end-of-cycle lane, and an input's lane shifted down a cycle. Only gates
-downstream of an input that changes during the run are settled again,
-and there are none in a scan test of an inserted design or a functional
-run with one input map. From these come ``approx`` contention
+``popcount((v ^ v>>1) & k & k>>1)``, counted once per chain of INV and
+BUF gates (``CompiledNetlist.toggle_roots``), and internal toggles are
+twice a Q's toggles plus its power-up edge. What each rising edge saw
+needs no second pass (``_edge_lanes``): one cycle behind, it is a Q's or
+a gate's own end-of-cycle lane, and an input's lane shifted down a
+cycle. Only gates downstream of an input that changes during the run are
+settled again, and there are none in a scan test of an inserted design
+or a functional run with one input map. From these come ``approx`` contention
 ``popcount(SE & k(DI) & k(SI) & (DI ^ SI))``, each flop's first X data
 input from cycle ``WARMUP_CYCLES`` on, the lowest set bit of the unknown
 rail, and the trace's per-cycle SE: the enable every scan flop shares (X in
@@ -360,18 +361,28 @@ def _lane_trace(
     full = (1 << width) - 1
     evaluate(cn.program, v, k)
 
-    # Toggles in the order they first happen, ties in net order: one int key
-    # per toggling net, its first toggle times the net count plus its id.
+    # Toggles in the order they first happen, ties in net order: the toggling
+    # ids, in id order, stably sorted by their first toggle (1 for the flip
+    # into cycle 1, 0 for none). An INV or BUF output shares its root's
+    # count and first toggle: its known rail is the input's, and its value
+    # rail differs from the input's by that known rail, which is equal in
+    # any two known cycles in a row.
+    counted, shared = cn.toggle_roots
     nets = len(cn.nets)
-    keys = []
     counts = [0] * nets
-    for i, (lv, lk) in enumerate(zip(v, k)):
+    firsts = [0] * nets
+    for i in counted:
+        lv = v[i]
+        lk = k[i]
         flips = (lv ^ lv >> 1) & lk & lk >> 1
         if flips:
-            keys.append((flips & -flips).bit_length() * nets + i)
+            firsts[i] = (flips & -flips).bit_length()
             counts[i] = flips.bit_count()
-    keys.sort()
-    net_toggles = {cn.nets[i]: counts[i] for i in [key % nets for key in keys]}
+    for i, r in shared:
+        firsts[i] = firsts[r]
+        counts[i] = counts[r]
+    toggling = sorted(compress(range(nets), firsts), key=firsts.__getitem__)
+    net_toggles = {cn.nets[i]: counts[i] for i in toggling}
 
     bv, bk, uv, uk = _edge_lanes(cn, v, k, full, init)
     s = cn.enable
