@@ -4,7 +4,8 @@ A bit is ``0``, ``1`` or ``X`` (unknown). ``X`` is represented by ``None`` so
 that ordinary ``==`` comparisons behave naturally and dictionaries of net
 values stay cheap. Gates are evaluated by ``protocol.evaluate`` over two-rail
 ints, with controlling-value semantics: an AND with one input at 0 is 0
-regardless of the other input being X.
+regardless of the other input being X. ``check_bit`` is the one check of a
+bit given as stimulus, for the cycle and switch-level simulators alike.
 """
 
 from __future__ import annotations
@@ -28,3 +29,15 @@ def bit_char(b: Bit) -> str:
 def toggled(old: Bit, new: Bit) -> bool:
     """True for a real 0<->1 transition; X transitions do not count."""
     return is_known(old) and is_known(new) and old != new
+
+
+_BITS: dict[object, Bit] = {0: 0, 1: 1, X: X}
+
+
+def check_bit(bit: object, name: str, error: type[Exception]) -> Bit:
+    """A stimulus value as a bit; anything but 0, 1 or X raises ``error``
+    naming what it was given for."""
+    try:
+        return _BITS[bit]
+    except (KeyError, TypeError):
+        raise error(f"{name!r} given {bit!r}, not 0, 1 or X") from None

@@ -16,10 +16,11 @@ Grammar (.snl), one directive per line, '#' starts a comment:
     scanff <id> <MUX|GDI|APPROX> <Q> <DI> <SI> <SE>
     endmodule
 
-Lines are those of ``str.splitlines()`` (so a vertical tab or form feed also
-ends one), and tokens are separated by ``str.split()`` whitespace, any
-character for which ``str.isspace()`` holds. Syntax errors carry a 1-based
-line and column; the column counts code points from the start of the line,
+Rows are read by ``errors.token_rows``, as those of .pat and .tnl files
+are. Lines are those of ``str.splitlines()`` (so a vertical tab or form
+feed also ends one), and tokens are separated by ``str.split()``
+whitespace, any character for which ``str.isspace()`` holds. Syntax
+errors carry a 1-based line and column; the column counts code points from the start of the line,
 in the text left once the comment is cut.
 
 An ``input``, ``output``, ``gate``, ``dff`` or ``scanff`` row is checked in
@@ -40,7 +41,7 @@ from functools import cached_property
 from itertools import compress
 from typing import NamedTuple, Optional, Union
 
-from .errors import ScanforgeError, read_text
+from .errors import Row, ScanforgeError, read_text, token_rows
 from .kinds import FFVariant, FrozenRecord, GateType
 
 CLK_NET = "CLK"
@@ -359,28 +360,13 @@ class CompiledNetlist:
         return self._toggle_roots
 
 
-# One nonblank line: (1-based line number, the line, its tokens).
-_Row = tuple[int, str, list[str]]
-
-
-def _rows(text: str) -> list[_Row]:
-    """The lines that hold tokens once their comment is cut, in file order."""
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = line.partition("#")[0].split()
-        if words:
-            rows.append((lineno, line, words))
-    return rows
-
-
-def _at(row: _Row, index: int = 0) -> tuple[int, int]:
+def _at(row: Row, index: int = 0) -> tuple[int, int]:
     """1-based (line, column) of token ``index`` of a row; used only to raise.
 
     The line is scanned again token by token, so a token that occurs more
     than once on it gets the column of its own occurrence.
     """
-    lineno, line, words = row
-    body = line.partition("#")[0]
+    lineno, body, words = row
     end = 0
     for word in words[: index + 1]:
         start = body.find(word, end)
@@ -388,7 +374,7 @@ def _at(row: _Row, index: int = 0) -> tuple[int, int]:
     return lineno, start + 1
 
 
-def _require_ident(row: _Row, index: int, what: str) -> str:
+def _require_ident(row: Row, index: int, what: str) -> str:
     word = row[2][index]
     if not _IDENT_RE.match(word):
         raise NetlistSyntaxError(f"bad {what} {word!r}", *_at(row, index))
@@ -399,7 +385,7 @@ def _require_ident(row: _Row, index: int, what: str) -> str:
     return word
 
 
-def _require_arity(row: _Row, count: int) -> None:
+def _require_arity(row: Row, count: int) -> None:
     words = row[2]
     if len(words) != count:
         raise NetlistSyntaxError(
@@ -407,7 +393,7 @@ def _require_arity(row: _Row, count: int) -> None:
         )
 
 
-def _refuse(row: _Row, output_decls: set[str]) -> None:
+def _refuse(row: Row, output_decls: set[str]) -> None:
     """Raise the first error of an instance or port row that the one match refused.
 
     The per-token checks of its directive, in the order its errors rank,
@@ -452,7 +438,7 @@ def _refuse(row: _Row, output_decls: set[str]) -> None:
 
 
 def parse_netlist(text: str) -> Netlist:
-    rows = _rows(text)
+    rows = token_rows(text)
     if not rows:
         raise NetlistSyntaxError("empty file, expected 'module'", 1)
 
@@ -575,11 +561,7 @@ def parse_patterns(text: str, chain_length: int) -> PatternSet:
         raise ValueError("chain_length must be >= 1")
     vectors: list[str] = []
     expected: list[Optional[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.partition("#")[0].strip()
-        if not body:
-            continue
-        parts = body.split()
+    for lineno, _, parts in token_rows(text):
         if len(parts) == 1:
             vec, exp = parts[0], None
         elif len(parts) == 3 and parts[1] == "->":

@@ -33,20 +33,22 @@ map is held: from there the run is periodic, and each state lane repeats
 its segment to the end.
 
 ``run_scan_test`` and ``flush_chain`` check every vector's width and bits,
-then lay the schedule out as two byte streams, SI and SE, one 0/1 byte
-per cycle: the checked vectors become SI bytes in one ``encode`` and
-``translate``, and SE is repeated blocks of ones and zeros. They step
-every cycle, and return the stepper's own trace, when some flop is not on
-the SI -> Q chain. Otherwise they step at width 1 only the SE=0 capture
-cycles, the zero bytes of the SE stream, and write the shift down: on
-every SE=1 cycle each chain flop loads SI, so the Q lane of chain position
-p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself for the head). CAP_p
-is read from the stepper's own state rows, one per stepped cycle: each
-row's Q bytes are ORed, at their cycle's bit, into lanes packed eight
-cycles to a byte, so the work follows the stepped rows plus T/8 bytes per
-lane. The known rail of CAP_p is the capture cycles' mask whenever every
-Q bit the captures latched is known, which the known rows show; only when
-some capture latched X are those rows transposed too.
+then fix the schedule once: the captures are one range, from cycle L every
+period (L + 1 pipelined, 2L + 1 not) up to ``cycle_budget`` (none for a
+flush), and SE is 1 in every other cycle. The checked vectors, joined by
+period - L zero bytes, become the SI stream, one 0/1 byte per cycle, in
+one ``encode`` and ``translate``. They step every cycle, and return the
+stepper's own trace, when some flop is not on the SI -> Q chain.
+Otherwise they step at width 1 only the SE=0 captures and write the
+shift down: on every SE=1 cycle each chain flop loads SI, so the Q lane
+of chain position p is ``((Q_{p-1} << 1) & SHIFT) | CAP_p`` (SI itself
+for the head). CAP_p is read from the stepper's own state rows, one per
+stepped cycle: each row's Q bytes are ORed, at their cycle's bit, into
+lanes packed eight cycles to a byte, so the work follows the stepped rows
+plus T/8 bytes per lane. The known rail of CAP_p is the capture cycles'
+mask whenever every Q bit the captures latched is known, which the known
+rows show; only when some capture latched X are those rows transposed
+too.
 
 A trace keeps those lanes by net id, with the netlist they came from,
 whose compiled form gives the net names, column order and drivers. Its
@@ -71,11 +73,11 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from itertools import chain, compress
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ScanforgeError
 from .kinds import GateType
-from .logic import X, Bit
+from .logic import X, Bit, check_bit
 from .netlist import AND2, BUF, INV, NAND2, OR2, XOR2, CompiledNetlist, Netlist, PatternSet
 from .netlist import PatternSyntaxError, PatternWidthError
 
@@ -141,10 +143,7 @@ _RAILS = {0: (0, 1), 1: (1, 1), X: (0, 0)}
 
 def _rail(bit: Bit, net: str) -> tuple[int, int]:
     """The (value, known) rails of a bit given for a net."""
-    try:
-        return _RAILS[bit]
-    except (KeyError, TypeError):
-        raise ProtocolError(f"{net!r} given {bit!r}, not 0, 1 or X") from None
+    return _RAILS[check_bit(bit, net, ProtocolError)]
 
 
 def _latch(cn: CompiledNetlist, v: list[int], k: list[int]) -> tuple[list[int], list[int]]:
@@ -196,14 +195,6 @@ def _lane_chars(value: int, known: int, width: int) -> str:
     unknown = ((1 << width) - 1) ^ known
     digits = int(format(value, spec), 16) + 2 * int(format(unknown, spec), 16)
     return format(digits, f"0{width}x")[::-1].translate(_CHARS)
-
-
-def _zeros(bits: bytes) -> Iterator[int]:
-    """The indices of the zero bytes, in order."""
-    t = bits.find(0)
-    while t >= 0:
-        yield t
-        t = bits.find(0, t + 1)
 
 
 def _deposit(rows: bytes, stride: int, start: int, cycles: Sequence[int], width: int) -> list[int]:
@@ -602,10 +593,10 @@ def _run_schedule(
     base_pi: Mapping[str, Bit],
     phases: list[Phase],
     si: bytes,
-    se: bytes,
+    captures: range,
 ) -> ProtocolTrace:
-    """Simulate cycles with fixed free inputs and per-cycle SI and SE, one
-    0/1 byte per cycle in each stream."""
+    """Simulate cycles with fixed free inputs, one SI 0/1 byte per cycle,
+    and SE at 1 in every cycle but the captures."""
     for net in (plan.chain_in, plan.enable):
         if net not in n.inputs:
             raise ProtocolError(f"{net!r} is not a primary input")
@@ -621,23 +612,24 @@ def _run_schedule(
 
     # Step the cycles the shift does not cover through the one width-1
     # stepper: every cycle when a flop is off the chain, and the run's trace
-    # is then the stepper's own; else the SE=0 captures, whose state rows
-    # hold each flop's Q at those cycles. Each capture follows at least one
+    # is then the stepper's own; else the captures, whose state rows hold
+    # each flop's Q at those cycles. Each capture follows at least one
     # chain length of shift cycles, which leave only SI bits in the chain.
-    stepped = range(width) if chain is None else list(_zeros(se))
+    stepped = range(width) if chain is None else captures
     pi = dict(base_pi)
     for t in stepped:
         if chain is not None:
             sim._shift(chain, si, t - 1)
         pi[plan.chain_in] = si[t]
-        pi[plan.enable] = se[t]
+        pi[plan.enable] = int(t not in captures)
         sim.cycle(pi, phases[t])
     if chain is None:
         return sim.finish()
 
     full = (1 << width) - 1
+    mask = sum(1 << t for t in captures)
     si_lane = _bits_to_lane(si)
-    se_lane = _bits_to_lane(se)
+    se_lane = full ^ mask
     lv = [0] * len(cn.nets)
     lk = [0] * len(cn.nets)
     stride = len(sim._state_ids)
@@ -648,7 +640,7 @@ def _run_schedule(
     if any(rows_k.find(0, j + qs, j + stride) >= 0 for j in range(0, len(rows_k), stride)):
         known = _deposit(rows_k, stride, qs, stepped, width)
     else:
-        known = [full ^ se_lane] * len(cn.ff_q)
+        known = [mask] * len(cn.ff_q)
     captured = _deposit(sim._state_v, stride, qs, stepped, width)
     for q, a, b in zip(cn.ff_q, captured, known):
         lv[q], lk[q] = a, b
@@ -705,9 +697,10 @@ def run_scan_test(
     Before any cycle runs, an empty chain or pattern set raises
     ProtocolError, a vector not as wide as the chain PatternWidthError, and
     a vector with a character other than 0 or 1 PatternSyntaxError. The
-    schedule is two byte streams, SI and SE, one byte per cycle; only the
-    captures are stepped when every flop is on the chain, and the captured
-    known rail is the capture mask unless some capture latched X.
+    captures are one range, every ``period`` cycles from cycle L up to
+    ``cycle_budget``, and SE, the stepped cycles and the responses all read
+    it; only the captures are stepped when every flop is on the chain, and
+    the captured known rail is their mask unless some capture latched X.
     """
     if plan is None:
         from .scan import verify_chain
@@ -718,23 +711,18 @@ def run_scan_test(
         raise PatternWidthError(
             f"patterns are width {patterns.chain_length}, chain length is {length}"
         )
-    cycle_budget(length, len(patterns.vectors), pipelined)
 
-    # Per vector: shift-in ending in launch, capture, and, unpipelined, the
-    # unload; pipelined, the next vector's shift-in unloads, and one unload
-    # follows the last capture.
-    vectors = patterns.vectors
-    si = _si_stream(vectors, length, "vector", 1 if pipelined else length + 1)
-    si += bytes(length + 1)
-    shift_in = b"\x01" * length
+    # Each vector shifts in for L cycles, the last its launch, and is
+    # captured in the next; its unload is the next vector's shift-in when
+    # pipelined, and L cycles of its own otherwise.
+    period = length + 1 if pipelined else 2 * length + 1
+    width = cycle_budget(length, len(patterns.vectors), pipelined)
+    captures = range(length, width, period)
+    si = _si_stream(patterns.vectors, length, "vector", period - length).ljust(width, b"\x00")
     block = [Phase.SHIFT_IN] * (length - 1) + [Phase.LAUNCH, Phase.CAPTURE]
-    unload = [Phase.SHIFT_OUT] * length
-    if pipelined:
-        se = (shift_in + b"\x00") * len(vectors) + shift_in
-        phases = block * len(vectors) + unload
-    else:
-        se = (shift_in + b"\x00" + shift_in) * len(vectors)
-        phases = (block + unload) * len(vectors)
+    phases = [Phase.SHIFT_OUT] * width
+    for c in captures:
+        phases[c - length:c + 1] = block
 
     base_pi = _free_inputs(n, plan)
     if pi_defaults:
@@ -743,10 +731,10 @@ def run_scan_test(
                 raise ProtocolError(f"{net!r} is not a free primary input")
             base_pi[net] = bit
 
-    trace = _run_schedule(n, plan, base_pi, phases, si, se)
+    trace = _run_schedule(n, plan, base_pi, phases, si, captures)
     # A vector's response is SO at its capture and the next length-1 cycles.
     so = trace.bit_string(plan.chain_out)
-    return trace, [so[c:c + length] for c in _zeros(se)]
+    return trace, [so[c:c + length] for c in captures]
 
 
 def flush_chain(n: Netlist, bits: str) -> str:
@@ -762,5 +750,5 @@ def flush_chain(n: Netlist, bits: str) -> str:
     length = len(plan.order)
     si = _si_stream([bits], length, "flush word", 0) + bytes(length - 1)
     phases = [Phase.SHIFT_IN] * length + [Phase.SHIFT_OUT] * (length - 1)
-    trace = _run_schedule(n, plan, _free_inputs(n, plan), phases, si, b"\x01" * len(si))
+    trace = _run_schedule(n, plan, _free_inputs(n, plan), phases, si, range(0))
     return trace.bit_string(plan.chain_out)[length - 1:]

@@ -54,10 +54,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ScanforgeError, read_text
+from .errors import ScanforgeError, read_text, token_rows
 from .ffmodel import ff_selected_input
 from .kinds import FFVariant, FrozenRecord
-from .logic import Bit, X
+from .logic import Bit, X, check_bit
 
 RANK_FLOATING = 0.0
 RANK_CHARGED = 1.0
@@ -83,7 +83,6 @@ BUNDLED = {
 }
 
 _OFF, _MAYBE, _ON = 0, 1, 2
-_BITS: dict[object, Bit] = {0: 0, 1: 1, X: X}
 
 
 class NetworkSyntaxError(ScanforgeError):
@@ -227,14 +226,6 @@ def _join(a: tuple[Bit, float], b: tuple[Bit, float]) -> tuple[Bit, float]:
     return a if a[0] == b[0] else (X, a[1])
 
 
-def _bit(bit: object, node: str) -> Bit:
-    """A stimulus value as a bit; anything but 0, 1 or X names its node."""
-    try:
-        return _BITS[bit]
-    except (KeyError, TypeError):
-        raise StimulusError(f"{node!r} given {bit!r}, not 0, 1 or X") from None
-
-
 def settle(
     net: TransistorNetwork,
     inputs: Mapping[str, Bit],
@@ -263,8 +254,10 @@ def settle(
     # each node's own drive: a supply's pinned value, else the join of its
     # input pin and its charge (None for neither)
     own = list(c.pinned)
-    drives = [(n, _bit(inputs[n], n), c.input_rank) for n in net.inputs]
-    drives += [(n, _bit(charge.get(n, X), n), RANK_CHARGED) for n in c.storage]
+    drives = [(n, check_bit(inputs[n], n, StimulusError), c.input_rank) for n in net.inputs]
+    drives += [
+        (n, check_bit(charge.get(n, X), n, StimulusError), RANK_CHARGED) for n in c.storage
+    ]
     for name, bit, rank in drives:
         i = c.index[name]
         own[i] = (bit, rank) if own[i] is None else _join(own[i], (bit, rank))
@@ -360,7 +353,11 @@ class SwitchFF:
 
     def cycle(self, di: Bit, si: Bit, se: Bit) -> Bit:
         """One clock cycle, CLK high then low; Q's logic after the falling phase."""
-        pins = (_bit(di, "DI"), _bit(si, "SI"), _bit(se, "SE"))
+        pins = (
+            check_bit(di, "DI", StimulusError),
+            check_bit(si, "SI", StimulusError),
+            check_bit(se, "SE", StimulusError),
+        )
         q, self.state = _cycle(self.net, self.state, pins)
         return q
 
@@ -467,12 +464,7 @@ def load_network(text: str) -> TransistorNetwork:
         node_set.add(name)
         nodes.append(name)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        pos = raw.find("#")
-        body = raw if pos < 0 else raw[:pos]
-        toks = body.split()
-        if not toks:
-            continue
+    for lineno, _, toks in token_rows(text):
         word = toks[0]
         if word == "node":
             if len(toks) == 2:
@@ -550,9 +542,6 @@ def load_network(text: str) -> TransistorNetwork:
     for name in (VDD, GND):
         if name not in supplies:
             raise MissingSupplyError(f"missing 'supply {name}' declaration")
-    for name in storage:
-        if name in supplies:
-            raise NetworkSyntaxError(f"supply {name} cannot be a storage node")
 
     return TransistorNetwork(
         nodes=tuple(nodes),

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from scanforge.cli import main
+
 # Property tests draw the same examples on every run, so a failure reproduces
 # and tier-1 results do not vary; no example database is written.
 settings.register_profile("scanforge", derandomize=True, database=None, deadline=None)
@@ -26,3 +28,10 @@ def chain10_path() -> Path:
 @pytest.fixture
 def chain10_patterns_path() -> Path:
     return FIXTURES / "chain10.pat"
+
+
+def run_cli(capsys, *argv):
+    """Run ``scantool`` in process: its exit code, stdout and stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

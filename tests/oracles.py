@@ -377,6 +377,22 @@ def line_netlist(nets: int) -> Netlist:
     return Netlist(name="line", inputs=("A",), outputs=(prev,), instances=tuple(instances))
 
 
+def shift_chain_text(n: int, capture: str = "identity") -> str:
+    """A pure n-FF MUX chain from SI to SO as .snl text; capture reloads each
+    flop with its own Q, or with its inverse when ``capture`` is "invert"."""
+    lines = ["module chain", "input SI SE", "output SO"]
+    for k in range(n):
+        si = "SI" if k == 0 else f"Q{k - 1}"
+        if capture == "invert":
+            lines.append(f"gate i{k} INV D{k} Q{k}")
+            lines.append(f"scanff f{k} MUX Q{k} D{k} {si} SE")
+        else:
+            lines.append(f"scanff f{k} MUX Q{k} Q{k} {si} SE")
+    lines.append(f"gate gso BUF SO Q{n - 1}")
+    lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
 def brute_force_longest(
     n: Netlist, gate_delay: dict[str, float], test_mode: bool
 ) -> float:

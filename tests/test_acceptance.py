@@ -23,7 +23,7 @@ from scanforge.scan import default_plan, insert_scan, verify_chain
 from scanforge.sta import analyze_timing, zero_cloud_netlist
 from scanforge.switchsim import bundled_network, run_cycles
 
-from oracles import NaiveSim, random_netlist, weighted_transition_count
+from oracles import NaiveSim, random_netlist, shift_chain_text, weighted_transition_count
 
 LIB = CellLibrary.builtin()
 
@@ -34,16 +34,6 @@ def report(criterion: int, failures: list[str]) -> None:
     for f in failures:
         print(f"  - {f}")
     assert not failures, f"criterion {criterion}: " + "; ".join(failures)
-
-
-def shift_chain_text(n):
-    lines = ["module chain", "input SI SE", "output SO"]
-    for k in range(n):
-        si = "SI" if k == 0 else f"Q{k - 1}"
-        lines.append(f"scanff f{k} MUX Q{k} Q{k} {si} SE")
-    lines.append(f"gate gso BUF SO Q{n - 1}")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
 
 
 def test_acceptance_1_gain_reproduction(tmp_path):

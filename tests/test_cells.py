@@ -182,6 +182,9 @@ def test_load_library_rejects_unknown_sections(tmp_path):
     cfg.write_text("[ff.mux.mid_layout.test]\nt_su = 1\n")
     with pytest.raises(CellConfigError):
         load_library(cfg)
+    cfg.write_text("[wire.M1]\ndelay_ns = 1\n")
+    with pytest.raises(CellConfigError, match=r"^unrecognized section \[wire\.M1\]$"):
+        load_library(cfg)
 
 
 def test_load_library_returns_read_only_tables(tmp_path):

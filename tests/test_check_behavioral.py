@@ -27,6 +27,8 @@ from scanforge.kinds import FFVariant
 from scanforge.logic import X
 from scanforge.switchsim import StimulusError, bundled_network, check_behavioral, run_cycles
 
+from conftest import run_cli
+
 MODELS = [FFVariant.MUX, FFVariant.GDI, FFVariant.APPROX, None]
 SEEDS = [1, 42, 99]
 VECTORS = [0, 1, 16, 256]
@@ -112,12 +114,6 @@ def test_negative_vector_count_raises_before_any_phase_settles(vectors):
     with pytest.raises(StimulusError, match=f"vectors must be >= 0, got {vectors}"):
         check_behavioral(net, FFVariant.MUX, random.Random(1), vectors)
     assert net.compiled.cycles == {}
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_swapped_scan_pins_report_is_unchanged(capsys, tmp_path):

@@ -17,15 +17,10 @@ import scanforge
 from scanforge.cli import main
 from scanforge.netlist import parse_netlist
 
+from conftest import run_cli
 from test_reports import load_schema
 
 TFF = "module t\ninput EN\noutput Q\ngate gi INV D Q\ndff f1 Q D\nendmodule\n"
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def strict_json(text):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from scanforge import netlist as netlist_module
 from scanforge.cells import load_library
-from scanforge.errors import ScanforgeError
+from scanforge.errors import ScanforgeError, token_rows
 from scanforge.kinds import FFVariant, GateType
 from scanforge.netlist import (
     Dff,
@@ -183,7 +183,7 @@ def _one_match(line: str):
 
 
 def agree_on_rows(text: str) -> None:
-    for _, line, words in netlist_module._rows(text):
+    for _, line, words in token_rows(text):
         if words[0] not in ROW_DIRECTIVES:
             continue
         got, refused = _one_match(line)

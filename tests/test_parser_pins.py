@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scanforge import netlist as netlist_module
-from scanforge.errors import ScanforgeError
+from scanforge.errors import ScanforgeError, token_rows
 from scanforge.netlist import NetlistSyntaxError, parse_netlist, parse_patterns
 from oracles import regex_tokenize
 
@@ -203,6 +203,6 @@ _SPECIAL = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u200
 def test_tokenizer_matches_regex_oracle(text):
     got = [
         [(word, *netlist_module._at(row, i)) for i, word in enumerate(row[2])]
-        for row in netlist_module._rows(text)
+        for row in token_rows(text)
     ]
     assert got == regex_tokenize(text)

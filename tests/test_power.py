@@ -26,20 +26,10 @@ from scanforge.power import (
 )
 from scanforge.protocol import CycleSim, Phase, run_scan_test, sim_functional
 
-from oracles import weighted_transition_count, wtc_by_list_shift
+from oracles import shift_chain_text, weighted_transition_count, wtc_by_list_shift
 
 LIB = CellLibrary.builtin()
 POST = Stage.POST_LAYOUT
-
-
-def shift_chain_text(n):
-    lines = ["module chain", "input SI SE", "output SO"]
-    for k in range(n):
-        si = "SI" if k == 0 else f"Q{k - 1}"
-        lines.append(f"scanff f{k} MUX Q{k} Q{k} {si} SE")
-    lines.append(f"gso BUF SO Q{n - 1}".join(["gate ", ""]))
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
 
 
 def test_ten_ff_single_vector_billing(chain10_path):

@@ -36,22 +36,7 @@ from scanforge.protocol import (
 )
 from scanforge.scan import verify_chain
 
-from oracles import NaiveSim, naive_scan_test, random_netlist
-
-
-def shift_chain_text(n, capture="identity"):
-    """A pure n-FF chain; capture reloads each flop with f(own Q)."""
-    lines = ["module chain", "input SI SE", "output SO"]
-    for k in range(n):
-        si = "SI" if k == 0 else f"Q{k - 1}"
-        if capture == "invert":
-            lines.append(f"gate i{k} INV D{k} Q{k}")
-            lines.append(f"scanff f{k} MUX Q{k} D{k} {si} SE")
-        else:
-            lines.append(f"scanff f{k} MUX Q{k} Q{k} {si} SE")
-    lines.append(f"gate gso BUF SO Q{n - 1}")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+from oracles import NaiveSim, naive_scan_test, random_netlist, shift_chain_text
 
 
 def expected_response(n, plan, vector):
@@ -127,6 +112,13 @@ def test_plan_ports_must_be_distinct_primary_inputs():
         run_scan_test(n, patterns, plan=plan._replace(chain_in="SE"))
     with pytest.raises(ProtocolError):
         run_scan_test(n, patterns, plan=plan._replace(enable="Q0"))
+
+
+def test_a_plan_whose_chain_output_is_not_a_net_is_refused():
+    n = parse_netlist(shift_chain_text(2))
+    plan = verify_chain(n)._replace(chain_out="NOPE")
+    with pytest.raises(ProtocolError, match="^chain output 'NOPE' is not a net$"):
+        run_scan_test(n, parse_patterns("10\n", 2), plan=plan)
 
 
 @pytest.mark.parametrize("pipelined", [False, True])
@@ -438,6 +430,11 @@ def test_a_value_that_is_not_a_bit_is_a_protocol_error(entry, bad):
     call, net = BIT_ENTRY_POINTS[entry]
     with pytest.raises(ProtocolError, match=re.escape(repr(net))):
         call(bad)
+
+
+def test_init_may_name_only_flip_flops():
+    with pytest.raises(ProtocolError, match="^'nope' is not a flip-flop instance$"):
+        CycleSim(parse_netlist(TFF), init={"nope": 0})
 
 
 @pytest.mark.parametrize("bad", ["bogus", "FUNCTIONAL", None, 3, [1]], ids=repr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from scanforge.scan import (
     verify_chain,
 )
 
+from conftest import run_cli
 from oracles import NaiveSim, naive_check, random_netlist
 
 TWO_FF = """
@@ -297,6 +299,30 @@ scanff f1 MUX Q1 A SI SEN
 endmodule
 """
         )
+
+
+BUFFERED_HEAD = """
+module bufhead
+input A SI SE
+output Q2
+gate gb BUF S SI
+scanff f1 MUX Q1 A S SE
+scanff f2 MUX Q2 Q1 Q1 SE
+endmodule
+"""
+
+
+def test_a_chain_head_fed_through_a_buffer_is_a_broken_chain(capsys, tmp_path):
+    message = r"^chain input 'S' \(SI of 'f1'\) is not a primary input$"
+    with pytest.raises(BrokenChainError, match=message):
+        _verify_text(BUFFERED_HEAD)
+    snl = tmp_path / "bufhead.snl"
+    snl.write_text(BUFFERED_HEAD, encoding="utf-8")
+    pat = tmp_path / "two.pat"
+    pat.write_text("10\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "scan-test", str(snl), str(pat))
+    assert code == 1 and not out
+    assert json.loads(err)["error"]["code"] == "scan.broken_chain"
 
 
 def test_verify_rejects_two_heads():

@@ -15,7 +15,7 @@ import pytest
 
 from scanforge import sta
 from scanforge.cells import CellLibrary, FFVariant, GateParams, GateType, Mode, Stage
-from scanforge.netlist import Netlist, parse_netlist
+from scanforge.netlist import Gate, Netlist, parse_netlist
 from scanforge.sta import (
     TimingError,
     analyze_timing,
@@ -58,6 +58,13 @@ def test_zero_cloud_worked_examples():
     mux = analyze_timing(n, FFVariant.MUX, Stage.POST_LAYOUT, Mode.FUNCTIONAL)
     assert mux.t_clk_min_ns == pytest.approx(0.371, abs=1e-12)
     assert time_gain(mux, approx) == pytest.approx(0.02, abs=0.005)
+
+
+def test_a_netlist_with_no_flop_and_no_output_has_an_empty_critical_path():
+    n = Netlist("bare", ("A",), (), (Gate("g", GateType.INV, "Y", ("A",)),))
+    rep = analyze_timing(n, FFVariant.MUX, Stage.POST_LAYOUT, Mode.FUNCTIONAL)
+    assert rep.t_comb_ns == 0.0
+    assert rep.critical_path == ()
 
 
 def test_zero_cloud_is_exact_for_every_combination():
